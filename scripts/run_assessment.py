@@ -32,8 +32,8 @@ def main() -> int:
                   f"(xi {breakdown.xi}, delta {breakdown.delta})")
             print(f"    adopted: {', '.join(adopted) or 'none'}")
             print(f"    demoted: {', '.join(demoted) or 'none'}")
-        total = degree_domain(kb, domain.id, engine=engine)
-        result = minimize_domain(kb, domain.id)
+        total = degree_domain(engine, domain.id)
+        result = minimize_domain(engine, domain.id)
         print(f"  total degree: {total.degree}")
         print(f"  best subset: {{{', '.join(sorted(result.canonical))}}} "
               f"at degree {result.optimal_degree}")

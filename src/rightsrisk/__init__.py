@@ -6,8 +6,7 @@ scenario subsets, and emits FRIA-style reports.
 """
 from .dsl import ParseError, parse_kb, print_kb, tokenize
 from .engine import (DerivationTrace, Engine, EngineConfig, Explanation,
-                     Occurrence, ScenarioFindings, Status, assess_scenario,
-                     check_monotonicity)
+                     Occurrence, ScenarioFindings, Status)
 from .minimizer import (MinimizationResult, SizeError, minimize_domain,
                         minimize_purpose)
 from .model import (Diagnostic, FeatureLiteral, KnowledgeBase, expand_right,
@@ -24,8 +23,8 @@ __all__ = [
     "AssessmentBundle", "DegreeBreakdown", "DerivationTrace", "Diagnostic",
     "Engine", "EngineConfig", "Explanation", "FeatureLiteral", "FriaReport",
     "KnowledgeBase", "MinimizationResult", "Occurrence", "ParseError",
-    "ScenarioFindings", "SizeError", "Status", "assess_scenario",
-    "build_bundle", "build_report", "check_monotonicity", "degree_domain",
+    "ScenarioFindings", "SizeError", "Status", "build_bundle",
+    "build_report", "degree_domain",
     "degree_purpose", "degree_scenario", "expand_right", "likelihood",
     "magnitude", "minimize_domain", "minimize_purpose", "parse_kb",
     "parse_report", "print_kb", "render", "satisfies", "severity",

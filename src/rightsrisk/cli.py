@@ -7,17 +7,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .dsl import ParseError, parse_kb
 from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, validate_kb
-from .report import (build_bundle, build_report, render, report_to_dict,
-                     ReportError)
+from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
+                     build_report, frac, render, report_to_dict, scenario_view)
 from .scoring import degree_scenario
 
 EXIT_OK = 0
@@ -29,15 +27,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _color_enabled() -> bool:
-    return os.environ.get("RIGHTS_COLOR", "0") == "1"
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
 
 
 def _load_kb(path: str) -> KnowledgeBase:
@@ -52,49 +41,50 @@ def _load_kb(path: str) -> KnowledgeBase:
         raise CliError(f"parse error: {exc}", EXIT_USAGE)
 
 
-def _require_valid(kb: KnowledgeBase) -> None:
+def _load_engine(args) -> Engine:
+    """The run's one Engine: over the valid KB in `args.file`, configured
+    by the toggle flags."""
+    kb = _load_kb(args.file)
     errors = [d for d in validate_kb(kb) if d.severity == "error"]
     if errors:
         raise CliError("\n".join(str(d) for d in errors), EXIT_SEMANTIC)
-
-
-def _config(args) -> EngineConfig:
-    return EngineConfig(
+    return Engine(kb, EngineConfig(
         derived_collision=not args.no_derived_collision,
         monotonicity_check=not args.no_monotonicity_check,
-    )
+    ))
 
 
-def _pick_domain(kb: KnowledgeBase, args) -> Optional[str]:
-    if getattr(args, "domain", None):
+def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
+    """("domain" or "purpose", id): `--purpose`/`--gpai` select a purpose,
+    else a domain; the flag names it, or else the KB declares exactly one."""
+    kind = "purpose" if args.purpose or getattr(args, "gpai", False) else "domain"
+    named = getattr(args, kind)
+    declared = getattr(kb, kind + "s")
+    if named:
         try:
-            kb.domain(args.domain)
+            getattr(kb, kind)(named)
         except KeyError as exc:
             raise CliError(str(exc), EXIT_SEMANTIC)
-        return args.domain
-    if len(kb.domains) == 1:
-        return kb.domains[0].id
-    if not kb.domains:
-        raise CliError("no domain declared", EXIT_SEMANTIC)
-    raise CliError("ambiguous domain: pass --domain "
-                   f"(candidates: {', '.join(d.id for d in kb.domains)})",
+        return kind, named
+    if len(declared) == 1:
+        return kind, declared[0].id
+    if not declared:
+        raise CliError(f"no {kind} declared", EXIT_SEMANTIC)
+    raise CliError(f"ambiguous {kind}: pass --{kind} "
+                   f"(candidates: {', '.join(d.id for d in declared)})",
                    EXIT_SEMANTIC)
 
 
-def _pick_purpose(kb: KnowledgeBase, args) -> str:
-    if getattr(args, "purpose", None):
-        try:
-            kb.purpose(args.purpose)
-        except KeyError as exc:
-            raise CliError(str(exc), EXIT_SEMANTIC)
-        return args.purpose
-    if len(kb.purposes) == 1:
-        return kb.purposes[0].id
-    if not kb.purposes:
-        raise CliError("no purpose declared", EXIT_SEMANTIC)
-    raise CliError("ambiguous purpose: pass --purpose "
-                   f"(candidates: {', '.join(p.id for p in kb.purposes)})",
-                   EXIT_SEMANTIC)
+def _bundle(engine: Engine, args) -> tuple[str, AssessmentBundle]:
+    kind, selected = _select(engine.kb, args)
+    try:
+        if kind == "purpose":
+            bundle = build_bundle(engine, purpose_id=selected, mode=args.mode)
+        else:
+            bundle = build_bundle(engine, domain_id=selected, mode=args.mode)
+    except (SizeError, ReportError) as exc:
+        raise CliError(str(exc), EXIT_SEMANTIC)
+    return f"{kind} {selected}", bundle
 
 
 # ---------------------------------------------------------------------------
@@ -117,119 +107,95 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _scenario_block(engine: Engine, sid: str) -> list[str]:
-    findings = engine.assess(sid)
-    breakdown = degree_scenario(findings)
-    lines = [f"scenario {sid}:"]
-    statuses = " ".join(f"{r}={s.value}"
-                        for r, s in sorted(findings.statuses.items()))
-    lines.append(f"  statuses: {statuses or '(none)'}")
-    if findings.collisions:
-        pairs = "; ".join("(" + ", ".join(sorted(p)) + ")"
-                          for p in sorted(findings.collisions, key=sorted))
+def _scenario_block(view: ScenarioView) -> str:
+    b = view.breakdown
+    statuses = " ".join(f"{r}={s}" for r, s in view.statuses.items())
+    lines = [f"scenario {view.scenario}:", f"  statuses: {statuses or '(none)'}"]
+    if view.collisions:
+        pairs = "; ".join("(" + ", ".join(p) + ")" for p in view.collisions)
         lines.append(f"  collisions: {pairs}")
-    adopted = " ".join(sorted(str(o) for o in findings.adopted))
-    lines.append(f"  adopted: {adopted or '(none)'}")
-    demoted = " ".join(sorted(str(o) for o in findings.demoted_occurrences))
-    lines.append(f"  demoted: {demoted or '(none)'}")
-    lines.append(f"  degree: {_frac(breakdown.degree)} "
-                 f"(xi={_frac(breakdown.xi)}, delta={_frac(breakdown.delta)})")
-    for d in findings.diagnostics:
-        lines.append(f"  {d}")
-    return lines
+    lines.append(f"  adopted: {' '.join(view.adopted) or '(none)'}")
+    lines.append(f"  demoted: {' '.join(view.demoted) or '(none)'}")
+    lines.append(f"  degree: {frac(b.degree)} (xi={frac(b.xi)}, delta={frac(b.delta)})")
+    lines += [f"  {d}" for d in view.diagnostics]
+    return "\n".join(lines)
+
+
+def _scenario_json(view: ScenarioView) -> dict:
+    b = view.breakdown
+    return {
+        "scenario": view.scenario,
+        "statuses": view.statuses,
+        "collisions": view.collisions,
+        "adopted": view.adopted,
+        "demoted": view.demoted,
+        "degree": frac(b.degree),
+        "xi": frac(b.xi),
+        "delta": frac(b.delta),
+        "diagnostics": view.diagnostics,
+    }
 
 
 def cmd_assess(args) -> int:
-    kb = _load_kb(args.file)
-    _require_valid(kb)
-    config = _config(args)
-    engine = Engine(kb, config)
+    engine = _load_engine(args)
+    kb = engine.kb
 
     if args.scenario:
         try:
             kb.scenario(args.scenario)
         except KeyError:
             raise CliError(f"unknown scenario {args.scenario!r}", EXIT_SEMANTIC)
+        findings = engine.assess(args.scenario)
+        view = scenario_view(findings, degree_scenario(findings))
         if args.json:
-            bundle_json = _scenario_json(engine, args.scenario)
-            print(json.dumps(bundle_json, indent=2, sort_keys=True))
+            print(json.dumps(_scenario_json(view), indent=2, sort_keys=True))
         else:
-            print("\n".join(_scenario_block(engine, args.scenario)))
+            print(_scenario_block(view))
             for d in engine.check_monotonicity():
                 print(d)
         return EXIT_OK
 
-    if args.purpose:
-        purpose_id = _pick_purpose(kb, args)
-        bundle = build_bundle(kb, purpose_id=purpose_id, config=config,
-                              mode=args.mode)
-        label = f"purpose {purpose_id}"
-    else:
-        domain_id = _pick_domain(kb, args)
-        bundle = build_bundle(kb, domain_id=domain_id, config=config,
-                              mode=args.mode)
-        label = f"domain {domain_id}"
-
+    label, bundle = _bundle(engine, args)
     if args.json:
         report = build_report(kb, bundle, {"generated_at": args.fixed_time or ""})
         print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
         return EXIT_OK
 
-    for sid in bundle.findings:
-        print("\n".join(_scenario_block(engine, sid)))
-    print(f"{label} degree: {_frac(bundle.total.degree)} "
-          f"(xi={_frac(bundle.total.xi)}, delta={_frac(bundle.total.delta)})")
-    for d in engine.check_monotonicity():
-        print(d)
+    for sid, findings in bundle.findings.items():
+        print(_scenario_block(scenario_view(findings, bundle.breakdowns[sid])))
+    total = bundle.total
+    print(f"{label} degree: {frac(total.degree)} "
+          f"(xi={frac(total.xi)}, delta={frac(total.delta)})")
+    for d in bundle.diagnostics:
+        if d.code == "monotonicity":
+            print(d)
     return EXIT_OK
 
 
-def _scenario_json(engine: Engine, sid: str) -> dict:
-    findings = engine.assess(sid)
-    breakdown = degree_scenario(findings)
-    return {
-        "scenario": sid,
-        "statuses": {r: s.value for r, s in sorted(findings.statuses.items())},
-        "collisions": sorted(sorted(p) for p in findings.collisions),
-        "adopted": sorted(str(o) for o in findings.adopted),
-        "demoted": sorted(str(o) for o in findings.demoted_occurrences),
-        "degree": _frac(breakdown.degree),
-        "xi": _frac(breakdown.xi),
-        "delta": _frac(breakdown.delta),
-        "diagnostics": [str(d) for d in findings.diagnostics],
-    }
-
-
 def cmd_minimize(args) -> int:
-    kb = _load_kb(args.file)
-    _require_valid(kb)
-    config = _config(args)
+    engine = _load_engine(args)
+    kind, selected = _select(engine.kb, args)
+    minimize = minimize_purpose if kind == "purpose" else minimize_domain
     try:
-        if args.gpai or args.purpose:
-            purpose_id = _pick_purpose(kb, args)
-            result = minimize_purpose(kb, purpose_id, mode=args.mode, config=config)
-            label = f"purpose {purpose_id}"
-        else:
-            domain_id = _pick_domain(kb, args)
-            result = minimize_domain(kb, domain_id, mode=args.mode, config=config)
-            label = f"domain {domain_id}"
+        result = minimize(engine, selected, mode=args.mode)
     except SizeError as exc:
         raise CliError(str(exc), EXIT_SEMANTIC)
+    label = f"{kind} {selected}"
 
     if args.json:
         print(json.dumps({
             "selector": label,
-            "optimal_degree": _frac(result.optimal_degree),
+            "optimal_degree": frac(result.optimal_degree),
             "maximizers": [sorted(m) for m in result.maximizers],
             "maximizer_count": result.maximizer_count,
             "canonical": sorted(result.canonical),
-            "per_unit_degrees": {k: _frac(v)
+            "per_unit_degrees": {k: frac(v)
                                  for k, v in sorted(result.per_unit_degrees.items())},
             "method": result.method,
         }, indent=2, sort_keys=True))
         return EXIT_OK
 
-    print(f"{label}: optimal degree {_frac(result.optimal_degree)} "
+    print(f"{label}: optimal degree {frac(result.optimal_degree)} "
           f"({result.method})")
     shown = result.maximizers
     print(f"maximizers ({result.maximizer_count}):")
@@ -242,9 +208,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    kb = _load_kb(args.file)
-    _require_valid(kb)
-    engine = Engine(kb, _config(args))
+    engine = _load_engine(args)
     try:
         explanation = engine.explain(args.scenario, args.conclusion)
     except ValueError as exc:
@@ -259,20 +223,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fria(args) -> int:
-    kb = _load_kb(args.file)
-    _require_valid(kb)
-    config = _config(args)
-    try:
-        if args.gpai or args.purpose:
-            purpose_id = _pick_purpose(kb, args)
-            bundle = build_bundle(kb, purpose_id=purpose_id, config=config,
-                                  mode=args.mode)
-        else:
-            domain_id = _pick_domain(kb, args)
-            bundle = build_bundle(kb, domain_id=domain_id, config=config,
-                                  mode=args.mode)
-    except (SizeError, ReportError) as exc:
-        raise CliError(str(exc), EXIT_SEMANTIC)
+    engine = _load_engine(args)
+    _, bundle = _bundle(engine, args)
 
     metadata = {
         "process": args.process or "",
@@ -281,7 +233,7 @@ def cmd_fria(args) -> int:
     }
     if args.fixed_time:
         metadata["generated_at"] = args.fixed_time
-    report = build_report(kb, bundle, metadata)
+    report = build_report(engine.kb, bundle, metadata)
     text = render(report, args.format)
 
     if args.out:

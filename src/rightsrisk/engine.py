@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .model import (ChainHead, Diagnostic, FeatureLiteral, KnowledgeBase,
-                    PredHead, PriorityChain, Rule, logically_incompatible,
-                    satisfies)
+from .model import (ChainHead, Diagnostic, KnowledgeBase, PredHead,
+                    PriorityChain, Rule, logically_incompatible, satisfies)
 
 SINGLETON = "singleton"
 
@@ -29,14 +28,6 @@ class Status(Enum):
 class EngineConfig:
     derived_collision: bool = True       # Promoted x Demoted pairs collide
     monotonicity_check: bool = True
-
-
-@dataclass(frozen=True)
-class Fired:
-    rule_id: str
-    strength: int
-    head: PredHead | ChainHead
-    body: tuple[FeatureLiteral, ...]
 
 
 @dataclass(frozen=True)
@@ -96,15 +87,14 @@ class Engine:
 
     # -- rule firing --------------------------------------------------------
 
-    def fire_rules(self, scenario_id: str) -> list[Fired]:
+    def fire_rules(self, scenario_id: str) -> list[Rule]:
         scen = self.kb.scenario(scenario_id)
-        return [Fired(r.id, r.strength, r.head, r.body)
-                for r in self._rules if satisfies(scen.features, r.body)]
+        return [r for r in self._rules if satisfies(scen.features, r.body)]
 
     # -- status resolution --------------------------------------------------
 
     @staticmethod
-    def resolve_statuses(fired: list[Fired]) -> tuple[dict[str, Status], list[Diagnostic]]:
+    def resolve_statuses(fired: list[Rule]) -> tuple[dict[str, Status], list[Diagnostic]]:
         """Strength comparison with ambiguity blocking on ties; a
         `not_demotes` head blocks demotions of equal or lower strength."""
         by_right: dict[str, dict[str, list[int]]] = {}
@@ -151,7 +141,7 @@ class Engine:
         return self._incompat[key]
 
     def derive_collisions(self, statuses: dict[str, Status],
-                          fired: list[Fired]) -> frozenset[frozenset[str]]:
+                          fired: list[Rule]) -> frozenset[frozenset[str]]:
         explicit: dict[frozenset[str], int] = {}
         blocks: dict[frozenset[str], int] = {}
         for f in fired:
@@ -214,7 +204,7 @@ class Engine:
 
         collisions = self.derive_collisions(statuses, fired)
 
-        fired_chains = [PriorityChain(f.rule_id, f.head.rights, f.body)
+        fired_chains = [PriorityChain(f.id, f.head.rights, f.body)
                         for f in fired if isinstance(f.head, ChainHead)]
 
         adopted: list[Occurrence] = []
@@ -321,10 +311,10 @@ class Engine:
             raise ValueError(f"conclusion {conclusion!r} names no right")
         return kind, args
 
-    def _pred_trace(self, scenario_id: str, fired: Fired) -> DerivationTrace:
+    def _pred_trace(self, scenario_id: str, rule: Rule) -> DerivationTrace:
         leaves = tuple(DerivationTrace(f"feature {lit} holds in {scenario_id}", None)
-                       for lit in fired.body)
-        return DerivationTrace(f"{fired.head}", fired.rule_id, leaves)
+                       for lit in rule.body)
+        return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
         fired = self.fire_rules(scenario_id)
@@ -420,16 +410,3 @@ class Engine:
         return (f"not derivable: rule {best.id!r} concludes {label} but "
                 f"requires {{{', '.join(missing)}}} not present in {scenario_id}")
 
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers
-# ---------------------------------------------------------------------------
-
-def assess_scenario(kb: KnowledgeBase, scenario_id: str,
-                    config: EngineConfig = EngineConfig()) -> ScenarioFindings:
-    return Engine(kb, config).assess(scenario_id)
-
-
-def check_monotonicity(kb: KnowledgeBase,
-                       config: EngineConfig = EngineConfig()) -> list[Diagnostic]:
-    return Engine(kb, config).check_monotonicity()

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .engine import Engine, EngineConfig
-from .model import KnowledgeBase
+from .engine import Engine
 from .scoring import degree_domain, degree_scenario
 
 EXHAUSTIVE_LIMIT = 24
@@ -97,21 +96,19 @@ def _minimize_units(per_unit: dict[str, Fraction], mode: str) -> MinimizationRes
     return _finalize(family, best, per_unit, "fast-path")
 
 
-def minimize_domain(kb: KnowledgeBase, domain_id: str, mode: str = "fast",
-                    config: EngineConfig = EngineConfig()) -> MinimizationResult:
+def minimize_domain(engine: Engine, domain_id: str,
+                    mode: str = "fast") -> MinimizationResult:
     """Degree-maximizing non-empty subsets of the domain's scenario set."""
-    domain = kb.domain(domain_id)
-    engine = Engine(kb, config)
+    domain = engine.kb.domain(domain_id)
     per_unit = {sid: degree_scenario(engine.assess(sid)).degree
                 for sid in domain.scenarios}
     return _minimize_units(per_unit, mode)
 
 
-def minimize_purpose(kb: KnowledgeBase, purpose_id: str, mode: str = "fast",
-                     config: EngineConfig = EngineConfig()) -> MinimizationResult:
+def minimize_purpose(engine: Engine, purpose_id: str,
+                     mode: str = "fast") -> MinimizationResult:
     """Same search one level up, over the purpose's domains."""
-    purpose = kb.purpose(purpose_id)
-    engine = Engine(kb, config)
-    per_unit = {did: degree_domain(kb, did, engine=engine).degree
+    purpose = engine.kb.purpose(purpose_id)
+    per_unit = {did: degree_domain(engine, did).degree
                 for did in purpose.domains}
     return _minimize_units(per_unit, mode)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dsl import print_kb
-from .engine import Engine, EngineConfig, ScenarioFindings
+from .engine import Engine, ScenarioFindings
 from .minimizer import MinimizationResult, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, validate_kb
 from .riskmatrix import assess_annotation
@@ -66,23 +66,22 @@ class AssessmentBundle:
     diagnostics: list
 
 
-def build_bundle(kb: KnowledgeBase, domain_id: Optional[str] = None,
+def build_bundle(engine: Engine, domain_id: Optional[str] = None,
                  purpose_id: Optional[str] = None,
-                 config: EngineConfig = EngineConfig(),
                  mode: str = "fast") -> AssessmentBundle:
     if (domain_id is None) == (purpose_id is None):
         raise ReportError("select exactly one domain or purpose")
-    engine = Engine(kb, config)
+    kb = engine.kb
     if domain_id is not None:
         scenario_ids = list(kb.domain(domain_id).scenarios)
-        total = degree_domain(kb, domain_id, engine=engine)
-        minimization = minimize_domain(kb, domain_id, mode=mode, config=config)
+        total = degree_domain(engine, domain_id)
+        minimization = minimize_domain(engine, domain_id, mode=mode)
     else:
         scenario_ids = []
         for did in kb.purpose(purpose_id).domains:
             scenario_ids.extend(kb.domain(did).scenarios)
-        total = degree_purpose(kb, purpose_id, engine=engine)
-        minimization = minimize_purpose(kb, purpose_id, mode=mode, config=config)
+        total = degree_purpose(engine, purpose_id)
+        minimization = minimize_purpose(engine, purpose_id, mode=mode)
     findings = {sid: engine.assess(sid) for sid in scenario_ids}
     breakdowns = {sid: degree_scenario(f) for sid, f in findings.items()}
     diagnostics = validate_kb(kb) + engine.check_monotonicity()
@@ -90,6 +89,40 @@ def build_bundle(kb: KnowledgeBase, domain_id: Optional[str] = None,
         diagnostics.extend(f.diagnostics)
     return AssessmentBundle(kb, domain_id, purpose_id, findings, breakdowns,
                             total, minimization, diagnostics)
+
+
+def frac(value: Fraction) -> str:
+    """An exact degree as text: "3" or "7/2"."""
+    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
+        else str(value.numerator)
+
+
+@dataclass
+class ScenarioView:
+    """One scenario's findings and degree, in the canonical order that the
+    text, JSON and Markdown renderers all show."""
+    scenario: str
+    statuses: dict[str, str]          # right -> Promoted/Demoted/Undefined
+    collisions: list[list[str]]
+    adopted: list[str]                # "right<x,y>" occurrence labels
+    demoted: list[str]                # "right<x,y>" occurrence labels
+    demoted_rights: list[str]
+    breakdown: DegreeBreakdown
+    diagnostics: list[str]
+
+
+def scenario_view(findings: ScenarioFindings,
+                  breakdown: DegreeBreakdown) -> ScenarioView:
+    return ScenarioView(
+        scenario=findings.scenario,
+        statuses={r: s.value for r, s in sorted(findings.statuses.items())},
+        collisions=sorted(sorted(pair) for pair in findings.collisions),
+        adopted=sorted(str(o) for o in findings.adopted),
+        demoted=sorted(str(o) for o in findings.demoted_occurrences),
+        demoted_rights=sorted({o.right for o in findings.demoted_occurrences}),
+        breakdown=breakdown,
+        diagnostics=[str(d) for d in findings.diagnostics],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +164,6 @@ def kb_hash(kb: KnowledgeBase) -> str:
     return hashlib.sha256(print_kb(kb).encode("utf-8")).hexdigest()
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
-
-
 def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
                  metadata: Optional[dict] = None) -> FriaReport:
     """Assemble the FRIA report. Every demoted right of every assessed
@@ -145,12 +173,13 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
         raise ReportError("bundle was built from a different knowledge base")
     metadata = metadata or {}
     selector = bundle.domain_id or bundle.purpose_id
-    generated_at = metadata.get("generated_at") or datetime.now(timezone.utc).isoformat()
+    generated_at = metadata.get("generated_at")
+    if generated_at is None:
+        generated_at = datetime.now(timezone.utc).isoformat()
 
     scenarios: list[ScenarioRisk] = []
     for sid in sorted(bundle.findings):
-        f = bundle.findings[sid]
-        breakdown = bundle.breakdowns[sid]
+        view = scenario_view(bundle.findings[sid], bundle.breakdowns[sid])
         ann = kb.risk_annotation(sid)
         band = None
         if ann is not None and all(getattr(ann, n) is not None
@@ -159,11 +188,11 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
                                      ann.sensitivity, ann.vulnerability).band
         scenarios.append(ScenarioRisk(
             scenario=sid,
-            statuses={r: s.value for r, s in sorted(f.statuses.items())},
-            demoted=sorted({o.right for o in f.demoted_occurrences}),
-            collisions=sorted(sorted(pair) for pair in f.collisions),
-            adopted=sorted(str(o) for o in f.adopted),
-            degree=breakdown.degree,
+            statuses=view.statuses,
+            demoted=view.demoted_rights,
+            collisions=view.collisions,
+            adopted=view.adopted,
+            degree=view.breakdown.degree,
             band=band,
             obligations=[o.id for o in kb.scenario_obligations(sid)],
         ))
@@ -191,17 +220,17 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
         mitigation={
             "text": metadata.get("mitigation", ""),
             "recommended_subset": sorted(mini.canonical),
-            "optimal_degree": _frac(mini.optimal_degree),
+            "optimal_degree": frac(mini.optimal_degree),
         },
         degrees={
-            "per_scenario": {sid: _frac(b.degree)
+            "per_scenario": {sid: frac(b.degree)
                              for sid, b in sorted(bundle.breakdowns.items())},
-            "xi": _frac(bundle.total.xi),
-            "delta": _frac(bundle.total.delta),
-            "total": _frac(bundle.total.degree),
+            "xi": frac(bundle.total.xi),
+            "delta": frac(bundle.total.delta),
+            "total": frac(bundle.total.degree),
         },
         minimization={
-            "optimal_degree": _frac(mini.optimal_degree),
+            "optimal_degree": frac(mini.optimal_degree),
             "maximizers": [sorted(m) for m in mini.maximizers],
             "maximizer_count": mini.maximizer_count,
             "canonical": sorted(mini.canonical),
@@ -226,7 +255,7 @@ def report_to_dict(report: FriaReport) -> dict:
             "demoted": s.demoted,
             "collisions": s.collisions,
             "adopted": s.adopted,
-            "degree": _frac(s.degree),
+            "degree": frac(s.degree),
             "band": s.band,
             "obligations": s.obligations,
         } for s in report.scenarios],
@@ -288,7 +317,7 @@ def _render_markdown(report: FriaReport) -> str:
             pairs = "; ".join(" / ".join(p) for p in s.collisions)
             lines.append(f"Collisions: {pairs}")
         lines.append("Adopted: " + (", ".join(s.adopted) if s.adopted else "none"))
-        lines.append(f"Impact degree: {_frac(s.degree)}")
+        lines.append(f"Impact degree: {frac(s.degree)}")
         if s.band is not None:
             lines.append(f"Risk band: {s.band} (qualitative, configuration-defined)")
         if s.obligations:

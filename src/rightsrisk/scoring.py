@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .engine import Engine, EngineConfig, Occurrence, ScenarioFindings
-from .model import KnowledgeBase
+from .engine import Engine, Occurrence, ScenarioFindings
 
 
 class ScoringError(ValueError):
@@ -67,13 +66,11 @@ def degree_scenario(findings: ScenarioFindings) -> DegreeBreakdown:
     return DegreeBreakdown(xi, delta, entries)
 
 
-def degree_domain(kb: KnowledgeBase, domain_id: str,
-                  subset: Optional[set[str]] = None,
-                  config: EngineConfig = EngineConfig(),
-                  engine: Optional[Engine] = None) -> DegreeBreakdown:
+def degree_domain(engine: Engine, domain_id: str,
+                  subset: Optional[set[str]] = None) -> DegreeBreakdown:
     """Sum of scenario degrees over the domain (or an explicit non-empty
     subset of its scenarios)."""
-    domain = kb.domain(domain_id)
+    domain = engine.kb.domain(domain_id)
     if subset is None:
         chosen = list(domain.scenarios)
     else:
@@ -83,19 +80,16 @@ def degree_domain(kb: KnowledgeBase, domain_id: str,
         if extra:
             raise ScoringError(f"scenarios {sorted(extra)} outside domain {domain_id!r}")
         chosen = [s for s in domain.scenarios if s in subset]
-    eng = engine or Engine(kb, config)
     total = DegreeBreakdown()
     for sid in chosen:
-        total = total.add(degree_scenario(eng.assess(sid)))
+        total = total.add(degree_scenario(engine.assess(sid)))
     return total
 
 
-def degree_purpose(kb: KnowledgeBase, purpose_id: str,
-                   subset: Optional[set[str]] = None,
-                   config: EngineConfig = EngineConfig(),
-                   engine: Optional[Engine] = None) -> DegreeBreakdown:
+def degree_purpose(engine: Engine, purpose_id: str,
+                   subset: Optional[set[str]] = None) -> DegreeBreakdown:
     """Sum of domain degrees over the purpose's family of domains."""
-    purpose = kb.purpose(purpose_id)
+    purpose = engine.kb.purpose(purpose_id)
     if subset is None:
         chosen = list(purpose.domains)
     else:
@@ -105,8 +99,7 @@ def degree_purpose(kb: KnowledgeBase, purpose_id: str,
         if extra:
             raise ScoringError(f"domains {sorted(extra)} outside purpose {purpose_id!r}")
         chosen = [d for d in purpose.domains if d in subset]
-    eng = engine or Engine(kb, config)
     total = DegreeBreakdown()
     for did in chosen:
-        total = total.add(degree_domain(kb, did, engine=eng))
+        total = total.add(degree_domain(engine, did))
     return total

@@ -66,7 +66,7 @@ def test_2_scholarship_degrees_and_minimizer(scholarship_kb):
                     if s == Status.DEMOTED} == demoted
             degrees[sid] = degree_scenario(f).degree
         assert degrees == {"S_d": 3, "S_r": 0, "S_e": 0}
-        result = minimize_domain(scholarship_kb, "D_scholarship",
+        result = minimize_domain(Engine(scholarship_kb), "D_scholarship",
                                  mode="exhaustive")
         assert result.optimal_degree == 3
         assert set(result.maximizers) == {
@@ -120,8 +120,8 @@ def test_5_fast_minimizer_matches_exhaustive():
         rng = random.Random(2026)
         for _ in range(500):
             kb = random_kb(rng, max_scenarios=12, max_chain=4)
-            fast = minimize_domain(kb, "D", mode="fast")
-            full = minimize_domain(kb, "D", mode="exhaustive")
+            fast = minimize_domain(Engine(kb), "D", mode="fast")
+            full = minimize_domain(Engine(kb), "D", mode="exhaustive")
             assert fast.optimal_degree == full.optimal_degree
             assert fast.maximizers == full.maximizers
             assert fast.maximizer_count == full.maximizer_count
@@ -140,9 +140,9 @@ def test_6_degree_additivity():
             cut = rng.randint(1, len(ids) - 1)
             rng.shuffle(ids)
             left, right = set(ids[:cut]), set(ids[cut:])
-            whole = degree_domain(kb, "D").degree
-            assert whole == (degree_domain(kb, "D", subset=left).degree
-                             + degree_domain(kb, "D", subset=right).degree)
+            whole = degree_domain(Engine(kb), "D").degree
+            assert whole == (degree_domain(Engine(kb), "D", subset=left).degree
+                             + degree_domain(Engine(kb), "D", subset=right).degree)
             checked += 1
 
 
@@ -185,7 +185,7 @@ def test_9_report_completeness(fixtures_dir):
         for path in sorted(fixtures_dir.glob("*.rights")):
             kb = load_fixture(path.name)
             for domain in kb.domains:
-                bundle = build_bundle(kb, domain_id=domain.id)
+                bundle = build_bundle(Engine(kb), domain_id=domain.id)
                 report = build_report(kb, bundle, meta)
                 markdown = render(report, "markdown")
                 harm = markdown.split("Art. 27(d))")[1].split("Art. 27(e)")[0]

@@ -71,11 +71,29 @@ class TestAssess:
         assert data["statuses"]["privacy"] == "Demoted"
 
     def test_byte_identical_runs(self, capsys, fixtures_dir):
-        _, first, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
-                          "--purpose", "P_triage")
-        _, second, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
-                           "--purpose", "P_triage")
-        assert first == second
+        for extra in ((), ("--json",)):
+            _, first, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
+                              "--purpose", "P_triage", *extra)
+            _, second, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
+                               "--purpose", "P_triage", *extra)
+            assert first == second
+
+    def test_exhaustive_size_error(self, capsys, tmp_path):
+        big = tmp_path / "big.rights"
+        big.write_text("right a;\n"
+                       + "".join(f"scenario S{i} {{ x{i} }}\n" for i in range(30))
+                       + "domain D { " + ", ".join(f"S{i}" for i in range(30)) + " }\n")
+        code, _, err = run(capsys, "assess", str(big), "--mode", "exhaustive")
+        assert code == 1
+        assert "fast mode" in err
+
+    def test_ambiguous_purpose(self, capsys, tmp_path):
+        kb = tmp_path / "two.rights"
+        kb.write_text("right a;\nscenario S { x }\ndomain D { S }\n"
+                      "purpose P1 { D }\npurpose P2 { D }\n")
+        code, _, err = run(capsys, "fria", str(kb), "--gpai")
+        assert code == 1
+        assert err == "ambiguous purpose: pass --purpose (candidates: P1, P2)\n"
 
 
 class TestMinimize:

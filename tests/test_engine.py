@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from rightsrisk.dsl import parse_kb
-from rightsrisk.engine import (Engine, EngineConfig, Occurrence, Status,
-                               assess_scenario, check_monotonicity)
+from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
 from rightsrisk.model import ChainHead, PredHead, PriorityChain
 
 
@@ -147,7 +146,7 @@ class TestAdopt:
 
 class TestAssessScenario:
     def test_scholarship_singletons(self, scholarship_kb):
-        f = assess_scenario(scholarship_kb, "S_d")
+        f = Engine(scholarship_kb).assess("S_d")
         assert f.adopted == frozenset({
             occ("privacy", "singleton", 1, 1),
             occ("non_discrimination", "singleton", 1, 1),
@@ -157,17 +156,17 @@ class TestAssessScenario:
     def test_no_rules_all_undefined(self):
         kb = parse_kb("right a;\nscenario S { x }\n"
                       "rule r: y => promotes(a);")
-        f = assess_scenario(kb, "S")
+        f = Engine(kb).assess("S")
         assert f.adopted == frozenset()
         assert all(s == Status.UNDEFINED for s in f.statuses.values())
 
     def test_unknown_scenario(self, pandemic_kb):
         with pytest.raises(KeyError):
-            assess_scenario(pandemic_kb, "nope")
+            Engine(pandemic_kb).assess("nope")
 
     def test_deterministic(self, triage_kb):
-        a = assess_scenario(triage_kb, "S_outbreak")
-        b = assess_scenario(triage_kb, "S_outbreak")
+        a = Engine(triage_kb).assess("S_outbreak")
+        b = Engine(triage_kb).assess("S_outbreak")
         assert a.statuses == b.statuses
         assert a.adopted == b.adopted
         assert a.collisions == b.collisions
@@ -195,18 +194,18 @@ class TestMonotonicity:
 
     def test_superset_conflict_warns(self):
         kb = parse_kb(self.KB_TEXT)
-        diags = check_monotonicity(kb)
+        diags = Engine(kb).check_monotonicity()
         assert len(diags) == 1
         assert diags[0].code == "monotonicity"
         assert "'Y'" in diags[0].message and "'X'" in diags[0].message
 
     def test_disjoint_features_quiet(self, scholarship_kb):
-        assert check_monotonicity(scholarship_kb) == []
+        assert Engine(scholarship_kb).check_monotonicity() == []
 
     def test_toggle_off(self):
         kb = parse_kb(self.KB_TEXT)
         config = EngineConfig(monotonicity_check=False)
-        assert check_monotonicity(kb, config) == []
+        assert Engine(kb, config).check_monotonicity() == []
 
 
 class TestExplain:

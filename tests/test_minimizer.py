@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rightsrisk.dsl import parse_kb
+from rightsrisk.engine import Engine
 from rightsrisk.minimizer import (SizeError, _minimize_units, minimize_domain,
                                   minimize_purpose)
 
@@ -16,7 +17,8 @@ def units(**kwargs):
 
 class TestMinimizeDomain:
     def test_scholarship(self, scholarship_kb):
-        result = minimize_domain(scholarship_kb, "D_scholarship", mode="exhaustive")
+        result = minimize_domain(Engine(scholarship_kb), "D_scholarship",
+                                 mode="exhaustive")
         assert result.optimal_degree == 3
         assert set(result.maximizers) == {
             frozenset({"S_d"}),
@@ -27,7 +29,7 @@ class TestMinimizeDomain:
         assert result.canonical == frozenset({"S_d", "S_r", "S_e"})
 
     def test_single_negative_scenario(self, pandemic_kb):
-        result = minimize_domain(pandemic_kb, "D_pandemic")
+        result = minimize_domain(Engine(pandemic_kb), "D_pandemic")
         assert result.optimal_degree == -1
         assert result.maximizers == [frozenset({"S"})]
 
@@ -38,7 +40,7 @@ class TestMinimizeDomain:
             "domain D { S1, S2 }\n"
             "assert promotes(a) in S1;\nassert promotes(b) in S1;\n"
             "assert demotes(a) in S2;\n")
-        result = minimize_domain(kb, "D", mode="exhaustive")
+        result = minimize_domain(Engine(kb), "D", mode="exhaustive")
         assert result.optimal_degree == 2
         assert result.maximizers == [frozenset({"S1"})]
 
@@ -50,7 +52,7 @@ class TestMinimizeDomain:
 
 class TestMinimizePurpose:
     def test_drops_negative_domain(self, triage_kb):
-        result = minimize_purpose(triage_kb, "P_triage", mode="exhaustive")
+        result = minimize_purpose(Engine(triage_kb), "P_triage", mode="exhaustive")
         assert result.maximizers == [frozenset({"D_clinic"})]
         assert result.optimal_degree == 5
 
@@ -71,8 +73,8 @@ class TestInvariants:
         rng = random.Random(99)
         for _ in range(60):
             kb = random_kb(rng, max_scenarios=8)
-            fast = minimize_domain(kb, "D", mode="fast")
-            full = minimize_domain(kb, "D", mode="exhaustive")
+            fast = minimize_domain(Engine(kb), "D", mode="fast")
+            full = minimize_domain(Engine(kb), "D", mode="exhaustive")
             assert fast.optimal_degree == full.optimal_degree
             assert fast.maximizers == full.maximizers
             assert fast.maximizer_count == full.maximizer_count

@@ -1,5 +1,6 @@
 import pytest
 
+from rightsrisk.engine import Engine
 from rightsrisk.report import (ART26_ITEMS, ReportError, build_bundle,
                                build_report, parse_report, render)
 
@@ -9,7 +10,7 @@ META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
 
 @pytest.fixture()
 def scholarship_report(scholarship_kb):
-    bundle = build_bundle(scholarship_kb, domain_id="D_scholarship")
+    bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
     return build_report(scholarship_kb, bundle, META)
 
 
@@ -30,7 +31,7 @@ class TestBuildReport:
             {s.id for s in scholarship_kb.scenarios}
 
     def test_pandemic_degree(self, pandemic_kb):
-        bundle = build_bundle(pandemic_kb, domain_id="D_pandemic")
+        bundle = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
         report = build_report(pandemic_kb, bundle, META)
         (scen,) = report.scenarios
         assert scen.demoted == ["privacy"]
@@ -41,7 +42,7 @@ class TestBuildReport:
         privacy_kb.scenarios.append(
             Scenario("S", frozenset({FeatureLiteral("f")})))
         privacy_kb.domains.append(DeploymentDomain("D", ("S",)))
-        bundle = build_bundle(privacy_kb, domain_id="D")
+        bundle = build_bundle(Engine(privacy_kb), domain_id="D")
         report = build_report(privacy_kb, bundle, META)
         assert report.scenarios[0].demoted == []
         assert len(report.checklist) == 11
@@ -52,19 +53,19 @@ class TestBuildReport:
         assert all(c.status == "unaddressed" for c in scholarship_report.checklist)
 
     def test_checklist_statuses_from_metadata(self, scholarship_kb):
-        bundle = build_bundle(scholarship_kb, domain_id="D_scholarship")
+        bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         meta = dict(META, checklist={0: "addressed", 5: "not-applicable"})
         report = build_report(scholarship_kb, bundle, meta)
         assert report.checklist[0].status == "addressed"
         assert report.checklist[5].status == "not-applicable"
 
     def test_invalid_checklist_status(self, scholarship_kb):
-        bundle = build_bundle(scholarship_kb, domain_id="D_scholarship")
+        bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         with pytest.raises(ReportError):
             build_report(scholarship_kb, bundle, {"checklist": {0: "done"}})
 
     def test_band_from_risk_annotation(self, triage_kb):
-        bundle = build_bundle(triage_kb, purpose_id="P_triage")
+        bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
         report = build_report(triage_kb, bundle, META)
         by_id = {s.scenario: s for s in report.scenarios}
         assert by_id["S_outbreak"].band == "Critical"
@@ -77,7 +78,7 @@ class TestRender:
 
     def test_deterministic(self, scholarship_kb):
         def make():
-            bundle = build_bundle(scholarship_kb, domain_id="D_scholarship")
+            bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
             report = build_report(scholarship_kb, bundle, META)
             return render(report, "json"), render(report, "markdown")
         assert make() == make()
@@ -91,8 +92,8 @@ class TestRender:
         assert "privacy" in text
 
     def test_kb_hash_tracks_input(self, scholarship_kb, pandemic_kb):
-        b1 = build_bundle(scholarship_kb, domain_id="D_scholarship")
-        b2 = build_bundle(pandemic_kb, domain_id="D_pandemic")
+        b1 = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
+        b2 = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
         r1 = build_report(scholarship_kb, b1, META)
         r2 = build_report(pandemic_kb, b2, META)
         assert r1.meta["kb_hash"] != r2.meta["kb_hash"]
@@ -105,11 +106,11 @@ class TestRender:
 class TestBuildBundle:
     def test_requires_one_selector(self, scholarship_kb):
         with pytest.raises(ReportError):
-            build_bundle(scholarship_kb)
+            build_bundle(Engine(scholarship_kb))
         with pytest.raises(ReportError):
-            build_bundle(scholarship_kb, domain_id="D_scholarship",
+            build_bundle(Engine(scholarship_kb), domain_id="D_scholarship",
                          purpose_id="P")
 
     def test_purpose_bundle_covers_all_scenarios(self, triage_kb):
-        bundle = build_bundle(triage_kb, purpose_id="P_triage")
+        bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
         assert set(bundle.findings) == {"S_routine", "S_emergency", "S_outbreak"}

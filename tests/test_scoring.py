@@ -77,41 +77,41 @@ class TestDegreeDomain:
         per = {sid: degree_scenario(engine.assess(sid)).degree
                for sid in ("S_d", "S_r", "S_e")}
         assert per == {"S_d": 3, "S_r": 0, "S_e": 0}
-        assert degree_domain(scholarship_kb, "D_scholarship").degree == 3
+        assert degree_domain(Engine(scholarship_kb), "D_scholarship").degree == 3
 
     def test_subset(self, scholarship_kb):
-        assert degree_domain(scholarship_kb, "D_scholarship",
+        assert degree_domain(Engine(scholarship_kb), "D_scholarship",
                              subset={"S_r"}).degree == 0
 
     def test_empty_subset_rejected(self, scholarship_kb):
         with pytest.raises(ScoringError, match="empty subset"):
-            degree_domain(scholarship_kb, "D_scholarship", subset=set())
+            degree_domain(Engine(scholarship_kb), "D_scholarship", subset=set())
 
     def test_foreign_scenario_rejected(self, triage_kb):
         with pytest.raises(ScoringError, match="outside domain"):
-            degree_domain(triage_kb, "D_clinic", subset={"S_outbreak"})
+            degree_domain(Engine(triage_kb), "D_clinic", subset={"S_outbreak"})
 
 
 class TestDegreePurpose:
     def test_triage_purpose(self, triage_kb):
-        total = degree_purpose(triage_kb, "P_triage")
-        parts = (degree_domain(triage_kb, "D_clinic").degree
-                 + degree_domain(triage_kb, "D_population").degree)
+        total = degree_purpose(Engine(triage_kb), "P_triage")
+        parts = (degree_domain(Engine(triage_kb), "D_clinic").degree
+                 + degree_domain(Engine(triage_kb), "D_population").degree)
         assert total.degree == parts
 
     def test_subset_of_domains(self, triage_kb):
-        only = degree_purpose(triage_kb, "P_triage", subset={"D_population"})
-        assert only.degree == degree_domain(triage_kb, "D_population").degree
+        only = degree_purpose(Engine(triage_kb), "P_triage", subset={"D_population"})
+        assert only.degree == degree_domain(Engine(triage_kb), "D_population").degree
 
     def test_foreign_domain_rejected(self, triage_kb):
         with pytest.raises(ScoringError, match="outside purpose"):
-            degree_purpose(triage_kb, "P_triage", subset={"D_other"})
+            degree_purpose(Engine(triage_kb), "P_triage", subset={"D_other"})
 
 
 class TestAdditivity:
     def test_disjoint_union(self, scholarship_kb):
-        whole = degree_domain(scholarship_kb, "D_scholarship").degree
-        a = degree_domain(scholarship_kb, "D_scholarship", subset={"S_d"}).degree
-        b = degree_domain(scholarship_kb, "D_scholarship",
+        whole = degree_domain(Engine(scholarship_kb), "D_scholarship").degree
+        a = degree_domain(Engine(scholarship_kb), "D_scholarship", subset={"S_d"}).degree
+        b = degree_domain(Engine(scholarship_kb), "D_scholarship",
                           subset={"S_r", "S_e"}).degree
         assert whole == a + b
