@@ -23,10 +23,9 @@ __all__ = [
     "AssessmentBundle", "DegreeBreakdown", "DerivationTrace", "Diagnostic",
     "Engine", "EngineConfig", "Explanation", "FeatureLiteral", "FriaReport",
     "KnowledgeBase", "MinimizationResult", "Occurrence", "ParseError",
-    "ScenarioFindings", "SizeError", "Status", "build_bundle",
-    "build_report", "degree_domain",
-    "degree_purpose", "degree_scenario", "expand_right", "likelihood",
-    "magnitude", "minimize_domain", "minimize_purpose", "parse_kb",
-    "parse_report", "print_kb", "render", "satisfies", "severity",
+    "ScenarioFindings", "SizeError", "Status", "build_bundle", "build_report",
+    "degree_domain", "degree_purpose", "degree_scenario", "expand_right",
+    "likelihood", "magnitude", "minimize_domain", "minimize_purpose",
+    "parse_kb", "parse_report", "print_kb", "render", "satisfies", "severity",
     "tokenize", "validate_kb", "weight",
 ]

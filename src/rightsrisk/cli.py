@@ -57,12 +57,13 @@ def _load_engine(args) -> Engine:
 def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
     """("domain" or "purpose", id): `--purpose`/`--gpai` select a purpose,
     else a domain; the flag names it, or else the KB declares exactly one."""
-    kind = "purpose" if args.purpose or getattr(args, "gpai", False) else "domain"
-    named = getattr(args, kind)
-    declared = getattr(kb, kind + "s")
+    if args.purpose or getattr(args, "gpai", False):
+        kind, named, declared, lookup = "purpose", args.purpose, kb.purposes, kb.purpose
+    else:
+        kind, named, declared, lookup = "domain", args.domain, kb.domains, kb.domain
     if named:
         try:
-            getattr(kb, kind)(named)
+            lookup(named)
         except KeyError as exc:
             raise CliError(str(exc), EXIT_SEMANTIC)
         return kind, named

@@ -409,4 +409,3 @@ class Engine:
         missing = [str(lit) for lit in best.body if lit not in scen.features]
         return (f"not derivable: rule {best.id!r} concludes {label} but "
                 f"requires {{{', '.join(missing)}}} not present in {scenario_id}")
-

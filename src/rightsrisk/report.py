@@ -91,6 +91,10 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
                             total, minimization, diagnostics)
 
 
+# ---------------------------------------------------------------------------
+# Report structure
+# ---------------------------------------------------------------------------
+
 def frac(value: Fraction) -> str:
     """An exact degree as text: "3" or "7/2"."""
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
@@ -124,10 +128,6 @@ def scenario_view(findings: ScenarioFindings,
         diagnostics=[str(d) for d in findings.diagnostics],
     )
 
-
-# ---------------------------------------------------------------------------
-# Report structure
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ScenarioRisk:
