@@ -33,7 +33,7 @@ def _load_kb(path: str) -> KnowledgeBase:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE)
     try:
         return parse_kb(text, file=path)

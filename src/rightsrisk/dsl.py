@@ -28,17 +28,25 @@ Grammar (EBNF):
     lit       = [ "!" ] ident ;
 
 Comments run from `//` to end of line. Identifiers are
-[A-Za-z_][A-Za-z0-9_]*, case-sensitive.
+[A-Za-z_][A-Za-z0-9_]*, case-sensitive. Integers are -?[0-9]+, ASCII
+digits only. Strings stay on one line; `\\n` and `\\t` are escapes, and a
+backslash before any other character stands for that character. Right
+expressions nest at most MAX_NESTING `!`s and parentheses deep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .model import (AndExpr, AssertStmt, BasicRight, ChainHead,
                     DeploymentDomain, FeatureLiteral, FundamentalRight, Head,
                     KnowledgeBase, NotExpr, Obligation, OrExpr, PredHead,
                     Purpose, RightExpr, RightRef, RiskAnnotation, Rule,
                     Scenario, PRED_KINDS, BINARY_PREDS)
+
+# deep enough for any real definition; shallow enough that parsing and the
+# recursive walks over the expression stay well inside Python's stack limit
+MAX_NESTING = 100
 
 KEYWORDS = {"basic", "right", "scenario", "domain", "purpose", "obligation",
             "assert", "rule", "risk", "in", "applies"}
@@ -47,7 +55,23 @@ _PUNCT = {
     "{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
     "[": "lbracket", "]": "rbracket", ",": "comma", ";": "semi",
     ">": "gt", "|": "pipe", "&": "amp", "!": "bang",
+    ":=": "assign", "=>": "arrow", ":": "colon",
 }
+
+# One alternative per token class, tried in order at the current offset;
+# longer punctuation comes first so `:=` is not read as `:`.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>    [ \t\r]+ | //[^\n]* )
+  | (?P<newline> \n )
+  | (?P<ident>   [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<int>     -?[0-9]+ )
+  | (?P<string>  " (?: [^"\\\n] | \\. )* " )
+  | (?P<punct>   %s )
+""" % "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)),
+    re.VERBOSE)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 @dataclass(frozen=True)
@@ -81,101 +105,35 @@ class ParseError(Exception):
         super().__init__(f"{span}: {detail}")
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
-
-
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     """Tokens with spans; whitespace and `//` comments skipped."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span(sl: int, sc: int) -> SourceSpan:
-        return SourceSpan(file, sl, sc, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        sl, sc = line, col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            kind = "kw_" + word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span(sl, sc)))
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("int", word, span(sl, sc)))
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                elif text[j] == "\n":
-                    break
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                col += j - i
-                raise ParseError(span(sl, sc), "unterminated string literal")
-            col += j + 1 - i
-            i = j + 1
-            tokens.append(Token("string", "".join(buf), span(sl, sc)))
-            continue
-        if text.startswith(":=", i):
-            i += 2
-            col += 2
-            tokens.append(Token("assign", ":=", span(sl, sc)))
-            continue
-        if text.startswith("=>", i):
-            i += 2
-            col += 2
-            tokens.append(Token("arrow", "=>", span(sl, sc)))
-            continue
-        if c == ":":
-            i += 1
-            col += 1
-            tokens.append(Token("colon", ":", span(sl, sc)))
-            continue
-        if c in _PUNCT:
-            i += 1
-            col += 1
-            tokens.append(Token(_PUNCT[c], c, span(sl, sc)))
-            continue
-        col += 1
-        raise ParseError(span(sl, sc), f"illegal character {c!r}")
-
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos] == '"':
+                eol = text.find("\n", pos)
+                eol = len(text) if eol < 0 else eol
+                raise ParseError(SourceSpan(file, line, col, line, col + eol - pos),
+                                 "unterminated string literal")
+            raise ParseError(SourceSpan(file, line, col, line, col + 1),
+                             f"illegal character {text[pos]!r}")
+        kind, word, pos = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "skip":
+            value = word
+            if kind == "ident" and word in KEYWORDS:
+                kind = "kw_" + word
+            elif kind == "string":
+                value = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
+            elif kind == "punct":
+                kind = _PUNCT[word]
+            span = SourceSpan(file, line, col, line, col + len(word))
+            tokens.append(Token(kind, value, span))
+    col = len(text) - line_start + 1
     tokens.append(Token("eof", "", SourceSpan(file, line, col, line, col)))
     return tokens
 
@@ -184,6 +142,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # right-expression nesting, checked in _rfactor
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -210,6 +169,13 @@ class _Parser:
     def ident(self) -> str:
         return self.expect("ident", "identifier").value
 
+    def sep_list(self, item, sep: str) -> list:
+        """`item { sep item }`"""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return items
+
     # -- statements ---------------------------------------------------------
 
     def parse_kb(self) -> KnowledgeBase:
@@ -232,82 +198,72 @@ class _Parser:
                 raise ParseError(tok.span,
                                  f"unexpected {tok.kind} {tok.value!r}",
                                  expected=tuple(sorted(k[3:] for k in dispatch)))
+            self.next()  # handlers start after their keyword
             handler(kb)
         return kb
 
     def _basic_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_basic")
-        kb.basic_rights.append(BasicRight(self.ident()))
-        while self.accept("comma"):
-            kb.basic_rights.append(BasicRight(self.ident()))
+        kb.basic_rights.extend(BasicRight(b) for b in self.sep_list(self.ident, "comma"))
         self.expect("semi")
 
     def _right_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_right")
         rid = self.ident()
-        definition = None
-        if self.accept("assign"):
-            definition = self._rexpr()
+        definition = self._rexpr() if self.accept("assign") else None
         self.expect("semi")
         kb.rights.append(FundamentalRight(rid, definition))
 
     def _rexpr(self) -> RightExpr:
-        terms = [self._rterm()]
-        while self.accept("pipe"):
-            terms.append(self._rterm())
+        terms = self.sep_list(self._rterm, "pipe")
         return terms[0] if len(terms) == 1 else OrExpr(tuple(terms))
 
     def _rterm(self) -> RightExpr:
-        factors = [self._rfactor()]
-        while self.accept("amp"):
-            factors.append(self._rfactor())
+        factors = self.sep_list(self._rfactor, "amp")
         return factors[0] if len(factors) == 1 else AndExpr(tuple(factors))
 
     def _rfactor(self) -> RightExpr:
+        # a ParseError abandons the whole parse, so depth is only restored
+        # on the way out of a successful factor
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(self.peek().span, "right expression nested "
+                             f"deeper than {MAX_NESTING} levels")
         if self.accept("bang"):
-            return NotExpr(self._rfactor())
-        if self.accept("lparen"):
+            expr = NotExpr(self._rfactor())
+        elif self.accept("lparen"):
             expr = self._rexpr()
             self.expect("rparen")
-            return expr
-        return RightRef(self.ident())
+        else:
+            expr = RightRef(self.ident())
+        self.depth -= 1
+        return expr
 
     def _lit(self) -> FeatureLiteral:
         positive = not self.accept("bang")
         return FeatureLiteral(self.ident(), positive)
 
     def _scen_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_scenario")
         sid = self.ident()
         self.expect("lbrace")
-        lits: list[FeatureLiteral] = []
-        if self.peek().kind != "rbrace":
-            lits.append(self._lit())
-            while self.accept("comma"):
-                lits.append(self._lit())
+        lits = [] if self.peek().kind == "rbrace" else self.sep_list(self._lit, "comma")
         self.expect("rbrace")
         kb.scenarios.append(Scenario(sid, frozenset(lits)))
 
-    def _id_block(self) -> tuple[str, ...]:
+    def _braced(self, item) -> list:
+        """`"{" item { "," item } "}"`"""
         self.expect("lbrace")
-        ids = [self.ident()]
-        while self.accept("comma"):
-            ids.append(self.ident())
+        items = self.sep_list(item, "comma")
         self.expect("rbrace")
-        return tuple(ids)
+        return items
 
     def _dom_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_domain")
         did = self.ident()
-        kb.domains.append(DeploymentDomain(did, self._id_block()))
+        kb.domains.append(DeploymentDomain(did, tuple(self._braced(self.ident))))
 
     def _purp_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_purpose")
         pid = self.ident()
-        kb.purposes.append(Purpose(pid, self._id_block()))
+        kb.purposes.append(Purpose(pid, tuple(self._braced(self.ident))))
 
     def _obl_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_obligation")
         oid = self.ident()
         text = self.expect("string", "string").value
         self.expect("kw_applies")
@@ -330,13 +286,9 @@ class _Parser:
             if kind not in BINARY_PREDS and len(rights) != 1:
                 raise ParseError(tok.span, f"{kind} takes one right")
             return PredHead(kind, tuple(rights))
-        rights = [self.ident()]
-        while self.accept("gt"):
-            rights.append(self.ident())
-        return ChainHead(tuple(rights))
+        return ChainHead(tuple(self.sep_list(self.ident, "gt")))
 
     def _assert_stmt(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_assert")
         head = self._head()
         self.expect("kw_in")
         sid = self.ident()
@@ -344,39 +296,30 @@ class _Parser:
         kb.assertions.append(AssertStmt(sid, head))
 
     def _rule_stmt(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_rule")
         rid = self.ident()
         strength = 0
         if self.accept("lbracket"):
             strength = int(self.expect("int", "integer").value)
             self.expect("rbracket")
         self.expect("colon")
-        body: list[FeatureLiteral] = []
-        if self.peek().kind != "arrow":
-            body.append(self._lit())
-            while self.accept("amp"):
-                body.append(self._lit())
+        body = [] if self.peek().kind == "arrow" else self.sep_list(self._lit, "amp")
         self.expect("arrow")
         head = self._head()
         self.expect("semi")
         kb.rules.append(Rule(rid, tuple(body), head, strength))
 
     def _risk_decl(self, kb: KnowledgeBase) -> None:
-        self.expect("kw_risk")
         sid = self.ident()
-        self.expect("lbrace")
-        fields: dict[str, int] = {}
-        while True:
-            tok = self.expect("ident", "risk field")
-            if tok.value not in RiskAnnotation.FIELDS:
-                raise ParseError(tok.span, f"unknown risk field {tok.value!r}",
-                                 expected=RiskAnnotation.FIELDS)
-            self.expect("colon")
-            fields[tok.value] = int(self.expect("int", "integer").value)
-            if not self.accept("comma"):
-                break
-        self.expect("rbrace")
+        fields = dict(self._braced(self._risk_field))
         kb.risk_annotations.append(RiskAnnotation(sid, **fields))
+
+    def _risk_field(self) -> tuple[str, int]:
+        tok = self.expect("ident", "risk field")
+        if tok.value not in RiskAnnotation.FIELDS:
+            raise ParseError(tok.span, f"unknown risk field {tok.value!r}",
+                             expected=RiskAnnotation.FIELDS)
+        self.expect("colon")
+        return tok.value, int(self.expect("int", "integer").value)
 
 
 def parse_kb(text: str, file: str = "<input>") -> KnowledgeBase:

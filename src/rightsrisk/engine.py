@@ -75,14 +75,15 @@ class Explanation:
 
 
 class Engine:
-    """Stateless reasoner over an immutable knowledge base; assessment
-    results are cached per scenario."""
+    """Stateless reasoner over an immutable knowledge base; firings and
+    assessment results are cached per scenario."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
         self.config = config
         self._rules = kb.all_rules()
         self._cache: dict[str, ScenarioFindings] = {}
+        self._fired: dict[str, list[Rule]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
 
     # -- rule firing --------------------------------------------------------
@@ -90,6 +91,12 @@ class Engine:
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         scen = self.kb.scenario(scenario_id)
         return [r for r in self._rules if satisfies(scen.features, r.body)]
+
+    def _firings(self, scenario_id: str) -> list[Rule]:
+        """`fire_rules`, computed once per scenario and then kept."""
+        if scenario_id not in self._fired:
+            self._fired[scenario_id] = self.fire_rules(scenario_id)
+        return self._fired[scenario_id]
 
     # -- status resolution --------------------------------------------------
 
@@ -188,7 +195,7 @@ class Engine:
     def assess(self, scenario_id: str) -> ScenarioFindings:
         if scenario_id in self._cache:
             return self._cache[scenario_id]
-        fired = self.fire_rules(scenario_id)
+        fired = self._firings(scenario_id)
         statuses, diags = self.resolve_statuses(fired)
 
         # rights in scope: everything the fired conclusions or this
@@ -248,7 +255,7 @@ class Engine:
         for scen in self.kb.scenarios:
             promotes: set[str] = set()
             demotes: set[str] = set()
-            for f in self.fire_rules(scen.id):
+            for f in self._firings(scen.id):
                 if isinstance(f.head, PredHead):
                     if f.head.kind == "promotes":
                         promotes.add(f.head.rights[0])
@@ -317,7 +324,7 @@ class Engine:
         return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
-        fired = self.fire_rules(scenario_id)
+        fired = self._firings(scenario_id)
         hits = [f for f in fired
                 if isinstance(f.head, PredHead) and f.head.kind == kind
                 and f.head.rights[0] == right]
@@ -341,7 +348,7 @@ class Engine:
             return Explanation(False, blocked=f"{sorted(pair)} collide in {scenario_id}")
         if in_collision:
             r1, r2 = sorted(pair)
-            fired = self.fire_rules(scenario_id)
+            fired = self._firings(scenario_id)
             explicit = [f for f in fired
                         if isinstance(f.head, PredHead) and f.head.kind == "collides"
                         and frozenset(f.head.rights) == pair]

@@ -39,8 +39,7 @@ class DegreeBreakdown:
         return self.xi - self.delta
 
     def add(self, other: "DegreeBreakdown") -> "DegreeBreakdown":
-        return DegreeBreakdown(self.xi + other.xi, self.delta + other.delta,
-                               self.per_occurrence + other.per_occurrence)
+        return _sum((self, other))
 
 
 def weight(x: int, y: int) -> Fraction:
@@ -66,40 +65,40 @@ def degree_scenario(findings: ScenarioFindings) -> DegreeBreakdown:
     return DegreeBreakdown(xi, delta, entries)
 
 
+def _chosen(units: tuple[str, ...], subset: Optional[set[str]],
+            unit_kind: str, owner: str) -> list[str]:
+    """`units` in declaration order, or those in a non-empty `subset` of them."""
+    if subset is None:
+        return list(units)
+    if not subset:
+        raise ScoringError("empty subset: minimization ranges over non-empty sets")
+    extra = set(subset) - set(units)
+    if extra:
+        raise ScoringError(f"{unit_kind} {sorted(extra)} outside {owner}")
+    return [u for u in units if u in subset]
+
+
+def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
+    total = DegreeBreakdown()
+    for part in parts:
+        total.xi += part.xi
+        total.delta += part.delta
+        total.per_occurrence.extend(part.per_occurrence)
+    return total
+
+
 def degree_domain(engine: Engine, domain_id: str,
                   subset: Optional[set[str]] = None) -> DegreeBreakdown:
     """Sum of scenario degrees over the domain (or an explicit non-empty
     subset of its scenarios)."""
-    domain = engine.kb.domain(domain_id)
-    if subset is None:
-        chosen = list(domain.scenarios)
-    else:
-        if not subset:
-            raise ScoringError("empty subset: minimization ranges over non-empty sets")
-        extra = set(subset) - set(domain.scenarios)
-        if extra:
-            raise ScoringError(f"scenarios {sorted(extra)} outside domain {domain_id!r}")
-        chosen = [s for s in domain.scenarios if s in subset]
-    total = DegreeBreakdown()
-    for sid in chosen:
-        total = total.add(degree_scenario(engine.assess(sid)))
-    return total
+    chosen = _chosen(engine.kb.domain(domain_id).scenarios, subset,
+                     "scenarios", f"domain {domain_id!r}")
+    return _sum(degree_scenario(engine.assess(sid)) for sid in chosen)
 
 
 def degree_purpose(engine: Engine, purpose_id: str,
                    subset: Optional[set[str]] = None) -> DegreeBreakdown:
     """Sum of domain degrees over the purpose's family of domains."""
-    purpose = engine.kb.purpose(purpose_id)
-    if subset is None:
-        chosen = list(purpose.domains)
-    else:
-        if not subset:
-            raise ScoringError("empty subset: minimization ranges over non-empty sets")
-        extra = set(subset) - set(purpose.domains)
-        if extra:
-            raise ScoringError(f"domains {sorted(extra)} outside purpose {purpose_id!r}")
-        chosen = [d for d in purpose.domains if d in subset]
-    total = DegreeBreakdown()
-    for did in chosen:
-        total = total.add(degree_domain(engine, did))
-    return total
+    chosen = _chosen(engine.kb.purpose(purpose_id).domains, subset,
+                     "domains", f"purpose {purpose_id!r}")
+    return _sum(degree_domain(engine, did) for did in chosen)

@@ -41,6 +41,31 @@ class TestCheck:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_utf8_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rights"
+        bad.write_bytes(b"basic \xff;")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_non_ascii_digit_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rights"
+        bad.write_text("right a;\nrule r [²]: => promotes(a);\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert err == f"parse error: {bad}:2:9: illegal character '²'\n"
+
+    @pytest.mark.parametrize("expr", ["!" * 3000 + "a",
+                                      "(" * 400 + "a" + ")" * 400],
+                             ids=["bangs", "parens"])
+    def test_deep_nesting_exits_two(self, capsys, tmp_path, expr):
+        bad = tmp_path / "deep.rights"
+        bad.write_text(f"basic a;\nright r := {expr};\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert err.startswith(f"parse error: {bad}:2:")
+        assert "nested deeper than" in err
+
 
 class TestAssess:
     def test_pandemic_scenario(self, capsys, fixtures_dir):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rightsrisk.dsl import ParseError, parse_kb, print_kb, tokenize
+from rightsrisk.dsl import MAX_NESTING, ParseError, parse_kb, print_kb, tokenize
 from rightsrisk.model import ChainHead, PredHead
 
 from kb_random import random_kb
@@ -30,6 +30,65 @@ class TestTokenize:
     def test_spans_inside_input(self):
         toks = tokenize("basic a;\nbasic b;")
         assert toks[3].span.start_line == 2
+
+
+def lexed(text):
+    return [(t.kind, t.value, t.span.start_line, t.span.start_col)
+            for t in tokenize(text)]
+
+
+class TestTokenSpans:
+    def test_crlf_and_tabs(self):
+        assert lexed("basic a;\r\n\tright b;\r\n") == [
+            ("kw_basic", "basic", 1, 1), ("ident", "a", 1, 7), ("semi", ";", 1, 8),
+            ("kw_right", "right", 2, 2), ("ident", "b", 2, 8), ("semi", ";", 2, 9),
+            ("eof", "", 3, 1)]
+
+    def test_string_escapes(self):
+        assert lexed(r'obligation o "a\tb\nc\"d\\e\q" applies S;') == [
+            ("kw_obligation", "obligation", 1, 1), ("ident", "o", 1, 12),
+            ("string", 'a\tb\nc"d\\eq', 1, 14), ("kw_applies", "applies", 1, 32),
+            ("ident", "S", 1, 40), ("semi", ";", 1, 41), ("eof", "", 1, 42)]
+
+    def test_string_spans_end_after_closing_quote(self):
+        tok = tokenize(r'"a\"b"')[0]
+        assert (tok.span.start_col, tok.span.end_col) == (1, 7)
+
+    def test_newline_ends_a_string(self):
+        for text in ('"ab\ncd"', '"ab\\\ncd"', '"ab'):
+            with pytest.raises(ParseError, match="unterminated string literal") as exc:
+                tokenize("x " + text)
+            assert (exc.value.span.start_line, exc.value.span.start_col) == (1, 3)
+
+    def test_negative_ints(self):
+        assert lexed("[-3] [42] -07") == [
+            ("lbracket", "[", 1, 1), ("int", "-3", 1, 2), ("rbracket", "]", 1, 4),
+            ("lbracket", "[", 1, 6), ("int", "42", 1, 7), ("rbracket", "]", 1, 9),
+            ("int", "-07", 1, 11), ("eof", "", 1, 14)]
+
+    def test_lone_minus_is_illegal(self):
+        with pytest.raises(ParseError, match="illegal character '-'"):
+            tokenize("[- 3]")
+
+    def test_adjacent_colon_punctuation(self):
+        assert lexed(":==>::=:") == [
+            ("assign", ":=", 1, 1), ("arrow", "=>", 1, 3), ("colon", ":", 1, 5),
+            ("assign", ":=", 1, 6), ("colon", ":", 1, 8), ("eof", "", 1, 9)]
+
+    def test_input_ending_in_comment(self):
+        assert lexed("basic a // note") == [
+            ("kw_basic", "basic", 1, 1), ("ident", "a", 1, 7), ("eof", "", 1, 16)]
+
+    def test_eof_after_comment_in_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_kb("basic a // note")
+        assert str(exc.value).startswith("<input>:1:16: unexpected eof")
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "１"])
+    def test_non_ascii_digit_is_illegal(self, digit):
+        with pytest.raises(ParseError, match=f"illegal character '{digit}'") as exc:
+            tokenize(f"rule r [{digit}]: => promotes(a);")
+        assert exc.value.span.start_col == 9
 
 
 class TestParse:
@@ -64,6 +123,30 @@ class TestParse:
     def test_negative_strength(self):
         kb = parse_kb("right a;\nrule r [-3]: => promotes(a);")
         assert kb.rules[0].strength == -3
+
+    @pytest.mark.parametrize("expr", ["!" * 3000 + "a",
+                                      "(" * 400 + "a" + ")" * 400],
+                             ids=["bangs", "parens"])
+    def test_deep_nesting_rejected(self, expr):
+        with pytest.raises(ParseError, match="nested deeper than") as exc:
+            parse_kb(f"basic a;\nright r := {expr};")
+        assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 12 + MAX_NESTING)
+
+    def test_nesting_limit_is_inclusive(self):
+        deepest = "!" * (MAX_NESTING - 2) + "(" + "a" + ")"
+        kb = parse_kb(f"basic a;\nright r := {deepest};")
+        assert parse_kb(print_kb(kb)) == kb
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_kb(f"basic a;\nright r := !{deepest};")
+
+    def test_nesting_depth_resets_between_factors(self):
+        wide = " & ".join(["!" * (MAX_NESTING - 1) + "a"] * 5)
+        assert len(parse_kb(f"basic a;\nright r := {wide};").rights) == 1
+
+    def test_risk_fields(self):
+        kb = parse_kb("risk S { hazard: 3, response: -1, hazard: 4 }")
+        ann = kb.risk_annotations[0]
+        assert (ann.hazard, ann.response, ann.intensity) == (4, -1, None)
 
 
 class TestPrint:

@@ -30,6 +30,20 @@ class TestFireRules:
                       "rule r2: pandemic & !consent => promotes(b);")
         assert len(Engine(kb).fire_rules("S")) == 2
 
+    def test_each_scenario_fired_once(self, scholarship_kb):
+        engine = Engine(scholarship_kb)
+        calls = []
+        fire = engine.fire_rules
+        engine.fire_rules = lambda sid: calls.append(sid) or fire(sid)
+        ids = [s.id for s in scholarship_kb.scenarios]
+        engine.assess(ids[0])
+        engine.check_monotonicity()
+        for sid in ids:
+            engine.assess(sid)
+            engine.explain(sid, f"promotes({sid}, privacy)")
+            engine.explain(sid, f"collides({sid}, merit, privacy)")
+        assert sorted(calls) == sorted(ids)
+
 
 class TestResolveStatuses:
     def _statuses(self, text, scenario="S"):

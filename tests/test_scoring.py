@@ -107,6 +107,25 @@ class TestDegreePurpose:
         with pytest.raises(ScoringError, match="outside purpose"):
             degree_purpose(Engine(triage_kb), "P_triage", subset={"D_other"})
 
+    def test_messages_name_the_units_and_owner(self, triage_kb):
+        engine = Engine(triage_kb)
+        with pytest.raises(ScoringError, match=r"^scenarios \['S_outbreak'\] "
+                                               r"outside domain 'D_clinic'$"):
+            degree_domain(engine, "D_clinic", subset={"S_outbreak"})
+        with pytest.raises(ScoringError, match=r"^domains \['D_other'\] "
+                                               r"outside purpose 'P_triage'$"):
+            degree_purpose(engine, "P_triage", subset={"D_other"})
+
+    def test_sum_keeps_every_occurrence_in_order(self, triage_kb):
+        engine = Engine(triage_kb)
+        parts = [degree_domain(engine, d) for d in ("D_clinic", "D_population")]
+        total = degree_purpose(engine, "P_triage")
+        assert total.per_occurrence == parts[0].per_occurrence + parts[1].per_occurrence
+        assert (total.xi, total.delta) == (parts[0].xi + parts[1].xi,
+                                           parts[0].delta + parts[1].delta)
+        assert parts[0].add(parts[1]) == total
+        assert parts[0] == degree_domain(engine, "D_clinic")
+
 
 class TestAdditivity:
     def test_disjoint_union(self, scholarship_kb):
