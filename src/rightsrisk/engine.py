@@ -198,14 +198,11 @@ class Engine:
         fired = self._firings(scenario_id)
         statuses, diags = self.resolve_statuses(fired)
 
-        # rights in scope: everything the fired conclusions or this
-        # scenario's assert statements mention
+        # rights in scope: everything the fired conclusions mention (an
+        # assert's rule always fires in its own scenario)
         scope: set[str] = set(statuses)
         for f in fired:
             scope.update(f.head.rights)
-        for a in self.kb.assertions:
-            if a.scenario == scenario_id:
-                scope.update(a.head.rights)
         for right in scope:
             statuses.setdefault(right, Status.UNDEFINED)
 

@@ -2,7 +2,7 @@
 domain's scenarios (or a purpose's domains) find those with maximal
 impact degree.
 
-Degrees are additive over disjoint unions, so the exhaustive bitmask
+Degrees are additive over disjoint unions, so the exhaustive
 enumeration doubles as the oracle for the additivity-based fast path.
 """
 from __future__ import annotations
@@ -33,22 +33,11 @@ class MinimizationResult:
     method: str = "fast-path"
 
 
-def _subset_key(subset: frozenset[str]):
-    # largest first, then lexicographic id order
-    return (-len(subset), tuple(sorted(subset)))
-
-
-def _finalize(family: list[frozenset[str]], optimal: Fraction,
-              per_unit: dict[str, Fraction], method: str) -> MinimizationResult:
-    family = sorted(set(family), key=_subset_key)
-    return MinimizationResult(
-        maximizers=family[:MAXIMIZER_CAP],
-        maximizer_count=len(family),
-        canonical=family[0],
-        optimal_degree=optimal,
-        per_unit_degrees=per_unit,
-        method=method,
-    )
+def _subsets(ids: list[str], smallest: int):
+    """Subsets of sorted `ids` with >= `smallest` members, in canonical
+    order: largest first, then lexicographic id order."""
+    for r in range(len(ids), smallest - 1, -1):
+        yield from itertools.combinations(ids, r)
 
 
 def _minimize_units(per_unit: dict[str, Fraction], mode: str) -> MinimizationResult:
@@ -62,38 +51,44 @@ def _minimize_units(per_unit: dict[str, Fraction], mode: str) -> MinimizationRes
             raise SizeError(
                 f"exhaustive mode supports at most {EXHAUSTIVE_LIMIT} units, "
                 f"got {n}; use fast mode")
-        best: Optional[Fraction] = None
-        family: list[frozenset[str]] = []
-        for mask in range(1, 1 << n):
-            total = sum((per_unit[ids[i]] for i in range(n) if mask >> i & 1),
-                        Fraction(0))
-            if best is None or total > best:
-                best = total
-                family = []
-            if total == best:
-                family.append(frozenset(ids[i] for i in range(n) if mask >> i & 1))
-        assert best is not None
-        return _finalize(family, best, per_unit, "exhaustive")
-
-    if mode != "fast":
+        optimal: Optional[Fraction] = None
+        maximizers: list[frozenset[str]] = []
+        count = 0
+        for subset in _subsets(ids, 1):
+            total = sum((per_unit[i] for i in subset), Fraction(0))
+            if optimal is None or total > optimal:
+                optimal, maximizers, count = total, [], 0
+            if total == optimal:
+                count += 1
+                if count <= MAXIMIZER_CAP:
+                    maximizers.append(frozenset(subset))
+    elif mode != "fast":
         raise ValueError(f"unknown mode {mode!r}")
+    else:
+        positives = tuple(i for i in ids if per_unit[i] > 0)
+        zeros = [i for i in ids if per_unit[i] == 0]
+        if positives or zeros:
+            # every maximizer is the positives plus some zeros; within one
+            # size, P | E sorts like E because P is fixed and disjoint from E
+            optimal = sum((per_unit[i] for i in positives), Fraction(0))
+            family = (frozenset(positives + extra)
+                      for extra in _subsets(zeros, 0 if positives else 1))
+            maximizers = list(itertools.islice(family, MAXIMIZER_CAP))
+            count = 2 ** len(zeros) - (0 if positives else 1)
+        else:
+            # all degrees strictly negative: best single unit wins
+            optimal = max(per_unit.values())
+            singles = [frozenset((i,)) for i in ids if per_unit[i] == optimal]
+            maximizers, count = singles[:MAXIMIZER_CAP], len(singles)
 
-    positives = frozenset(i for i in ids if per_unit[i] > 0)
-    zeros = [i for i in ids if per_unit[i] == 0]
-    if positives or zeros:
-        optimal = sum((per_unit[i] for i in positives), Fraction(0))
-        family = []
-        for r in range(len(zeros) + 1):
-            for extra in itertools.combinations(zeros, r):
-                subset = positives | frozenset(extra)
-                if subset:
-                    family.append(subset)
-        return _finalize(family, optimal, per_unit, "fast-path")
-
-    # all degrees strictly negative: best single unit wins
-    best = max(per_unit.values())
-    family = [frozenset((i,)) for i in ids if per_unit[i] == best]
-    return _finalize(family, best, per_unit, "fast-path")
+    return MinimizationResult(
+        maximizers=maximizers,
+        maximizer_count=count,
+        canonical=maximizers[0],
+        optimal_degree=optimal,
+        per_unit_degrees=per_unit,
+        method="exhaustive" if mode == "exhaustive" else "fast-path",
+    )
 
 
 def minimize_domain(engine: Engine, domain_id: str,

@@ -6,7 +6,6 @@ then treated as read-only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -68,9 +67,6 @@ class FundamentalRight:
 class FeatureLiteral:
     atom: str
     positive: bool = True
-
-    def negated(self) -> "FeatureLiteral":
-        return FeatureLiteral(self.atom, not self.positive)
 
     def __str__(self) -> str:
         return self.atom if self.positive else "!" + self.atom
@@ -261,14 +257,19 @@ def expand_right(kb: KnowledgeBase, right_id: str) -> RightExpr:
     if right_id not in defs and right_id not in basics:
         raise KeyError(f"unknown right {right_id!r}")
 
+    done: dict[str, RightExpr] = {}  # each name is expanded once per call
+
     def expand_name(name: str, stack: tuple[str, ...]) -> RightExpr:
+        if name in done:
+            return done[name]
         if name in stack:
             cycle = " -> ".join(stack + (name,))
             raise ModelError(f"recursive right definition: {cycle}")
         definition = defs.get(name)
         if definition is None:
             return RightRef(name)
-        return expand_expr(definition, stack + (name,))
+        done[name] = expand_expr(definition, stack + (name,))
+        return done[name]
 
     def expand_expr(expr: RightExpr, stack: tuple[str, ...]) -> RightExpr:
         if isinstance(expr, RightRef):
@@ -297,34 +298,39 @@ def expr_atoms(expr: RightExpr) -> set[str]:
     return out
 
 
-def eval_expr(expr: RightExpr, assignment: dict[str, bool]) -> bool:
+def _value(expr: RightExpr, fixed: dict[str, bool]) -> Optional[bool]:
+    """Three-valued evaluation under a partial assignment: True or False
+    once `fixed` decides `expr`, None while an unset atom still matters."""
     if isinstance(expr, RightRef):
-        return assignment[expr.name]
+        return fixed.get(expr.name)
     if isinstance(expr, NotExpr):
-        return not eval_expr(expr.operand, assignment)
-    if isinstance(expr, AndExpr):
-        return all(eval_expr(e, assignment) for e in expr.operands)
-    if isinstance(expr, OrExpr):
-        return any(eval_expr(e, assignment) for e in expr.operands)
-    raise TypeError(f"not a right expression: {expr!r}")
-
-
-_SAT_ATOM_CAP = 20  # truth tables stay exhaustive up to this many atoms
+        value = _value(expr.operand, fixed)
+        return None if value is None else not value
+    absorbing = isinstance(expr, OrExpr)  # True absorbs an or, False an and
+    result: Optional[bool] = not absorbing
+    for e in expr.operands:
+        value = _value(e, fixed)
+        if value is absorbing:
+            return absorbing
+        if value is None:
+            result = None
+    return result
 
 
 def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
-    """Small satisfiability test: can both expressions hold at once?
-
-    Definitions are small; an exhaustive truth table over their atoms is
-    enough. Pairs with more than _SAT_ATOM_CAP atoms are treated as
-    compatible rather than enumerated.
-    """
-    atoms = sorted(expr_atoms(e1) | expr_atoms(e2))
-    if len(atoms) > _SAT_ATOM_CAP:
-        return True
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        assignment = dict(zip(atoms, values))
-        if eval_expr(e1, assignment) and eval_expr(e2, assignment):
+    """Can both expressions hold at once? A split search over the atoms in
+    sorted order that drops a branch once the partial assignment decides the
+    conjunction; pending branches live in a list, not on the call stack."""
+    both = AndExpr((e1, e2))
+    atoms = sorted(expr_atoms(both))
+    pending: list[dict[str, bool]] = [{}]
+    while pending:
+        fixed = pending.pop()
+        value = _value(both, fixed)
+        if value is None:
+            atom = atoms[len(fixed)]
+            pending += [{**fixed, atom: False}, {**fixed, atom: True}]
+        elif value:
             return True
     return False
 

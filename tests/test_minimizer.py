@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,71 @@ class TestInvariants:
         assert result.maximizer_count == 255
         assert len(result.maximizers) == 64
         assert result.canonical == frozenset(per_unit)
+
+
+def canonical_key(subset):
+    return (-len(subset), tuple(sorted(subset)))
+
+
+class TestCanonicalOrder:
+    def test_fast_equals_exhaustive_on_unit_dicts(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            per_unit = {f"U{i:02d}": Fraction(rng.choice([-2, -1, 0, 0, 0, 1, 1, 3]),
+                                               rng.choice([1, 1, 2]))
+                        for i in range(n)}
+            fast = _minimize_units(per_unit, "fast")
+            full = _minimize_units(per_unit, "exhaustive")
+            assert fast.optimal_degree == full.optimal_degree
+            assert fast.maximizers == full.maximizers
+            assert fast.maximizer_count == full.maximizer_count
+            assert fast.canonical == full.canonical
+
+    def test_exhaustive_matches_sorted_brute_force(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            n = rng.randint(1, 9)
+            per_unit = {f"U{i}": Fraction(rng.choice([-1, 0, 0, 1, 1])) for i in range(n)}
+            ids = sorted(per_unit)
+            subsets = [frozenset(ids[i] for i in range(n) if mask >> i & 1)
+                       for mask in range(1, 1 << n)]
+            best = max(sum(per_unit[u] for u in s) for s in subsets)
+            family = sorted((s for s in subsets if sum(per_unit[u] for u in s) == best),
+                            key=canonical_key)
+            result = _minimize_units(per_unit, "exhaustive")
+            assert result.optimal_degree == best
+            assert result.maximizer_count == len(family)
+            assert result.maximizers == family[:64]
+            assert result.canonical == family[0]
+
+    @pytest.mark.parametrize("positive, count", [(True, 2 ** 30), (False, 2 ** 30 - 1)])
+    def test_fast_thirty_zeros(self, positive, count):
+        per_unit = {f"Z{i:02d}": Fraction(0) for i in range(30)}
+        if positive:
+            per_unit["P"] = Fraction(2)
+        start = time.perf_counter()
+        result = _minimize_units(per_unit, "fast")
+        assert time.perf_counter() - start < 1
+        assert result.maximizer_count == count
+        assert result.optimal_degree == (2 if positive else 0)
+        # the first 64 in canonical order are all of size >= 28 zeros
+        zeros = sorted(u for u in per_unit if u.startswith("Z"))
+        extra = frozenset(per_unit) - frozenset(zeros)
+        large = [frozenset(zeros) - frozenset(drop) | extra
+                 for r in range(3) for drop in itertools.combinations(zeros, r)]
+        assert result.maximizers == sorted(large, key=canonical_key)[:64]
+        assert result.canonical == frozenset(per_unit)
+
+    def test_exhaustive_ten_zeros(self):
+        per_unit = {f"Z{i}": Fraction(0) for i in range(10)}
+        result = _minimize_units(per_unit, "exhaustive")
+        assert result.maximizer_count == 1023
+        assert len(result.maximizers) == 64
+        assert result.maximizers == _minimize_units(per_unit, "fast").maximizers
+
+    def test_negative_ties_are_singletons(self):
+        result = _minimize_units(units(A=-1, B=-3, C=-1), "fast")
+        assert result.maximizers == [frozenset({"A"}), frozenset({"C"})]
+        assert result.maximizer_count == 2
+        assert result.optimal_degree == -1

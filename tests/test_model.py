@@ -1,10 +1,15 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rightsrisk.dsl import parse_kb
 from rightsrisk.model import (AndExpr, FeatureLiteral, KnowledgeBase,
-                              FundamentalRight, ModelError, RightRef,
-                              Scenario, expand_right, logically_incompatible,
-                              satisfies, validate_kb, NotExpr)
+                              FundamentalRight, ModelError, OrExpr, RightRef,
+                              Scenario, expand_right, jointly_satisfiable,
+                              logically_incompatible, satisfies, validate_kb,
+                              NotExpr)
 
 
 def lit(s: str) -> FeatureLiteral:
@@ -62,6 +67,20 @@ class TestExpandRight:
         with pytest.raises(KeyError):
             expand_right(pandemic_kb, "nope")
 
+    def test_shared_definitions_expand_once(self):
+        chain = "basic x;\n" + "".join(f"right r{i} := r{i + 1} & r{i + 1};\n"
+                                       for i in range(60)) + "right r60 := x;\n"
+        start = time.perf_counter()
+        assert validate_kb(parse_kb(chain)) == []
+        assert time.perf_counter() - start < 1
+
+    def test_cycle_diagnostics(self):
+        kb = parse_kb("basic a;\nright A := B; right B := C; right C := A; right D := A & a;\n")
+        assert [str(d) for d in validate_kb(kb)] == [
+            f"error[recursive-definition]: recursive right definition: {c}"
+            for c in ("A -> B -> C -> A", "B -> C -> A -> B",
+                      "C -> A -> B -> C", "D -> A -> B -> C -> A")]
+
 
 class TestIncompatibility:
     def test_negated_definitions_collide(self):
@@ -73,6 +92,46 @@ class TestIncompatibility:
 
     def test_distinct_atomics_compatible(self, pandemic_kb):
         assert not logically_incompatible(pandemic_kb, "privacy", "public_health")
+
+    def test_no_atom_cap(self):
+        atoms = [f"b{i}" for i in range(21)]
+        kb = parse_kb("".join(f"basic {a};\n" for a in atoms)
+                      + f"right big := {' & '.join(atoms)};\nright nb := !b0;\n")
+        assert logically_incompatible(kb, "big", "nb")
+
+    def test_thousand_atoms(self):
+        refs = tuple(RightRef(f"b{i}") for i in range(1000))
+        negs = tuple(NotExpr(r) for r in refs)
+        assert jointly_satisfiable(AndExpr(refs), AndExpr(refs))
+        assert not jointly_satisfiable(AndExpr(refs), OrExpr(negs))
+        assert not jointly_satisfiable(OrExpr(refs), AndExpr(negs))
+
+    @given(st.data())
+    def test_matches_truth_table(self, data):
+        leaves = st.sampled_from([RightRef(f"b{i}") for i in range(8)])
+        exprs = st.recursive(leaves, lambda sub: st.one_of(
+            sub.map(NotExpr),
+            st.lists(sub, min_size=1, max_size=4).map(lambda es: AndExpr(tuple(es))),
+            st.lists(sub, min_size=1, max_size=4).map(lambda es: OrExpr(tuple(es)))),
+            max_leaves=12)
+        e1, e2 = data.draw(exprs), data.draw(exprs)
+        assert jointly_satisfiable(e1, e2) == truth_table_satisfiable(e1, e2)
+
+
+def truth_value(expr, assignment):
+    if isinstance(expr, RightRef):
+        return assignment[expr.name]
+    if isinstance(expr, NotExpr):
+        return not truth_value(expr.operand, assignment)
+    values = [truth_value(e, assignment) for e in expr.operands]
+    return all(values) if isinstance(expr, AndExpr) else any(values)
+
+
+def truth_table_satisfiable(e1, e2):
+    atoms = [f"b{i}" for i in range(8)]
+    return any(truth_value(e1, a) and truth_value(e2, a)
+               for a in (dict(zip(atoms, values))
+                         for values in itertools.product((False, True), repeat=8)))
 
 
 class TestValidateKb:
