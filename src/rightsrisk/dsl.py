@@ -141,6 +141,10 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        # one object per distinct literal: set and dict lookups of literals
+        # (rule firing, subset checks) then match by identity, without
+        # calling the dataclass `__eq__`
+        self.lits: dict[FeatureLiteral, FeatureLiteral] = {}
         self.pos = 0
         self.depth = 0  # right-expression nesting, checked in _rfactor
 
@@ -239,7 +243,8 @@ class _Parser:
 
     def _lit(self) -> FeatureLiteral:
         positive = not self.accept("bang")
-        return FeatureLiteral(self.ident(), positive)
+        lit = FeatureLiteral(self.ident(), positive)
+        return self.lits.setdefault(lit, lit)
 
     def _scen_decl(self, kb: KnowledgeBase) -> None:
         sid = self.ident()

@@ -8,12 +8,15 @@ chain with the generalized adoption rule.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
-from .model import (ChainHead, Diagnostic, KnowledgeBase, PredHead,
-                    PriorityChain, Rule, logically_incompatible, satisfies)
+from .model import (ChainHead, Diagnostic, FeatureLiteral, KnowledgeBase,
+                    PredHead, PriorityChain, Rule, Scenario,
+                    logically_incompatible, satisfies)
 
 SINGLETON = "singleton"
 
@@ -76,7 +79,8 @@ class Explanation:
 
 class Engine:
     """Stateless reasoner over an immutable knowledge base; firings and
-    assessment results are cached per scenario."""
+    assessment results are cached per scenario, and the rule index is
+    built on the first firing."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
@@ -88,9 +92,42 @@ class Engine:
 
     # -- rule firing --------------------------------------------------------
 
+    @cached_property
+    def _scenarios(self) -> dict[str, Scenario]:
+        return self.kb.scenarios_by_id()
+
+    def _scenario(self, scenario_id: str) -> Scenario:
+        try:
+            return self._scenarios[scenario_id]
+        except KeyError:
+            raise KeyError(f"unknown scenario {scenario_id!r}") from None
+
+    @cached_property
+    def _rule_index(self) -> tuple[dict[FeatureLiteral, list[int]], list[int]]:
+        """Rule positions keyed by each body's rarest literal (counted over
+        all rule bodies), and the positions of the empty-bodied rules. A rule
+        can fire only where its key literal holds, so a scenario's candidates
+        are its features' buckets plus the empty bodies."""
+        counts = Counter(lit for r in self._rules for lit in r.body)
+        buckets: dict[FeatureLiteral, list[int]] = {}
+        always: list[int] = []
+        for i, r in enumerate(self._rules):
+            if r.body:
+                buckets.setdefault(min(r.body, key=counts.__getitem__), []).append(i)
+            else:
+                always.append(i)
+        return buckets, always
+
     def fire_rules(self, scenario_id: str) -> list[Rule]:
-        scen = self.kb.scenario(scenario_id)
-        return [r for r in self._rules if satisfies(scen.features, r.body)]
+        """The rules whose bodies hold in the scenario, in `all_rules` order."""
+        features = self._scenario(scenario_id).features
+        buckets, always = self._rule_index
+        candidates = list(always)
+        for lit in features:
+            candidates += buckets.get(lit, ())
+        rules = self._rules
+        return [rules[i] for i in sorted(candidates)
+                if satisfies(features, rules[i].body)]
 
     def _firings(self, scenario_id: str) -> list[Rule]:
         """`fire_rules`, computed once per scenario and then kept."""
@@ -287,7 +324,7 @@ class Engine:
         """Derivation trace for a conclusion, or a structured answer naming
         the closest blocked step."""
         kind, args = self._parse_conclusion(scenario_id, conclusion)
-        self.kb.scenario(scenario_id)  # KeyError for unknown scenario
+        self._scenario(scenario_id)  # KeyError for unknown scenario
         known = self.kb.right_ids() | self.kb.basic_ids()
         for right in args:
             if right not in known:
@@ -404,7 +441,7 @@ class Engine:
             f"choice({scenario_id}, {right})", rule, tuple(premises)))
 
     def _nearest_blocked(self, scenario_id: str, match, label: str) -> str:
-        scen = self.kb.scenario(scenario_id)
+        scen = self._scenario(scenario_id)
         candidates = [r for r in self._rules if match(r)]
         if not candidates:
             return f"not derivable: no rule concludes {label}"

@@ -7,7 +7,7 @@ then treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 
 class ModelError(Exception):
@@ -186,6 +186,13 @@ class KnowledgeBase:
                 return s
         raise KeyError(f"unknown scenario {sid!r}")
 
+    def scenarios_by_id(self) -> dict[str, Scenario]:
+        """Scenario by id; the first declaration wins, as in `scenario`."""
+        by_id: dict[str, Scenario] = {}
+        for s in self.scenarios:
+            by_id.setdefault(s.id, s)
+        return by_id
+
     def domain(self, did: str) -> DeploymentDomain:
         for d in self.domains:
             if d.id == did:
@@ -219,11 +226,11 @@ class KnowledgeBase:
         An assert's rule body is exactly the named scenario's feature
         conjunction, in sorted order so the expansion is deterministic.
         """
+        scenarios = self.scenarios_by_id()
         rules = list(self.rules)
         for i, a in enumerate(self.assertions):
-            try:
-                scen = self.scenario(a.scenario)
-            except KeyError:
+            scen = scenarios.get(a.scenario)
+            if scen is None:
                 continue  # reported by validate_kb
             body = tuple(sorted(scen.features, key=lambda l: (l.atom, l.positive)))
             rules.append(Rule(id=f"assert#{i}@{a.scenario}", body=body, head=a.head))
@@ -249,84 +256,159 @@ def satisfies(features: Iterable[FeatureLiteral],
 # Right expansion and propositional checks
 # ---------------------------------------------------------------------------
 
-def expand_right(kb: KnowledgeBase, right_id: str) -> RightExpr:
-    """Definitional expansion of a fundamental right down to basic-right
-    leaves. Atomic rights (no definition) expand to a single self leaf."""
+Step = tuple[str, Any]
+
+
+def _steps(expr: RightExpr) -> list[Step]:
+    """`expr` as a list of steps, each after the steps of its operands and
+    the leaves left to right: ("atom", name), ("not", i), ("and", (i, ...))
+    or ("or", (i, ...)), where i is an operand's position in the list. The
+    last step is `expr` itself.
+
+    Built without recursion, so definitions chained thousands deep are fine,
+    and keyed on node identity, so a sub-expression shared by several
+    parents (as `expand_right` returns for a name used twice) is one step,
+    not one per path."""
+    steps: list[Step] = []
+    at: dict[int, int] = {}  # node id -> its step; -1 while its operands are pending
+    stack: list[Any] = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its operands have their steps now
+            node = node[0]
+            if isinstance(node, NotExpr):
+                step: Step = ("not", at[id(node.operand)])
+            else:
+                kind = "or" if isinstance(node, OrExpr) else "and"
+                step = (kind, tuple(at[id(e)] for e in node.operands))
+        elif id(node) in at:
+            continue
+        elif isinstance(node, RightRef):
+            step = ("atom", node.name)
+        elif isinstance(node, (NotExpr, AndExpr, OrExpr)):
+            at[id(node)] = -1
+            stack.append((node,))
+            if isinstance(node, NotExpr):
+                stack.append(node.operand)
+            else:
+                stack.extend(reversed(node.operands))
+            continue
+        else:
+            raise TypeError(f"not a right expression: {node!r}")
+        at[id(node)] = len(steps)
+        steps.append(step)
+    return steps
+
+
+def _expander(kb: KnowledgeBase) -> Callable[[str], RightExpr]:
+    """`expand_right` over `kb`, keeping each defined name's expansion across
+    calls. A kept name reaches no cycle, so skipping it changes no cycle
+    message."""
     defs = {r.id: r.definition for r in kb.rights}
     basics = kb.basic_ids()
-    if right_id not in defs and right_id not in basics:
-        raise KeyError(f"unknown right {right_id!r}")
+    done: dict[str, RightExpr] = {}
+    compiled: dict[str, tuple[list[Step], list[str]]] = {}
 
-    done: dict[str, RightExpr] = {}  # each name is expanded once per call
+    def open_name(name: str) -> tuple[list[Step], Iterator[str]]:
+        """The steps of `name`'s definition, and the defined names it
+        refers to, left to right."""
+        if name not in compiled:
+            steps = _steps(defs[name])
+            compiled[name] = steps, [arg for kind, arg in steps
+                                     if kind == "atom" and arg not in basics]
+        steps, refs = compiled[name]
+        return steps, iter(refs)
 
-    def expand_name(name: str, stack: tuple[str, ...]) -> RightExpr:
-        if name in done:
-            return done[name]
-        if name in stack:
-            cycle = " -> ".join(stack + (name,))
-            raise ModelError(f"recursive right definition: {cycle}")
-        definition = defs.get(name)
-        if definition is None:
-            return RightRef(name)
-        done[name] = expand_expr(definition, stack + (name,))
-        return done[name]
+    def substitute(steps: list[Step]) -> RightExpr:
+        built: list[RightExpr] = []
+        for kind, arg in steps:
+            if kind == "atom":
+                node = done[arg] if arg in done and arg not in basics else RightRef(arg)
+            elif kind == "not":
+                node = NotExpr(built[arg])
+            elif kind == "and":
+                node = AndExpr(tuple(built[i] for i in arg))
+            else:
+                node = OrExpr(tuple(built[i] for i in arg))
+            built.append(node)
+        return built[-1]
 
-    def expand_expr(expr: RightExpr, stack: tuple[str, ...]) -> RightExpr:
-        if isinstance(expr, RightRef):
-            if expr.name in basics:
-                return expr
-            return expand_name(expr.name, stack)
-        if isinstance(expr, NotExpr):
-            return NotExpr(expand_expr(expr.operand, stack))
-        if isinstance(expr, AndExpr):
-            return AndExpr(tuple(expand_expr(e, stack) for e in expr.operands))
-        if isinstance(expr, OrExpr):
-            return OrExpr(tuple(expand_expr(e, stack) for e in expr.operands))
-        raise TypeError(f"not a right expression: {expr!r}")
+    def expand(right_id: str) -> RightExpr:
+        if right_id not in defs and right_id not in basics:
+            raise KeyError(f"unknown right {right_id!r}")
+        if defs.get(right_id) is None:
+            return RightRef(right_id)
+        # depth first over names: the open ones on `path`, their steps and
+        # unvisited references on `stack`
+        path = [right_id]
+        on_path = {right_id}
+        stack = [open_name(right_id)]
+        while stack:
+            ref = next(stack[-1][1], None)
+            if ref is None:
+                name = path.pop()
+                on_path.discard(name)
+                done[name] = substitute(stack.pop()[0])
+            elif ref not in done and defs.get(ref) is not None:
+                if ref in on_path:
+                    cycle = " -> ".join(path + [ref])
+                    raise ModelError(f"recursive right definition: {cycle}")
+                path.append(ref)
+                on_path.add(ref)
+                stack.append(open_name(ref))
+        return done[right_id]
 
-    return expand_name(right_id, ())
+    return expand
+
+
+def expand_right(kb: KnowledgeBase, right_id: str) -> RightExpr:
+    """Definitional expansion of a fundamental right down to basic-right
+    leaves. Atomic rights (no definition) expand to a single self leaf. A
+    name used more than once is expanded once, and its uses share the result."""
+    return _expander(kb)(right_id)
 
 
 def expr_atoms(expr: RightExpr) -> set[str]:
-    if isinstance(expr, RightRef):
-        return {expr.name}
-    if isinstance(expr, NotExpr):
-        return expr_atoms(expr.operand)
-    out: set[str] = set()
-    for e in expr.operands:
-        out |= expr_atoms(e)
-    return out
+    return {arg for kind, arg in _steps(expr) if kind == "atom"}
 
 
-def _value(expr: RightExpr, fixed: dict[str, bool]) -> Optional[bool]:
-    """Three-valued evaluation under a partial assignment: True or False
-    once `fixed` decides `expr`, None while an unset atom still matters."""
-    if isinstance(expr, RightRef):
-        return fixed.get(expr.name)
-    if isinstance(expr, NotExpr):
-        value = _value(expr.operand, fixed)
-        return None if value is None else not value
-    absorbing = isinstance(expr, OrExpr)  # True absorbs an or, False an and
-    result: Optional[bool] = not absorbing
-    for e in expr.operands:
-        value = _value(e, fixed)
-        if value is absorbing:
-            return absorbing
-        if value is None:
-            result = None
-    return result
+def _value(steps: list[Step], fixed: dict[str, bool]) -> Optional[bool]:
+    """Three-valued evaluation of `_steps` under a partial assignment: True
+    or False once `fixed` decides the expression, None while an unset atom
+    still matters. Each step is evaluated once."""
+    values: list[Optional[bool]] = []
+    value: Optional[bool] = None
+    for kind, arg in steps:
+        if kind == "atom":
+            value = fixed.get(arg)
+        elif kind == "not":
+            value = values[arg]
+            if value is not None:
+                value = not value
+        else:
+            absorbing = kind == "or"  # True absorbs an or, False an and
+            value = not absorbing
+            for i in arg:
+                operand = values[i]
+                if operand is absorbing:
+                    value = absorbing
+                    break
+                if operand is None:
+                    value = None
+        values.append(value)
+    return value
 
 
 def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
     """Can both expressions hold at once? A split search over the atoms in
     sorted order that drops a branch once the partial assignment decides the
     conjunction; pending branches live in a list, not on the call stack."""
-    both = AndExpr((e1, e2))
-    atoms = sorted(expr_atoms(both))
+    steps = _steps(AndExpr((e1, e2)))
+    atoms = sorted({name for kind, name in steps if kind == "atom"})
     pending: list[dict[str, bool]] = [{}]
     while pending:
         fixed = pending.pop()
-        value = _value(both, fixed)
+        value = _value(steps, fixed)
         if value is None:
             atom = atoms[len(fixed)]
             pending += [{**fixed, atom: False}, {**fixed, atom: True}]
@@ -337,9 +419,10 @@ def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
 
 def logically_incompatible(kb: KnowledgeBase, r1: str, r2: str) -> bool:
     """True iff the expanded definitions of r1 and r2 can never hold together."""
+    expand = _expander(kb)
     try:
-        e1 = expand_right(kb, r1)
-        e2 = expand_right(kb, r2)
+        e1 = expand(r1)
+        e2 = expand(r2)
     except (KeyError, ModelError):
         return False
     return not jointly_satisfiable(e1, e2)
@@ -394,6 +477,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
         if not b.id:
             diags.append(Diagnostic("error", "empty-id", "basic right with empty id"))
 
+    expand = _expander(kb)
     for r in kb.rights:
         if r.definition is None:
             continue
@@ -403,7 +487,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                     "error", "unknown-right",
                     f"right {r.id!r}: definition references undeclared right {atom!r}"))
         try:
-            expand_right(kb, r.id)
+            expand(r.id)
         except ModelError as exc:
             diags.append(Diagnostic("error", "recursive-definition", str(exc)))
         except KeyError:

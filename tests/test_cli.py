@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from rightsrisk.cli import main
 from rightsrisk.report import parse_report
+from test_model import BANGS_TEXT, CHAIN_TEXT, shared_chain
 
 
 def run(capsys, *argv):
@@ -65,6 +67,39 @@ class TestCheck:
         assert code == 2
         assert err.startswith(f"parse error: {bad}:2:")
         assert "nested deeper than" in err
+
+
+def promoted_in_s(text, right):
+    """`text` plus one scenario S that promotes `right` and `y` (`!x`)."""
+    return (text + "scenario S { f }\ndomain D { S }\n"
+            f"assert promotes({right}) in S;\nassert promotes(y) in S;\n")
+
+
+class TestDeepDefinitions:
+    """Chains of definitions far deeper than Python's recursion limit."""
+
+    @pytest.mark.parametrize("text", [promoted_in_s(CHAIN_TEXT, "r0"),
+                                      promoted_in_s(BANGS_TEXT, "d11")],
+                             ids=["chain", "bangs"])
+    @pytest.mark.parametrize("command", [["check"], ["fria", "--format", "json"],
+                                         ["assess", "--scenario", "S"]],
+                             ids=["check", "fria", "assess"])
+    def test_no_traceback(self, capsys, tmp_path, text, command):
+        path = tmp_path / "deep.rights"
+        path.write_text(text)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, err) == (0, "")
+        if command[0] == "assess":
+            assert "collisions: (" in out  # x against !x, through every link
+
+    def test_shared_definitions_assess_quickly(self, capsys, tmp_path):
+        path = tmp_path / "shared.rights"
+        path.write_text(promoted_in_s(shared_chain(60), "r0"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "assess", str(path), "--scenario", "S")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert "collisions: (r0, y)" in out
 
 
 class TestAssess:

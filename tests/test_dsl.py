@@ -148,6 +148,14 @@ class TestParse:
         ann = kb.risk_annotations[0]
         assert (ann.hazard, ann.response, ann.intensity) == (4, -1, None)
 
+    def test_equal_literals_share_one_object(self):
+        kb = parse_kb("right a;\nscenario S { x, !y }\nscenario T { !y }\n"
+                      "rule r: x & !y & y => promotes(a);")
+        x, not_y, y = kb.rules[0].body
+        assert {id(lit) for lit in kb.scenarios[0].features} == {id(x), id(not_y)}
+        assert next(iter(kb.scenarios[1].features)) is not_y
+        assert y is not not_y and y != not_y
+
 
 class TestPrint:
     def test_round_trip_fixtures(self, pandemic_kb, scholarship_kb,

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
+from kb_random import random_kb
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
-from rightsrisk.model import ChainHead, PredHead, PriorityChain
+from rightsrisk.model import (ChainHead, FeatureLiteral, PredHead,
+                              PriorityChain, Scenario, satisfies)
 
 
 def occ(right, chain, x, y):
@@ -43,6 +46,87 @@ class TestFireRules:
             engine.explain(sid, f"promotes({sid}, privacy)")
             engine.explain(sid, f"collides({sid}, merit, privacy)")
         assert sorted(calls) == sorted(ids)
+
+
+def naive_fire(kb, scenario_id):
+    """Reference firing: every rule tested against the scenario, in order."""
+    features = kb.scenario(scenario_id).features
+    return [r for r in kb.all_rules() if satisfies(features, r.body)]
+
+
+def with_refinements(kb, rng):
+    """`kb` plus scenarios that add one literal to an existing scenario's
+    features, so a base scenario's asserts fire in its refinements."""
+    for scen in list(kb.scenarios):
+        atom = rng.choice([f"g{i}" for i in range(3)])
+        if rng.random() < 0.5 and atom not in {lit.atom for lit in scen.features}:
+            kb.scenarios.append(Scenario(f"{scen.id}_{atom}", scen.features
+                                         | {FeatureLiteral(atom, rng.random() < 0.5)}))
+    return kb
+
+
+class TestFiringOracle:
+    """Indexed firing against the naive scan kept here as its oracle."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_random_kbs(self, seed):
+        rng = random.Random(seed)
+        kb = with_refinements(random_kb(rng, with_extras=seed % 2 == 1), rng)
+        engine, reference = Engine(kb), Engine(kb)
+        reference.fire_rules = lambda sid: naive_fire(kb, sid)
+        for scen in kb.scenarios:
+            assert engine.fire_rules(scen.id) == naive_fire(kb, scen.id)
+            assert engine.assess(scen.id) == reference.assess(scen.id)
+        assert engine.check_monotonicity() == reference.check_monotonicity()
+
+    def fired_ids(self, text, scenario="S"):
+        kb = parse_kb(text)
+        fired = Engine(kb).fire_rules(scenario)
+        assert fired == naive_fire(kb, scenario)
+        return [r.id for r in fired]
+
+    def test_empty_body_fires_everywhere_in_order(self):
+        text = ("right a;\nscenario S { x }\nscenario T { y }\n"
+                "rule r1: x => promotes(a);\nrule r2: => demotes(a);\n"
+                "rule r3: y => promotes(a);")
+        assert self.fired_ids(text, "S") == ["r1", "r2"]
+        assert self.fired_ids(text, "T") == ["r2", "r3"]
+
+    def test_repeated_literal(self):
+        text = ("right a;\nscenario S { x }\nscenario T { y }\n"
+                "rule r: x & x => promotes(a);")
+        assert self.fired_ids(text, "S") == ["r"]
+        assert self.fired_ids(text, "T") == []
+
+    def test_contradictory_body_never_fires(self):
+        text = ("right a;\nscenario S { x }\nscenario T { !x }\n"
+                "rule r: x & !x => promotes(a);")
+        assert self.fired_ids(text, "S") == []
+        assert self.fired_ids(text, "T") == []
+
+    def test_refinement_fires_base_asserts(self):
+        text = ("right a; right b;\nscenario S { x, y }\nscenario B { x }\n"
+                "assert promotes(a) in B;\nassert demotes(b) in S;\n"
+                "rule r: y => promotes(b);")
+        assert self.fired_ids(text, "S") == ["r", "assert#0@B", "assert#1@S"]
+        assert self.fired_ids(text, "B") == ["assert#0@B"]
+
+    def test_duplicate_scenario_first_wins(self):
+        text = ("right a;\nscenario S { x }\nscenario S { y }\n"
+                "assert promotes(a) in S;\n"
+                "rule r1: x => promotes(a);\nrule r2: y => demotes(a);")
+        assert self.fired_ids(text) == ["r1", "assert#0@S"]
+
+    def test_unknown_scenario(self, pandemic_kb):
+        with pytest.raises(KeyError) as exc:
+            Engine(pandemic_kb).fire_rules("X")
+        assert exc.value.args == ("unknown scenario 'X'",)
+
+    def test_index_built_on_first_firing(self, pandemic_kb):
+        engine = Engine(pandemic_kb)
+        assert "_rule_index" not in vars(engine)
+        engine.fire_rules("S")
+        assert "_rule_index" in vars(engine)
 
 
 class TestResolveStatuses:

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from rightsrisk.dsl import parse_kb
 from rightsrisk.model import (AndExpr, FeatureLiteral, KnowledgeBase,
                               FundamentalRight, ModelError, OrExpr, RightRef,
-                              Scenario, expand_right, jointly_satisfiable,
+                              Scenario, expand_right, expr_atoms,
+                              jointly_satisfiable,
                               logically_incompatible, satisfies, validate_kb,
                               NotExpr)
 
@@ -45,6 +46,31 @@ class TestSatisfies:
             assert satisfies(features | extra, body)
 
 
+class TestAllRules:
+    def test_assert_desugaring(self):
+        kb = parse_kb("right a;\nscenario S { y, !x }\nscenario S { z }\n"
+                      "rule r: y => promotes(a);\n"
+                      "assert promotes(a) in Nowhere;\nassert demotes(a) in S;\n")
+        rules = kb.all_rules()
+        assert [r.id for r in rules] == ["r", "assert#1@S"]
+        assert rules[1].body == (lit("!x"), lit("y"))  # first S, sorted
+        assert rules[1].head == kb.assertions[1].head
+
+
+CHAIN_TEXT = ("basic x;\nright y := !x;\n"
+              + "".join(f"right r{i} := r{i + 1};\n" for i in range(1200))
+              + "right r1200 := x;\n")
+BANGS_TEXT = ("basic x;\nright y := !x;\n" + f"right d0 := {'!' * 98}x;\n"
+              + "".join(f"right d{i} := {'!' * 98}d{i - 1};\n" for i in range(1, 12)))
+
+
+def shared_chain(levels: int) -> str:
+    """`r_i := r_{i+1} & r_{i+1}`: 2**levels paths through `levels` names."""
+    return ("basic x;\nright y := !x;\n"
+            + "".join(f"right r{i} := r{i + 1} & r{i + 1};\n" for i in range(levels))
+            + f"right r{levels} := x;\n")
+
+
 class TestExpandRight:
     def test_privacy_conjunction(self, privacy_kb):
         expanded = expand_right(privacy_kb, "privacy")
@@ -74,6 +100,34 @@ class TestExpandRight:
         assert validate_kb(parse_kb(chain)) == []
         assert time.perf_counter() - start < 1
 
+    def test_shared_definition_is_one_node(self):
+        kb = parse_kb("basic x;\nright r0 := r1 & r1;\nright r1 := x | !x;\n")
+        left, right = expand_right(kb, "r0").operands
+        assert left is right
+
+    def test_1200_link_chain(self):
+        kb = parse_kb(CHAIN_TEXT)
+        assert validate_kb(kb) == []
+        assert expand_right(kb, "r0") == RightRef("x")
+        assert logically_incompatible(kb, "r0", "y")
+
+    def test_chained_deep_negations(self):
+        kb = parse_kb(BANGS_TEXT)
+        assert validate_kb(kb) == []
+        expanded = expand_right(kb, "d11")
+        for _ in range(12 * 98):
+            expanded = expanded.operand
+        assert expanded == RightRef("x")
+        assert expr_atoms(expand_right(kb, "d11")) == {"x"}
+        assert logically_incompatible(kb, "d11", "y")
+
+    def test_deep_cycle_diagnostic(self):
+        kb = parse_kb("".join(f"right r{i} := r{i + 1};\n" for i in range(1100))
+                      + "right r1100 := r0;\n")
+        first = validate_kb(kb)[0].message
+        assert first.startswith("recursive right definition: r0 -> r1 -> r2 -> ")
+        assert first.endswith(" -> r1099 -> r1100 -> r0")
+
     def test_cycle_diagnostics(self):
         kb = parse_kb("basic a;\nright A := B; right B := C; right C := A; right D := A & a;\n")
         assert [str(d) for d in validate_kb(kb)] == [
@@ -83,6 +137,14 @@ class TestExpandRight:
 
 
 class TestIncompatibility:
+    def test_shared_chain_in_linear_time(self):
+        kb = parse_kb(shared_chain(60))
+        start = time.perf_counter()
+        assert expr_atoms(expand_right(kb, "r0")) == {"x"}
+        assert logically_incompatible(kb, "r0", "y")
+        assert not logically_incompatible(kb, "r0", "r5")
+        assert time.perf_counter() - start < 1
+
     def test_negated_definitions_collide(self):
         kb = KnowledgeBase(rights=[
             FundamentalRight("A", RightRef("x")),
