@@ -18,7 +18,7 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     path = Path(sys.argv[1]) if len(sys.argv) > 1 \
         else root / "fixtures" / "scholarship.rights"
-    kb = parse_kb(path.read_text(), file=str(path))
+    kb = parse_kb(path.read_text(encoding="utf-8"), file=str(path))
     engine = Engine(kb)
 
     for domain in kb.domains:

@@ -17,7 +17,7 @@ from rightsrisk.scoring import degree_scenario
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     for path in sorted((root / "fixtures").glob("*.rights")):
-        kb = parse_kb(path.read_text(), file=path.name)
+        kb = parse_kb(path.read_text(encoding="utf-8"), file=path.name)
         on = Engine(kb, EngineConfig(derived_collision=True))
         off = Engine(kb, EngineConfig(derived_collision=False))
         for scen in kb.scenarios:

@@ -31,11 +31,14 @@ Comments run from `//` to end of line. Identifiers are
 [A-Za-z_][A-Za-z0-9_]*, case-sensitive. Integers are -?[0-9]+, ASCII
 digits only. Strings stay on one line; `\\n` and `\\t` are escapes, and a
 backslash before any other character stands for that character. Right
-expressions nest at most MAX_NESTING `!`s and parentheses deep.
+expressions nest at most MAX_NESTING `!`s and parentheses deep. Tokens are
+stored as offsets into the text; line:col is computed on demand, for a
+ParseError or a Token read from tokenize's result.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (AndExpr, AssertStmt, BasicRight, ChainHead,
@@ -59,16 +62,23 @@ _PUNCT = {
 }
 
 # One alternative per token class, tried in order at the current offset;
-# longer punctuation comes first so `:=` is not read as `:`.
+# longer punctuation comes first so `:=` is not read as `:`. Whitespace and
+# comments match no named group; `eof` matches once, at the end. `bad` takes
+# a string left open to the end of its line, or any other character. Without
+# re.DOTALL no token crosses a newline.
 _TOKEN_RE = re.compile(r"""
-    (?P<skip>    [ \t\r]+ | //[^\n]* )
-  | (?P<newline> \n )
+    [ \t\r\n]+ | //[^\n]*
   | (?P<ident>   [A-Za-z_][A-Za-z0-9_]* )
   | (?P<int>     -?[0-9]+ )
   | (?P<string>  " (?: [^"\\\n] | \\. )* " )
   | (?P<punct>   %s )
+  | (?P<eof>     \Z )
+  | (?P<bad>     "[^\n]* | . )
 """ % "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)),
     re.VERBOSE)
+
+# the kind of a keyword or punctuation word; other words keep their group's
+_WORD_KINDS = {**{k: "kw_" + k for k in KEYWORDS}, **_PUNCT}
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -105,73 +115,88 @@ class ParseError(Exception):
         super().__init__(f"{span}: {detail}")
 
 
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    """Tokens with spans; whitespace and `//` comments skipped."""
-    tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        col = pos - line_start + 1
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos] == '"':
-                eol = text.find("\n", pos)
-                eol = len(text) if eol < 0 else eol
-                raise ParseError(SourceSpan(file, line, col, line, col + eol - pos),
-                                 "unterminated string literal")
-            raise ParseError(SourceSpan(file, line, col, line, col + 1),
-                             f"illegal character {text[pos]!r}")
-        kind, word, pos = m.lastgroup, m.group(), m.end()
-        if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind != "skip":
-            value = word
-            if kind == "ident" and word in KEYWORDS:
-                kind = "kw_" + word
-            elif kind == "string":
-                value = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
-            elif kind == "punct":
-                kind = _PUNCT[word]
-            span = SourceSpan(file, line, col, line, col + len(word))
-            tokens.append(Token(kind, value, span))
-    col = len(text) - line_start + 1
-    tokens.append(Token("eof", "", SourceSpan(file, line, col, line, col)))
-    return tokens
+def _span(text: str, file: str, start: int) -> SourceSpan:
+    """The span of the token at offset `start`, found by counting newlines."""
+    end = _TOKEN_RE.match(text, start).end()
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start)
+    return SourceSpan(file, line, col, line, col + end - start)
+
+
+class Tokens(Sequence):
+    """tokenize's result: parallel kind, value and offset lists, ending with
+    `eof`. Each Token, with its line:col, is built when an item is read."""
+
+    def __init__(self, text: str, file: str, kinds: list, values: list, offsets: list):
+        self.text, self.file = text, file
+        self.kinds, self.values, self.offsets = kinds, values, offsets
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.values[i],
+                     _span(self.text, self.file, self.offsets[i]))
+
+
+def tokenize(text: str, file: str = "<input>") -> Tokens:
+    """Tokens of `text`, whitespace and `//` comments skipped. Each token is
+    kept as a kind, a value and a start offset; line:col is worked out from
+    the offset only for an error or an item read from the result."""
+    kinds, values, offsets = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        word = m.group()
+        if kind == "string":
+            word = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
+        elif kind == "bad":
+            raise ParseError(_span(text, file, m.start()),
+                             "unterminated string literal" if word[0] == '"'
+                             else f"illegal character {word!r}")
+        else:
+            kind = _WORD_KINDS.get(word, kind)
+        kinds.append(kind)
+        values.append(word)
+        offsets.append(m.start())
+    return Tokens(text, file, kinds, values, offsets)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens):
+        self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
         # one object per distinct literal: set and dict lookups of literals
         # (rule firing, subset checks) then match by identity, without
         # calling the dataclass `__eq__`
-        self.lits: dict[FeatureLiteral, FeatureLiteral] = {}
+        self.lits: dict[tuple[bool, str], FeatureLiteral] = {}
+        # a token is consumed only once its kind is checked, and no check asks
+        # for eof, so pos (and _head's lookahead past an ident) stays in range
         self.pos = 0
         self.depth = 0  # right-expression nesting, checked in _rfactor
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, pos: int, message: str | None = None,
+              expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at token `pos`; by default "unexpected <token>"."""
+        tok = self.tokens[pos]
+        return ParseError(tok.span, message or f"unexpected {tok.kind} {tok.value!r}",
+                          expected)
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def accept(self, kind: str) -> bool:
+        hit = self.kinds[self.pos] == kind
+        self.pos += hit
+        return hit
 
-    def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.span,
-                             f"unexpected {tok.kind} {tok.value!r}",
-                             expected=(what or kind,))
-        return self.next()
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """Consume a `kind` token and return its value."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(pos, expected=(what or kind,))
+        self.pos = pos + 1
+        return self.values[pos]
 
     def ident(self) -> str:
-        return self.expect("ident", "identifier").value
+        return self.expect("ident", "identifier")
 
     def sep_list(self, item, sep: str) -> list:
         """`item { sep item }`"""
@@ -195,14 +220,12 @@ class _Parser:
             "kw_rule": self._rule_stmt,
             "kw_risk": self._risk_decl,
         }
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            handler = dispatch.get(tok.kind)
+        kinds = self.kinds
+        while kinds[self.pos] != "eof":
+            handler = dispatch.get(kinds[self.pos])
             if handler is None:
-                raise ParseError(tok.span,
-                                 f"unexpected {tok.kind} {tok.value!r}",
-                                 expected=tuple(sorted(k[3:] for k in dispatch)))
-            self.next()  # handlers start after their keyword
+                raise self.error(self.pos, expected=tuple(sorted(k[3:] for k in dispatch)))
+            self.pos += 1  # handlers start after their keyword
             handler(kb)
         return kb
 
@@ -229,7 +252,7 @@ class _Parser:
         # on the way out of a successful factor
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(self.peek().span, "right expression nested "
+            raise self.error(self.pos, "right expression nested "
                              f"deeper than {MAX_NESTING} levels")
         if self.accept("bang"):
             expr = NotExpr(self._rfactor())
@@ -242,14 +265,16 @@ class _Parser:
         return expr
 
     def _lit(self) -> FeatureLiteral:
-        positive = not self.accept("bang")
-        lit = FeatureLiteral(self.ident(), positive)
-        return self.lits.setdefault(lit, lit)
+        key = (not self.accept("bang"), self.ident())
+        lit = self.lits.get(key)
+        if lit is None:
+            lit = self.lits[key] = FeatureLiteral(key[1], key[0])
+        return lit
 
     def _scen_decl(self, kb: KnowledgeBase) -> None:
         sid = self.ident()
         self.expect("lbrace")
-        lits = [] if self.peek().kind == "rbrace" else self.sep_list(self._lit, "comma")
+        lits = [] if self.kinds[self.pos] == "rbrace" else self.sep_list(self._lit, "comma")
         self.expect("rbrace")
         kb.scenarios.append(Scenario(sid, frozenset(lits)))
 
@@ -270,26 +295,26 @@ class _Parser:
 
     def _obl_decl(self, kb: KnowledgeBase) -> None:
         oid = self.ident()
-        text = self.expect("string", "string").value
+        text = self.expect("string", "string")
         self.expect("kw_applies")
         sid = self.ident()
         self.expect("semi")
         kb.obligations.append(Obligation(oid, text, sid))
 
     def _head(self) -> Head:
-        tok = self.peek()
-        if (tok.kind == "ident" and tok.value in PRED_KINDS
-                and self.peek(1).kind == "lparen"):
-            kind = self.next().value
-            self.expect("lparen")
+        pos = self.pos
+        kind = self.values[pos]
+        if (self.kinds[pos] == "ident" and kind in PRED_KINDS
+                and self.kinds[pos + 1] == "lparen"):
+            self.pos = pos + 2
             rights = [self.ident()]
             if self.accept("comma"):
                 rights.append(self.ident())
             self.expect("rparen")
             if kind in BINARY_PREDS and len(rights) != 2:
-                raise ParseError(tok.span, f"{kind} takes two rights")
+                raise self.error(pos, f"{kind} takes two rights")
             if kind not in BINARY_PREDS and len(rights) != 1:
-                raise ParseError(tok.span, f"{kind} takes one right")
+                raise self.error(pos, f"{kind} takes one right")
             return PredHead(kind, tuple(rights))
         return ChainHead(tuple(self.sep_list(self.ident, "gt")))
 
@@ -304,10 +329,10 @@ class _Parser:
         rid = self.ident()
         strength = 0
         if self.accept("lbracket"):
-            strength = int(self.expect("int", "integer").value)
+            strength = int(self.expect("int", "integer"))
             self.expect("rbracket")
         self.expect("colon")
-        body = [] if self.peek().kind == "arrow" else self.sep_list(self._lit, "amp")
+        body = [] if self.kinds[self.pos] == "arrow" else self.sep_list(self._lit, "amp")
         self.expect("arrow")
         head = self._head()
         self.expect("semi")
@@ -319,12 +344,12 @@ class _Parser:
         kb.risk_annotations.append(RiskAnnotation(sid, **fields))
 
     def _risk_field(self) -> tuple[str, int]:
-        tok = self.expect("ident", "risk field")
-        if tok.value not in RiskAnnotation.FIELDS:
-            raise ParseError(tok.span, f"unknown risk field {tok.value!r}",
-                             expected=RiskAnnotation.FIELDS)
+        name = self.expect("ident", "risk field")
+        if name not in RiskAnnotation.FIELDS:
+            raise self.error(self.pos - 1, f"unknown risk field {name!r}",
+                             RiskAnnotation.FIELDS)
         self.expect("colon")
-        return tok.value, int(self.expect("int", "integer").value)
+        return name, int(self.expect("int", "integer"))
 
 
 def parse_kb(text: str, file: str = "<input>") -> KnowledgeBase:

@@ -5,6 +5,7 @@ import pytest
 
 from rightsrisk.cli import main
 from rightsrisk.report import parse_report
+from test_lexer_oracle import mutants
 from test_model import BANGS_TEXT, CHAIN_TEXT, shared_chain
 
 
@@ -244,3 +245,22 @@ class TestFria:
                 "--format", "json", "--out", str(p),
                 "--fixed-time", "2026-01-01T00:00:00Z")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestFuzz:
+    """Mutated fixtures never crash the CLI: each run exits 0, 1 or 2 and
+    prints no traceback."""
+
+    @pytest.mark.parametrize("argv", [["check"],
+                                      ["fria", "--fixed-time", "2026-01-01T00:00:00+00:00"]],
+                             ids=["check", "fria"])
+    def test_mutated_fixtures(self, capsys, tmp_path, argv):
+        codes = set()
+        for n, text in enumerate(mutants(31, 200)):
+            # a new file each time: truncating one can wait on a flush
+            path = tmp_path / f"mutant{n}.rights"
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code in (0, 1, 2) and "Traceback" not in err, (n, text, err)
+            codes.add(code)
+        assert codes >= {0, 2}, codes
