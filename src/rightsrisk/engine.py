@@ -14,9 +14,10 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .model import (ChainHead, Diagnostic, FeatureLiteral, KnowledgeBase,
-                    PredHead, PriorityChain, Rule, Scenario,
-                    logically_incompatible, satisfies)
+from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
+                    Diagnostic, FeatureLiteral, KnowledgeBase, PredHead,
+                    PriorityChain, Rule, Scenario, logically_incompatible,
+                    satisfies)
 
 SINGLETON = "singleton"
 
@@ -89,6 +90,7 @@ class Engine:
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, list[Rule]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
+        self._compiled = CompiledRights(kb)  # compiles each right on first use
 
     # -- rule firing --------------------------------------------------------
 
@@ -181,7 +183,8 @@ class Engine:
     def _pair_incompatible(self, r1: str, r2: str) -> bool:
         key = frozenset((r1, r2))
         if key not in self._incompat:
-            self._incompat[key] = logically_incompatible(self.kb, r1, r2)
+            self._incompat[key] = logically_incompatible(self.kb, r1, r2,
+                                                         self._compiled)
         return self._incompat[key]
 
     def derive_collisions(self, statuses: dict[str, Status],
@@ -350,6 +353,11 @@ class Engine:
             args = args[1:]
         if not args:
             raise ValueError(f"conclusion {conclusion!r} names no right")
+        want = 1 if kind in UNARY_PREDS + ("choice",) else 2 if kind in BINARY_PREDS else 0
+        if want and not len(args) == len(set(args)) == want:
+            rights = "one right" if want == 1 else "two distinct rights"
+            raise ValueError(f"conclusion {conclusion!r}: {kind} takes {rights}, "
+                             f"got {', '.join(args)}")
         return kind, args
 
     def _pred_trace(self, scenario_id: str, rule: Rule) -> DerivationTrace:

@@ -7,7 +7,9 @@ then treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from functools import cached_property, lru_cache
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Union)
 
 
 class ModelError(Exception):
@@ -399,33 +401,123 @@ def _value(steps: list[Step], fixed: dict[str, bool]) -> Optional[bool]:
     return value
 
 
-def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
-    """Can both expressions hold at once? A split search over the atoms in
-    sorted order that drops a branch once the partial assignment decides the
-    conjunction; pending branches live in a list, not on the call stack."""
-    steps = _steps(AndExpr((e1, e2)))
-    atoms = sorted({name for kind, name in steps if kind == "atom"})
+# Pairs over at most this many atoms are decided by a truth table of 2**16
+# bits, 8 KB per value; wider pairs take the split search.
+TRUTH_TABLE_ATOMS = 16
+
+
+class Program(NamedTuple):
+    """A right expression compiled once: its `_steps` and its atoms, sorted."""
+    steps: list[Step]
+    atoms: tuple[str, ...]
+
+
+def _compile(expr: RightExpr) -> Program:
+    steps = _steps(expr)
+    return Program(steps, tuple(sorted({arg for kind, arg in steps if kind == "atom"})))
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[int, ...]:
+    """The truth-table columns of n atoms, one int of 2**n bits each: bit j
+    of column i is bit i of j, so bit j of a table is its value under the
+    j-th assignment."""
+    full = (1 << (1 << n)) - 1
+    columns = []
+    for i in range(n):
+        width = 1 << i
+        block = ((1 << width) - 1) << width  # `width` zeros, then `width` ones
+        columns.append(block * (full // ((1 << 2 * width) - 1)))
+    return tuple(columns)
+
+
+def _table(steps: list[Step], column: dict[str, int], full: int) -> int:
+    """The truth table of `steps`, given each atom's column and the all-ones
+    table `full`."""
+    values: list[int] = []
+    for kind, arg in steps:
+        if kind == "atom":
+            value = column[arg]
+        elif kind == "not":
+            value = values[arg] ^ full
+        elif kind == "and":
+            value = full
+            for i in arg:
+                value &= values[i]
+        else:
+            value = 0
+            for i in arg:
+                value |= values[i]
+        values.append(value)
+    return values[-1]
+
+
+def _split_search(programs: tuple[Program, ...], atoms: list[str]) -> bool:
+    """Can every program hold at once? Splits on `atoms` in order and drops
+    a branch once the partial assignment makes some program false; pending
+    branches live in a list, not on the call stack."""
     pending: list[dict[str, bool]] = [{}]
     while pending:
         fixed = pending.pop()
-        value = _value(steps, fixed)
-        if value is None:
-            atom = atoms[len(fixed)]
-            pending += [{**fixed, atom: False}, {**fixed, atom: True}]
-        elif value:
+        values = [_value(p.steps, fixed) for p in programs]
+        if False in values:
+            continue
+        if None not in values:
             return True
+        atom = atoms[len(fixed)]
+        pending += [{**fixed, atom: False}, {**fixed, atom: True}]
     return False
 
 
-def logically_incompatible(kb: KnowledgeBase, r1: str, r2: str) -> bool:
-    """True iff the expanded definitions of r1 and r2 can never hold together."""
-    expand = _expander(kb)
-    try:
-        e1 = expand(r1)
-        e2 = expand(r2)
-    except (KeyError, ModelError):
-        return False
-    return not jointly_satisfiable(e1, e2)
+def _jointly_satisfiable(p1: Program, p2: Program) -> bool:
+    atoms = sorted(set(p1.atoms).union(p2.atoms))
+    if len(atoms) > TRUTH_TABLE_ATOMS:
+        return _split_search((p1, p2), atoms)
+    full = (1 << (1 << len(atoms))) - 1
+    column = dict(zip(atoms, _columns(len(atoms))))
+    return _table(p1.steps, column, full) & _table(p2.steps, column, full) != 0
+
+
+def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
+    """Can both expressions hold at once? Exact either way: over at most
+    TRUTH_TABLE_ATOMS joint atoms the two truth tables are ANDed, over more
+    a split search runs over the atoms in sorted order, with no atom cap."""
+    return _jointly_satisfiable(_compile(e1), _compile(e2))
+
+
+class CompiledRights:
+    """The rights of one knowledge base, each expanded and compiled the first
+    time it is asked for and then kept, all through one expander. A right
+    that does not expand (unknown, or defined through a cycle) is kept as
+    None."""
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+        self._programs: dict[str, Optional[Program]] = {}
+
+    @cached_property
+    def _expand(self) -> Callable[[str], RightExpr]:
+        return _expander(self.kb)
+
+    def program(self, right_id: str) -> Optional[Program]:
+        if right_id not in self._programs:
+            try:
+                self._programs[right_id] = _compile(self._expand(right_id))
+            except (KeyError, ModelError):
+                self._programs[right_id] = None
+        return self._programs[right_id]
+
+
+def logically_incompatible(kb: KnowledgeBase, r1: str, r2: str,
+                           compiled: Optional[CompiledRights] = None) -> bool:
+    """True iff the expanded definitions of r1 and r2 can never hold
+    together (see `jointly_satisfiable`). A right that does not expand is
+    compatible with every right. `compiled`, if given, holds `kb`'s rights
+    compiled by earlier calls and keeps the ones this call compiles; an
+    Engine passes one for its whole run."""
+    rights = compiled or CompiledRights(kb)
+    p1, p2 = rights.program(r1), rights.program(r2)
+    return p1 is not None and p2 is not None and not _jointly_satisfiable(p1, p2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rightsrisk import parse_kb
+
+# CI sets HYPOTHESIS_PROFILE=ci: no per-example deadline, so a stall on a
+# shared runner fails nothing, and a failing example prints its replay blob.
+settings.register_profile("ci", deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -211,6 +211,34 @@ class TestExplain:
                            "S", "choice[")
         assert code == 2
 
+    @pytest.mark.parametrize("conclusion, expects", [
+        ("not_collides(privacy)", "not_collides takes two distinct rights"),
+        ("not_collides(S, privacy)", "not_collides takes two distinct rights"),
+        ("collides(privacy, privacy)", "collides takes two distinct rights"),
+        ("not_collides(S, privacy, public_health, privacy)",
+         "not_collides takes two distinct rights"),
+        ("collides(privacy, public_health, privacy)", "collides takes two distinct rights"),
+        ("promotes(privacy, public_health)", "promotes takes one right"),
+        ("demotes(S, privacy, public_health)", "demotes takes one right"),
+        ("not_demotes(privacy, privacy)", "not_demotes takes one right"),
+        ("choice(S, privacy, public_health)", "choice takes one right"),
+        ("choice(S)", "names no right"),
+    ])
+    def test_wrong_arity_exits_two(self, capsys, fixtures_dir, conclusion, expects):
+        code, out, err = run(capsys, "explain", fx(fixtures_dir, "pandemic.rights"),
+                             "S", conclusion)
+        assert code == 2
+        assert expects in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("conclusion", [
+        "promotes(public_health)", "demotes(S, privacy)", "not_demotes(privacy)",
+        "choice(S, public_health)", "collides(S, privacy, public_health)",
+        "not_collides(privacy, public_health)"])
+    def test_right_arity_answers(self, capsys, fixtures_dir, conclusion):
+        code, _, err = run(capsys, "explain", fx(fixtures_dir, "pandemic.rights"),
+                           "S", conclusion)
+        assert code in (0, 1) and err == ""
+
 
 class TestFria:
     def test_writes_markdown(self, capsys, fixtures_dir, tmp_path):

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from kb_random import random_kb
+from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
 from rightsrisk.model import (ChainHead, FeatureLiteral, PredHead,
-                              PriorityChain, Scenario, satisfies)
+                              PriorityChain, Scenario, expand_right,
+                              logically_incompatible, satisfies)
+from test_model import truth_table_satisfiable
 
 
 def occ(right, chain, x, y):
@@ -207,6 +211,51 @@ class TestCollisions:
             assert frozenset(reversed(sorted(pair))) in f.collisions
 
 
+class TestIncompatibilityOracle:
+    """The Engine's cached pair check against a fresh `logically_incompatible`
+    and the truth-table oracle of `test_model.py`."""
+
+    def test_random_kbs(self):
+        answers = set()
+        for seed in range(100):
+            kb = random_kb(random.Random(seed), with_extras=True)
+            engine = Engine(kb)
+            for r1, r2 in itertools.combinations(sorted(kb.right_ids() | kb.basic_ids()), 2):
+                expected = not truth_table_satisfiable(expand_right(kb, r1),
+                                                       expand_right(kb, r2))
+                assert engine._pair_incompatible(r1, r2) == expected, (seed, r1, r2)
+                assert logically_incompatible(kb, r1, r2) == expected, (seed, r1, r2)
+                answers.add(expected)
+        assert answers == {False, True}
+
+    KB_TEXT = ("basic x;\nright a;\nright d := !a & x;\nright e := x;\n"
+               "right c1 := c2;\nright c2 := c1 & x;\n")
+
+    def test_hand_cases(self):
+        engine = Engine(parse_kb(self.KB_TEXT))
+        assert engine._pair_incompatible("a", "d")       # atomic against defined
+        assert not engine._pair_incompatible("d", "e")
+        assert not engine._pair_incompatible("a", "nope")  # unknown right
+        assert not engine._pair_incompatible("c1", "d")    # recursive definition
+        assert not engine._pair_incompatible("c2", "e")
+
+    def test_each_pair_checked_once_each_right_compiled_once(self, monkeypatch):
+        checks, compiles = [], []
+        check, compile_expr = engine_module.logically_incompatible, model._compile
+        monkeypatch.setattr(engine_module, "logically_incompatible",
+                            lambda *args: checks.append(args[1:3]) or check(*args))
+        monkeypatch.setattr(model, "_compile",
+                            lambda expr: compiles.append(expr) or compile_expr(expr))
+        engine = Engine(parse_kb(self.KB_TEXT))
+        assert compiles == []  # nothing is compiled before a pair is checked
+        for r1, r2, expected in [("a", "d", True), ("d", "a", True), ("d", "e", False),
+                                 ("e", "d", False), ("a", "e", False), ("c1", "a", False),
+                                 ("a", "c1", False)]:
+            assert engine._pair_incompatible(r1, r2) == expected
+        assert checks == [("a", "d"), ("d", "e"), ("a", "e"), ("c1", "a")]
+        assert len(compiles) == 3
+
+
 class TestAdopt:
     def test_pandemic_rule_two(self, pandemic_kb):
         f = Engine(pandemic_kb).assess("S")
@@ -332,3 +381,53 @@ class TestExplain:
     def test_malformed_conclusion(self, pandemic_kb):
         with pytest.raises(ValueError):
             Engine(pandemic_kb).explain("S", "choice[")
+
+
+class TestDefeasibleProperties:
+    """Properties of defeasible logic (Antoniou, Billington, Governatori and
+    Maher, "Representation results for defeasible logic", ACM TOCL 2001)
+    over seeded random KBs."""
+
+    @staticmethod
+    def kb(seed):
+        rng = random.Random(seed)
+        return with_refinements(random_kb(rng, with_extras=seed % 2 == 1), rng)
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_consistency(self, seed):
+        kb = self.kb(seed)
+        engine = Engine(kb)
+        for scen in kb.scenarios:
+            f = engine.assess(scen.id)
+            demoted = {r for r, status in f.statuses.items() if status == Status.DEMOTED}
+            assert not demoted & {o.right for o in f.adopted}, scen.id
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_choice_derivable_iff_adopted(self, seed):
+        kb = self.kb(seed)
+        engine = Engine(kb)
+        for scen in kb.scenarios:
+            adopted = {o.right for o in engine.assess(scen.id).adopted}
+            for right in sorted(kb.right_ids() | kb.basic_ids()):
+                expl = engine.explain(scen.id, f"choice({scen.id}, {right})")
+                assert expl.derivable == (right in adopted), (scen.id, right)
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_stronger_promotion_never_demotes(self, seed):
+        kb = self.kb(seed)
+        before = Engine(kb)
+        top = max([0] + [r.strength for r in kb.rules]) + 1
+        for i, rule in enumerate(kb.rules):
+            if not (isinstance(rule.head, PredHead) and rule.head.kind == "promotes"):
+                continue
+            right = rule.head.rights[0]
+            for strength in (rule.strength + 1, top):
+                rules = list(kb.rules)
+                rules[i] = dataclasses.replace(rule, strength=strength)
+                after = Engine(dataclasses.replace(kb, rules=rules))
+                for scen in kb.scenarios:
+                    status = after.assess(scen.id).statuses.get(right)
+                    if before.assess(scen.id).statuses.get(right) != Status.DEMOTED:
+                        assert status != Status.DEMOTED, (rule.id, strength, scen.id)
+                    if strength == top and satisfies(scen.features, rule.body):
+                        assert status == Status.PROMOTED, (rule.id, scen.id)

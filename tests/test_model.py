@@ -1,14 +1,16 @@
+import functools
 import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rightsrisk import model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.model import (AndExpr, FeatureLiteral, KnowledgeBase,
                               FundamentalRight, ModelError, OrExpr, RightRef,
-                              Scenario, expand_right, expr_atoms,
-                              jointly_satisfiable,
+                              Scenario, TRUTH_TABLE_ATOMS, expand_right,
+                              expr_atoms, jointly_satisfiable,
                               logically_incompatible, satisfies, validate_kb,
                               NotExpr)
 
@@ -155,29 +157,80 @@ class TestIncompatibility:
     def test_distinct_atomics_compatible(self, pandemic_kb):
         assert not logically_incompatible(pandemic_kb, "privacy", "public_health")
 
-    def test_no_atom_cap(self):
+    def test_no_atom_cap(self, split_widths):
         atoms = [f"b{i}" for i in range(21)]
         kb = parse_kb("".join(f"basic {a};\n" for a in atoms)
                       + f"right big := {' & '.join(atoms)};\nright nb := !b0;\n")
         assert logically_incompatible(kb, "big", "nb")
+        assert split_widths == [21]
 
-    def test_thousand_atoms(self):
+    def test_thousand_atoms(self, split_widths):
         refs = tuple(RightRef(f"b{i}") for i in range(1000))
         negs = tuple(NotExpr(r) for r in refs)
         assert jointly_satisfiable(AndExpr(refs), AndExpr(refs))
         assert not jointly_satisfiable(AndExpr(refs), OrExpr(negs))
         assert not jointly_satisfiable(OrExpr(refs), AndExpr(negs))
+        assert split_widths == [1000] * 3
+
+    @pytest.mark.parametrize("width", [TRUTH_TABLE_ATOMS, TRUTH_TABLE_ATOMS + 1])
+    def test_path_by_width(self, split_widths, width):
+        refs = tuple(RightRef(f"b{i}") for i in range(width))
+        assert not jointly_satisfiable(AndExpr(refs), NotExpr(refs[-1]))
+        assert jointly_satisfiable(OrExpr(refs), NotExpr(refs[-1]))
+        assert split_widths == ([] if width <= TRUTH_TABLE_ATOMS else [width] * 2)
 
     @given(st.data())
     def test_matches_truth_table(self, data):
-        leaves = st.sampled_from([RightRef(f"b{i}") for i in range(8)])
-        exprs = st.recursive(leaves, lambda sub: st.one_of(
-            sub.map(NotExpr),
-            st.lists(sub, min_size=1, max_size=4).map(lambda es: AndExpr(tuple(es))),
-            st.lists(sub, min_size=1, max_size=4).map(lambda es: OrExpr(tuple(es)))),
-            max_leaves=12)
-        e1, e2 = data.draw(exprs), data.draw(exprs)
+        e1, e2 = data.draw(exprs_over(8)), data.draw(exprs_over(8))
         assert jointly_satisfiable(e1, e2) == truth_table_satisfiable(e1, e2)
+
+    @pytest.mark.parametrize("width", [TRUTH_TABLE_ATOMS, TRUTH_TABLE_ATOMS + 1])
+    # a 17-atom split search refuted only by its last atom walks 2**16
+    # branches, about 0.3 s
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_widest_table_and_narrowest_split(self, width, data):
+        """Pairs over exactly 16 joint atoms (the truth table) and 17 (the
+        split search) against a table built from the expression trees."""
+        e1, e2 = data.draw(exprs_over(width)), data.draw(exprs_over(width))
+        missing = sorted({f"b{i}" for i in range(width)} - leaf_names(e1) - leaf_names(e2))
+        if missing:  # an or over the unused atoms makes the pair span all of them
+            signs = data.draw(st.lists(st.booleans(), min_size=len(missing),
+                                       max_size=len(missing)))
+            e2 = AndExpr((e2, OrExpr(tuple(RightRef(a) if positive else NotExpr(RightRef(a))
+                                           for a, positive in zip(missing, signs)))))
+        assert len(leaf_names(e1) | leaf_names(e2)) == width
+        assert jointly_satisfiable(e1, e2) == wide_table_satisfiable(e1, e2, width)
+
+
+@pytest.fixture()
+def split_widths(monkeypatch):
+    """The atom count of every split search this test runs."""
+    widths = []
+    search = model._split_search
+
+    def counted(programs, atoms):
+        widths.append(len(atoms))
+        return search(programs, atoms)
+    monkeypatch.setattr(model, "_split_search", counted)
+    return widths
+
+
+def exprs_over(n, max_leaves=12):
+    leaves = st.sampled_from([RightRef(f"b{i}") for i in range(n)])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(NotExpr),
+        st.lists(sub, min_size=1, max_size=4).map(lambda es: AndExpr(tuple(es))),
+        st.lists(sub, min_size=1, max_size=4).map(lambda es: OrExpr(tuple(es)))),
+        max_leaves=max_leaves)
+
+
+def leaf_names(expr):
+    if isinstance(expr, RightRef):
+        return {expr.name}
+    if isinstance(expr, NotExpr):
+        return leaf_names(expr.operand)
+    return set().union(*map(leaf_names, expr.operands))
 
 
 def truth_value(expr, assignment):
@@ -190,10 +243,36 @@ def truth_value(expr, assignment):
 
 
 def truth_table_satisfiable(e1, e2):
-    atoms = [f"b{i}" for i in range(8)]
+    """Both hold under some assignment, trying every one in turn."""
+    atoms = sorted(leaf_names(e1) | leaf_names(e2))
     return any(truth_value(e1, a) and truth_value(e2, a)
-               for a in (dict(zip(atoms, values))
-                         for values in itertools.product((False, True), repeat=8)))
+               for a in (dict(zip(atoms, values)) for values in
+                         itertools.product((False, True), repeat=len(atoms))))
+
+
+@functools.lru_cache(maxsize=None)
+def naive_columns(n):
+    """Atom b<i>'s value under each of the 2**n assignments, one bit each."""
+    # as text with bit 0 first: 2**i zeros, then 2**i ones, over and over
+    return {f"b{i}": int((("0" * (1 << i) + "1" * (1 << i)) * (1 << (n - i - 1)))[::-1], 2)
+            for i in range(n)}
+
+
+def table_value(expr, columns, full):
+    if isinstance(expr, RightRef):
+        return columns[expr.name]
+    if isinstance(expr, NotExpr):
+        return full ^ table_value(expr.operand, columns, full)
+    values = [table_value(e, columns, full) for e in expr.operands]
+    if isinstance(expr, AndExpr):
+        return functools.reduce(int.__and__, values, full)
+    return functools.reduce(int.__or__, values, 0)
+
+
+def wide_table_satisfiable(e1, e2, n):
+    """`truth_table_satisfiable` over atoms b0..b<n-1>, all assignments at once."""
+    columns, full = naive_columns(n), (1 << (1 << n)) - 1
+    return table_value(e1, columns, full) & table_value(e2, columns, full) != 0
 
 
 class TestValidateKb:
