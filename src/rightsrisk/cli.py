@@ -45,13 +45,16 @@ def _load_engine(args) -> Engine:
     """The run's one Engine: over the valid KB in `args.file`, configured
     by the toggle flags."""
     kb = _load_kb(args.file)
-    errors = [d for d in validate_kb(kb) if d.severity == "error"]
+    diagnostics = validate_kb(kb)
+    errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise CliError("\n".join(str(d) for d in errors), EXIT_SEMANTIC)
-    return Engine(kb, EngineConfig(
+    engine = Engine(kb, EngineConfig(
         derived_collision=not args.no_derived_collision,
         monotonicity_check=not args.no_monotonicity_check,
     ))
+    engine.validation = diagnostics
+    return engine
 
 
 def _select(kb: KnowledgeBase, args) -> tuple[str, str]:

@@ -12,12 +12,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
                     Diagnostic, FeatureLiteral, KnowledgeBase, PredHead,
                     PriorityChain, Rule, Scenario, logically_incompatible,
                     satisfies)
+
+if TYPE_CHECKING:
+    from .scoring import DegreeBreakdown
 
 SINGLETON = "singleton"
 
@@ -79,9 +82,9 @@ class Explanation:
 
 
 class Engine:
-    """Stateless reasoner over an immutable knowledge base; firings and
-    assessment results are cached per scenario, and the rule index is
-    built on the first firing."""
+    """Stateless reasoner over an immutable knowledge base; firings,
+    assessment results and degree breakdowns are cached per scenario, and
+    the rule index is built on the first firing."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
@@ -91,6 +94,11 @@ class Engine:
         self._fired: dict[str, list[Rule]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
         self._compiled = CompiledRights(kb)  # compiles each right on first use
+        # the score table, filled by `scoring.scenario_breakdown`
+        self.breakdowns: dict[str, DegreeBreakdown] = {}
+        # `validate_kb(kb)`'s diagnostics once a caller has run it;
+        # `report.build_bundle` validates again only while this is None
+        self.validation: Optional[list[Diagnostic]] = None
 
     # -- rule firing --------------------------------------------------------
 
@@ -333,13 +341,11 @@ class Engine:
             if right not in known:
                 raise KeyError(f"unknown right {right!r}")
 
-        if kind in ("promotes", "demotes", "not_demotes"):
+        if kind in UNARY_PREDS:
             return self._explain_pred(scenario_id, kind, args[0])
-        if kind in ("collides", "not_collides"):
+        if kind in BINARY_PREDS:
             return self._explain_collision(scenario_id, kind, frozenset(args))
-        if kind == "choice":
-            return self._explain_choice(scenario_id, args[0])
-        raise ValueError(f"unknown conclusion kind {kind!r}")
+        return self._explain_choice(scenario_id, args[0])
 
     def _parse_conclusion(self, scenario_id: str, conclusion: str) -> tuple[str, list[str]]:
         m = self._CONCLUSION_RE.match(conclusion)
@@ -347,14 +353,16 @@ class Engine:
             raise ValueError(f"malformed conclusion {conclusion!r}; "
                              "expected kind(arg, ...)")
         kind = m.group(1).lower()
+        want = 1 if kind in UNARY_PREDS + ("choice",) else 2 if kind in BINARY_PREDS else 0
+        if not want:
+            raise ValueError(f"unknown conclusion kind {kind!r}")
         args = [a.strip() for a in m.group(2).split(",") if a.strip()]
         scen_ids = {s.id for s in self.kb.scenarios}
         if args and (args[0] == scenario_id or args[0] in scen_ids):
             args = args[1:]
         if not args:
             raise ValueError(f"conclusion {conclusion!r} names no right")
-        want = 1 if kind in UNARY_PREDS + ("choice",) else 2 if kind in BINARY_PREDS else 0
-        if want and not len(args) == len(set(args)) == want:
+        if not len(args) == len(set(args)) == want:
             rights = "one right" if want == 1 else "two distinct rights"
             raise ValueError(f"conclusion {conclusion!r}: {kind} takes {rights}, "
                              f"got {', '.join(args)}")

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import Engine
-from .scoring import degree_domain, degree_scenario
+# unused here, but `perfbench/spans.py` patches degree_scenario at this name
+from .scoring import degree_domain, degree_scenario, scenario_breakdown  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 24
 MAXIMIZER_CAP = 64
@@ -95,7 +96,7 @@ def minimize_domain(engine: Engine, domain_id: str,
                     mode: str = "fast") -> MinimizationResult:
     """Degree-maximizing non-empty subsets of the domain's scenario set."""
     domain = engine.kb.domain(domain_id)
-    per_unit = {sid: degree_scenario(engine.assess(sid)).degree
+    per_unit = {sid: scenario_breakdown(engine, sid).degree
                 for sid in domain.scenarios}
     return _minimize_units(per_unit, mode)
 

@@ -16,9 +16,11 @@ from typing import Optional
 from .dsl import print_kb
 from .engine import Engine, ScenarioFindings
 from .minimizer import MinimizationResult, minimize_domain, minimize_purpose
-from .model import KnowledgeBase, validate_kb
+from .model import KnowledgeBase, RiskAnnotation, validate_kb
 from .riskmatrix import assess_annotation
-from .scoring import DegreeBreakdown, degree_domain, degree_purpose, degree_scenario
+# unused here, but `perfbench/spans.py` patches degree_scenario at this name
+from .scoring import (DegreeBreakdown, degree_domain, degree_purpose,  # noqa: F401
+                      degree_scenario, scenario_breakdown)
 
 # Deployer duties under Art. 26 AI Act, one checklist item each.
 ART26_ITEMS = (
@@ -83,8 +85,9 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
         total = degree_purpose(engine, purpose_id)
         minimization = minimize_purpose(engine, purpose_id, mode=mode)
     findings = {sid: engine.assess(sid) for sid in scenario_ids}
-    breakdowns = {sid: degree_scenario(f) for sid, f in findings.items()}
-    diagnostics = validate_kb(kb) + engine.check_monotonicity()
+    breakdowns = {sid: scenario_breakdown(engine, sid) for sid in findings}
+    validation = validate_kb(kb) if engine.validation is None else engine.validation
+    diagnostics = validation + engine.check_monotonicity()
     for f in findings.values():
         diagnostics.extend(f.diagnostics)
     return AssessmentBundle(kb, domain_id, purpose_id, findings, breakdowns,
@@ -177,10 +180,17 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat()
 
+    annotations: dict[str, RiskAnnotation] = {}
+    for a in kb.risk_annotations:
+        annotations.setdefault(a.scenario, a)   # the first wins, as in risk_annotation
+    obligations: dict[str, list[str]] = {}
+    for o in kb.obligations:
+        obligations.setdefault(o.applies_to, []).append(o.id)
+
     scenarios: list[ScenarioRisk] = []
     for sid in sorted(bundle.findings):
         view = scenario_view(bundle.findings[sid], bundle.breakdowns[sid])
-        ann = kb.risk_annotation(sid)
+        ann = annotations.get(sid)
         band = None
         if ann is not None and all(getattr(ann, n) is not None
                                    for n in ann.FIELDS):
@@ -194,7 +204,7 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
             adopted=view.adopted,
             degree=view.breakdown.degree,
             band=band,
-            obligations=[o.id for o in kb.scenario_obligations(sid)],
+            obligations=obligations.get(sid, []),
         ))
 
     statuses = metadata.get("checklist", {})

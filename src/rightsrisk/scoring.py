@@ -3,11 +3,15 @@
 A right at position x of a length-y chain weighs y/x. The impact degree of
 a scenario is the sum of adopted-occurrence weights minus the sum of
 demoted-occurrence weights; domains and purposes add up their parts.
+Each Engine keeps one score table: a scenario is scored on first use and
+its breakdown is shared by every later reader.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .engine import Engine, Occurrence, ScenarioFindings
@@ -30,6 +34,8 @@ class OccurrenceWeight:
 
 @dataclass
 class DegreeBreakdown:
+    """xi, delta and their entries. A breakdown from an Engine's score
+    table is shared, so no caller may mutate one."""
     xi: Fraction = Fraction(0)
     delta: Fraction = Fraction(0)
     per_occurrence: list[OccurrenceWeight] = field(default_factory=list)
@@ -42,6 +48,7 @@ class DegreeBreakdown:
         return _sum((self, other))
 
 
+@lru_cache(maxsize=1024)
 def weight(x: int, y: int) -> Fraction:
     """Positional weight y/x for position x in a chain of length y."""
     if x < 1 or x > y:
@@ -57,12 +64,26 @@ def _entries(scenario: str, occs: Iterable[Occurrence], side: str) -> list[Occur
     return out
 
 
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """The sum in integers over the values' least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
 def degree_scenario(findings: ScenarioFindings) -> DegreeBreakdown:
-    entries = (_entries(findings.scenario, findings.adopted, "xi")
-               + _entries(findings.scenario, findings.demoted_occurrences, "delta"))
-    xi = sum((e.value for e in entries if e.side == "xi"), Fraction(0))
-    delta = sum((e.value for e in entries if e.side == "delta"), Fraction(0))
-    return DegreeBreakdown(xi, delta, entries)
+    xi = _entries(findings.scenario, findings.adopted, "xi")
+    delta = _entries(findings.scenario, findings.demoted_occurrences, "delta")
+    return DegreeBreakdown(_exact_sum([e.value for e in xi]),
+                           _exact_sum([e.value for e in delta]), xi + delta)
+
+
+def scenario_breakdown(engine: Engine, scenario_id: str) -> DegreeBreakdown:
+    """The scenario's breakdown from the Engine's score table, scored on
+    first use."""
+    table = engine.breakdowns
+    if scenario_id not in table:
+        table[scenario_id] = degree_scenario(engine.assess(scenario_id))
+    return table[scenario_id]
 
 
 def _chosen(units: tuple[str, ...], subset: Optional[set[str]],
@@ -79,12 +100,11 @@ def _chosen(units: tuple[str, ...], subset: Optional[set[str]],
 
 
 def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
-    total = DegreeBreakdown()
-    for part in parts:
-        total.xi += part.xi
-        total.delta += part.delta
-        total.per_occurrence.extend(part.per_occurrence)
-    return total
+    """A new breakdown; the parts are left as they were."""
+    parts = list(parts)
+    return DegreeBreakdown(_exact_sum([p.xi for p in parts]),
+                           _exact_sum([p.delta for p in parts]),
+                           [e for p in parts for e in p.per_occurrence])
 
 
 def degree_domain(engine: Engine, domain_id: str,
@@ -93,7 +113,7 @@ def degree_domain(engine: Engine, domain_id: str,
     subset of its scenarios)."""
     chosen = _chosen(engine.kb.domain(domain_id).scenarios, subset,
                      "scenarios", f"domain {domain_id!r}")
-    return _sum(degree_scenario(engine.assess(sid)) for sid in chosen)
+    return _sum(scenario_breakdown(engine, sid) for sid in chosen)
 
 
 def degree_purpose(engine: Engine, purpose_id: str,

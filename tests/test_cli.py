@@ -230,6 +230,14 @@ class TestExplain:
         assert code == 2
         assert expects in err and "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("conclusion", ["bogus(nope)", "bogus(privacy)"])
+    def test_unknown_kind_exits_two_whatever_its_rights(self, capsys, fixtures_dir,
+                                                        conclusion):
+        code, out, err = run(capsys, "explain", fx(fixtures_dir, "pandemic.rights"),
+                             "S", conclusion)
+        assert code == 2
+        assert err == "unknown conclusion kind 'bogus'\n" and out == ""
+
     @pytest.mark.parametrize("conclusion", [
         "promotes(public_health)", "demotes(S, privacy)", "not_demotes(privacy)",
         "choice(S, public_health)", "collides(S, privacy, public_health)",

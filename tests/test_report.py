@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
+from kb_random import random_kb
+from rightsrisk import report as report_module
 from rightsrisk.engine import Engine
+from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
 from rightsrisk.report import (ART26_ITEMS, ReportError, build_bundle,
                                build_report, parse_report, render)
 
@@ -114,3 +119,56 @@ class TestBuildBundle:
     def test_purpose_bundle_covers_all_scenarios(self, triage_kb):
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
         assert set(bundle.findings) == {"S_routine", "S_emergency", "S_outbreak"}
+
+    def test_validates_unless_the_engine_carries_validation(self, triage_kb,
+                                                            monkeypatch):
+        triage_kb.obligations.append(Obligation("o_x", "review", "S_nowhere"))
+        validation = validate_kb(triage_kb)
+        assert validation
+        engine = Engine(triage_kb)
+        direct = build_bundle(engine, purpose_id="P_triage")
+        expected = validation + engine.check_monotonicity()
+        for f in direct.findings.values():
+            expected += f.diagnostics
+        assert direct.diagnostics == expected
+
+        def fail(kb):
+            raise AssertionError("validated twice")
+        monkeypatch.setattr(report_module, "validate_kb", fail)
+        engine = Engine(triage_kb)
+        engine.validation = list(validation)
+        assert build_bundle(engine, purpose_id="P_triage").diagnostics == expected
+        assert engine.validation == validation
+
+
+class TestAnnotationsAndObligations:
+    """`build_report` indexes both once; each scenario reads what the KB's
+    own lookups give."""
+
+    def test_first_annotation_wins_and_obligations_keep_order(self, triage_kb):
+        triage_kb.risk_annotations.insert(0, RiskAnnotation("S_routine", 5, 5, 5, 5, 5))
+        triage_kb.risk_annotations.append(RiskAnnotation("S_routine", 1, 1, 1, 1, 1))
+        triage_kb.obligations += [Obligation("o_b", "b", "S_routine"),
+                                  Obligation("o_z", "z", "S_outbreak"),
+                                  Obligation("o_a", "a", "S_routine")]
+        bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
+        report = build_report(triage_kb, bundle, META)
+        by_id = {s.scenario: s for s in report.scenarios}
+        assert by_id["S_routine"].obligations[-2:] == ["o_b", "o_a"]
+        self.assert_matches_lookups(triage_kb, report)
+
+    def test_random_kbs(self):
+        for seed in range(60):
+            kb = random_kb(random.Random(seed), with_extras=True)
+            bundle = build_bundle(Engine(kb), domain_id="D")
+            self.assert_matches_lookups(kb, build_report(kb, bundle, META))
+
+    @staticmethod
+    def assert_matches_lookups(kb, report):
+        for s in report.scenarios:
+            assert s.obligations == [o.id for o in kb.scenario_obligations(s.scenario)]
+            ann = kb.risk_annotation(s.scenario)
+            band = None if ann is None else report_module.assess_annotation(
+                ann.hazard, ann.response, ann.intensity, ann.sensitivity,
+                ann.vulnerability).band
+            assert s.band == band

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rightsrisk.engine import Engine
-from rightsrisk.scoring import (ScoringError, degree_domain, degree_purpose,
-                                degree_scenario, weight)
+from rightsrisk.engine import Engine, EngineConfig
+from rightsrisk.minimizer import minimize_domain, minimize_purpose
+from rightsrisk.report import build_bundle
+from rightsrisk.scoring import (DegreeBreakdown, ScoringError, degree_domain,
+                                degree_purpose, degree_scenario, scenario_breakdown,
+                                weight)
 
 from kb_random import random_kb
 
@@ -134,3 +137,65 @@ class TestAdditivity:
         b = degree_domain(Engine(scholarship_kb), "D_scholarship",
                           subset={"S_r", "S_e"}).degree
         assert whole == a + b
+
+
+def fresh_sum(kb, config, scenario_ids) -> DegreeBreakdown:
+    """The scenarios' summed breakdown, each scored by a new Engine and
+    added up one Fraction at a time."""
+    parts = [degree_scenario(Engine(kb, config).assess(sid)) for sid in scenario_ids]
+    return DegreeBreakdown(sum((p.xi for p in parts), Fraction(0)),
+                           sum((p.delta for p in parts), Fraction(0)),
+                           [e for p in parts for e in p.per_occurrence])
+
+
+class TestScoreTable:
+    """Every value read from an Engine's score table equals a fresh score."""
+
+    @pytest.mark.parametrize("derived", [True, False])
+    def test_oracle_over_random_kbs(self, derived):
+        config = EngineConfig(derived_collision=derived)
+        purposes = 0
+        for seed in range(80):
+            kb = random_kb(random.Random(seed), with_extras=True)
+            for domain in kb.domains:
+                engine = Engine(kb, config)
+                bundle = build_bundle(engine, domain_id=domain.id)
+                for sid in domain.scenarios:
+                    assert bundle.breakdowns[sid] == fresh_sum(kb, config, [sid])
+                    assert scenario_breakdown(engine, sid) is bundle.breakdowns[sid]
+                assert bundle.total == fresh_sum(kb, config, domain.scenarios)
+                assert degree_domain(engine, domain.id) == bundle.total
+                assert bundle.minimization.per_unit_degrees == {
+                    sid: fresh_sum(kb, config, [sid]).degree for sid in domain.scenarios}
+                assert minimize_domain(engine, domain.id) == bundle.minimization
+            for purpose in kb.purposes:
+                purposes += 1
+                members = {did: kb.domain(did).scenarios for did in purpose.domains}
+                engine = Engine(kb, config)
+                bundle = build_bundle(engine, purpose_id=purpose.id)
+                for sid in bundle.findings:
+                    assert bundle.breakdowns[sid] == fresh_sum(kb, config, [sid])
+                assert bundle.total == fresh_sum(
+                    kb, config, [sid for did in purpose.domains for sid in members[did]])
+                assert degree_purpose(engine, purpose.id) == bundle.total
+                assert bundle.minimization.per_unit_degrees == {
+                    did: fresh_sum(kb, config, sids).degree for did, sids in members.items()}
+                assert minimize_purpose(engine, purpose.id) == bundle.minimization
+        assert purposes >= 10
+
+    def test_sums_leave_shared_breakdowns_alone(self, triage_kb):
+        engine = Engine(triage_kb)
+        before = {sid: scenario_breakdown(engine, sid) for sid in
+                  ("S_routine", "S_emergency", "S_outbreak")}
+        copies = {sid: DegreeBreakdown(b.xi, b.delta, list(b.per_occurrence))
+                  for sid, b in before.items()}
+        degree_purpose(engine, "P_triage")
+        degree_domain(engine, "D_clinic").add(degree_domain(engine, "D_population"))
+        assert before == copies
+        assert engine.breakdowns == before
+
+    def test_weight_is_cached_and_still_checked(self):
+        assert weight(2, 3) is weight(2, 3)
+        for _ in range(2):
+            with pytest.raises(ScoringError):
+                weight(4, 3)
