@@ -15,7 +15,7 @@ from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, validate_kb
 from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
-                     build_report, frac, render, report_to_dict, scenario_view)
+                     build_report, frac, minimization_record, render, scenario_view)
 from .scoring import degree_scenario
 
 EXIT_OK = 0
@@ -99,8 +99,7 @@ def cmd_check(args) -> int:
     kb = _load_kb(args.file)
     diags = validate_kb(kb)
     if args.json:
-        print(json.dumps([{"severity": d.severity, "code": d.code,
-                           "message": d.message} for d in diags], indent=2))
+        print(json.dumps([vars(d) for d in diags], indent=2))
     else:
         for d in diags:
             print(d)
@@ -162,7 +161,7 @@ def cmd_assess(args) -> int:
     label, bundle = _bundle(engine, args)
     if args.json:
         report = build_report(kb, bundle, {"generated_at": args.fixed_time or ""})
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        sys.stdout.write(render(report, "json"))
         return EXIT_OK
 
     for sid, findings in bundle.findings.items():
@@ -189,13 +188,9 @@ def cmd_minimize(args) -> int:
     if args.json:
         print(json.dumps({
             "selector": label,
-            "optimal_degree": frac(result.optimal_degree),
-            "maximizers": [sorted(m) for m in result.maximizers],
-            "maximizer_count": result.maximizer_count,
-            "canonical": sorted(result.canonical),
+            **minimization_record(result),
             "per_unit_degrees": {k: frac(v)
                                  for k, v in sorted(result.per_unit_degrees.items())},
-            "method": result.method,
         }, indent=2, sort_keys=True))
         return EXIT_OK
 

@@ -198,6 +198,12 @@ class _Parser:
     def ident(self) -> str:
         return self.expect("ident", "identifier")
 
+    def integer(self) -> int:
+        try:
+            return int(self.expect("int", "integer"))
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            raise self.error(self.pos - 1, "integer literal too long") from None
+
     def sep_list(self, item, sep: str) -> list:
         """`item { sep item }`"""
         items = [item()]
@@ -329,7 +335,7 @@ class _Parser:
         rid = self.ident()
         strength = 0
         if self.accept("lbracket"):
-            strength = int(self.expect("int", "integer"))
+            strength = self.integer()
             self.expect("rbracket")
         self.expect("colon")
         body = [] if self.kinds[self.pos] == "arrow" else self.sep_list(self._lit, "amp")
@@ -349,7 +355,7 @@ class _Parser:
             raise self.error(self.pos - 1, f"unknown risk field {name!r}",
                              RiskAnnotation.FIELDS)
         self.expect("colon")
-        return name, int(self.expect("int", "integer"))
+        return name, self.integer()
 
 
 def parse_kb(text: str, file: str = "<input>") -> KnowledgeBase:

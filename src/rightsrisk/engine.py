@@ -334,9 +334,9 @@ class Engine:
     def explain(self, scenario_id: str, conclusion: str) -> Explanation:
         """Derivation trace for a conclusion, or a structured answer naming
         the closest blocked step."""
-        kind, args = self._parse_conclusion(scenario_id, conclusion)
-        self._scenario(scenario_id)  # KeyError for unknown scenario
         known = self.kb.right_ids() | self.kb.basic_ids()
+        kind, args = self._parse_conclusion(scenario_id, conclusion, known)
+        self._scenario(scenario_id)  # KeyError for unknown scenario
         for right in args:
             if right not in known:
                 raise KeyError(f"unknown right {right!r}")
@@ -347,7 +347,8 @@ class Engine:
             return self._explain_collision(scenario_id, kind, frozenset(args))
         return self._explain_choice(scenario_id, args[0])
 
-    def _parse_conclusion(self, scenario_id: str, conclusion: str) -> tuple[str, list[str]]:
+    def _parse_conclusion(self, scenario_id: str, conclusion: str,
+                          rights: set[str]) -> tuple[str, list[str]]:
         m = self._CONCLUSION_RE.match(conclusion)
         if not m:
             raise ValueError(f"malformed conclusion {conclusion!r}; "
@@ -357,8 +358,9 @@ class Engine:
         if not want:
             raise ValueError(f"unknown conclusion kind {kind!r}")
         args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-        scen_ids = {s.id for s in self.kb.scenarios}
-        if args and (args[0] == scenario_id or args[0] in scen_ids):
+        # a leading scenario id is dropped, unless it may be the right meant
+        if args and (args[0] == scenario_id or args[0] in self._scenarios) \
+                and (args[0] not in rights or len(args) > want):
             args = args[1:]
         if not args:
             raise ValueError(f"conclusion {conclusion!r} names no right")

@@ -163,6 +163,17 @@ class FriaReport:
     diagnostics: list[str]
 
 
+def minimization_record(result: MinimizationResult) -> dict:
+    """The minimizer's answer as the report and `minimize --json` write it."""
+    return {
+        "optimal_degree": frac(result.optimal_degree),
+        "maximizers": [sorted(m) for m in result.maximizers],
+        "maximizer_count": result.maximizer_count,
+        "canonical": sorted(result.canonical),
+        "method": result.method,
+    }
+
+
 def kb_hash(kb: KnowledgeBase) -> str:
     return hashlib.sha256(print_kb(kb).encode("utf-8")).hexdigest()
 
@@ -239,13 +250,7 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
             "delta": frac(bundle.total.delta),
             "total": frac(bundle.total.degree),
         },
-        minimization={
-            "optimal_degree": frac(mini.optimal_degree),
-            "maximizers": [sorted(m) for m in mini.maximizers],
-            "maximizer_count": mini.maximizer_count,
-            "canonical": sorted(mini.canonical),
-            "method": mini.method,
-        },
+        minimization=minimization_record(mini),
         checklist=checklist,
         diagnostics=[str(d) for d in bundle.diagnostics],
     )
@@ -256,51 +261,20 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: FriaReport) -> dict:
-    return {
-        "meta": report.meta,
-        "process": report.process,
-        "scenarios": [{
-            "scenario": s.scenario,
-            "statuses": s.statuses,
-            "demoted": s.demoted,
-            "collisions": s.collisions,
-            "adopted": s.adopted,
-            "degree": frac(s.degree),
-            "band": s.band,
-            "obligations": s.obligations,
-        } for s in report.scenarios],
-        "oversight": report.oversight,
-        "mitigation": report.mitigation,
-        "degrees": report.degrees,
-        "minimization": report.minimization,
-        "checklist": [{"item": c.item, "status": c.status}
-                      for c in report.checklist],
-        "diagnostics": report.diagnostics,
-    }
+    """The JSON form: each record's dataclass fields, degrees as text."""
+    return {**vars(report),
+            "scenarios": [{**vars(s), "degree": frac(s.degree)} for s in report.scenarios],
+            "checklist": [dict(vars(c)) for c in report.checklist]}
 
 
 def report_from_dict(data: dict) -> FriaReport:
-    return FriaReport(
-        meta=data["meta"],
-        process=data["process"],
-        scenarios=[ScenarioRisk(
-            scenario=s["scenario"],
-            statuses=s["statuses"],
-            demoted=s["demoted"],
-            collisions=s["collisions"],
-            adopted=s["adopted"],
-            degree=Fraction(s["degree"]),
-            band=s["band"],
-            obligations=s["obligations"],
-        ) for s in data["scenarios"]],
-        oversight=data["oversight"],
-        mitigation=data["mitigation"],
-        degrees=data["degrees"],
-        minimization=data["minimization"],
-        checklist=[ChecklistItem(c["item"], c["status"])
-                   for c in data["checklist"]],
-        diagnostics=data["diagnostics"],
-    )
+    """Inverse of `report_to_dict`; a missing or unknown field is a TypeError."""
+    report = FriaReport(**data)
+    report.scenarios = [ScenarioRisk(**s) for s in report.scenarios]
+    for s in report.scenarios:
+        s.degree = Fraction(s.degree)
+    report.checklist = [ChecklistItem(**c) for c in report.checklist]
+    return report
 
 
 def parse_report(text: str) -> FriaReport:

@@ -51,6 +51,16 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("text, col", [
+        ("rule r [{}]: f => promotes(a);", 9),
+        ("risk S {{ hazard: {} }}", 18)], ids=["strength", "risk_field"])
+    def test_too_long_integer_exits_two(self, capsys, tmp_path, text, col):
+        bad = tmp_path / "bad.rights"
+        bad.write_text("right a;\n" + text.format("9" * 5000) + "\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {bad}:2:{col}: integer literal too long\n"
+
     def test_non_ascii_digit_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.rights"
         bad.write_text("right a;\nrule r [²]: => promotes(a);\n", encoding="utf-8")
@@ -229,6 +239,16 @@ class TestExplain:
                              "S", conclusion)
         assert code == 2
         assert expects in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("conclusion", [
+        "promotes(S2)", "choice(S2)", "choice(S, S2)"])
+    def test_right_named_like_a_scenario(self, capsys, tmp_path, conclusion):
+        kb = tmp_path / "kb.rights"
+        kb.write_text("right S2;\nright b;\nscenario S { f }\nscenario S2 { g }\n"
+                      "assert promotes(S2) in S;\n")
+        code, out, err = run(capsys, "explain", str(kb), "S", conclusion)
+        assert (code, err) == (0, "")
+        assert "S2" in out
 
     @pytest.mark.parametrize("conclusion", ["bogus(nope)", "bogus(privacy)"])
     def test_unknown_kind_exits_two_whatever_its_rights(self, capsys, fixtures_dir,

@@ -124,6 +124,18 @@ class TestParse:
         kb = parse_kb("right a;\nrule r [-3]: => promotes(a);")
         assert kb.rules[0].strength == -3
 
+    @pytest.mark.parametrize("text, literal, col", [
+        ("rule r [{}]: => promotes(a);", "-" + "9" * 5000, 9),
+        ("risk S {{ response: 1, hazard: {} }}", "9" * 5000, 31)],
+        ids=["strength", "risk_field"])
+    def test_too_long_integer_is_a_parse_error(self, text, literal, col):
+        with pytest.raises(ParseError) as exc:
+            parse_kb("right a;\n" + text.format(literal))
+        span = exc.value.span
+        assert exc.value.message == "integer literal too long"
+        assert (span.start_line, span.start_col) == (2, col)
+        assert (span.end_line, span.end_col) == (2, col + len(literal))
+
     @pytest.mark.parametrize("expr", ["!" * 3000 + "a",
                                       "(" * 400 + "a" + ")" * 400],
                              ids=["bangs", "parens"])

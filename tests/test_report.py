@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from rightsrisk import report as report_module
 from rightsrisk.engine import Engine
 from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
 from rightsrisk.report import (ART26_ITEMS, ReportError, build_bundle,
-                               build_report, parse_report, render)
+                               build_report, parse_report, render, report_to_dict)
 
 META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
         "oversight": "human review", "mitigation": "narrow the rollout"}
@@ -80,6 +82,27 @@ class TestBuildReport:
 class TestRender:
     def test_json_round_trip(self, scholarship_report):
         assert parse_report(render(scholarship_report, "json")) == scholarship_report
+
+    def test_dict_records_do_not_alias_the_report(self, scholarship_report):
+        before = copy.deepcopy(scholarship_report)
+        data = report_to_dict(scholarship_report)
+        for record in data["scenarios"] + data["checklist"]:
+            for key in list(record):
+                record[key] = None
+        assert scholarship_report == before
+
+    @pytest.mark.parametrize("where", ["report", "scenario", "checklist"])
+    @pytest.mark.parametrize("change", ["missing", "unknown"])
+    def test_parse_report_rejects_a_changed_field(self, scholarship_report, where, change):
+        data = json.loads(render(scholarship_report, "json"))
+        record = {"report": data, "scenario": data["scenarios"][0],
+                  "checklist": data["checklist"][0]}[where]
+        if change == "missing":
+            del record[sorted(record)[-1]]
+        else:
+            record["extra"] = 1
+        with pytest.raises(TypeError):
+            parse_report(json.dumps(data))
 
     def test_deterministic(self, scholarship_kb):
         def make():
