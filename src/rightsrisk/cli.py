@@ -6,6 +6,7 @@ parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -264,6 +265,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="emit machine-readable JSON")
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rightsrisk",
@@ -318,9 +320,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
                     Diagnostic, FeatureLiteral, KnowledgeBase, PredHead,
@@ -81,6 +81,28 @@ class Explanation:
     blocked: Optional[str] = None
 
 
+def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
+    """A search giving, in order, the positions of the literal sets in
+    `bodies` that a feature set contains. Each body is filed under its
+    rarest literal, counted over all bodies, so a feature set's candidates
+    are its literals' buckets plus the empty bodies."""
+    counts = Counter(lit for body in bodies for lit in body)
+    buckets: dict[FeatureLiteral, list[int]] = {}
+    always: list[int] = []
+    for i, body in enumerate(bodies):
+        if body:
+            buckets.setdefault(min(body, key=counts.__getitem__), []).append(i)
+        else:
+            always.append(i)
+
+    def contained(features: frozenset[FeatureLiteral]) -> list[int]:
+        candidates = list(always)
+        for lit in features:
+            candidates += buckets.get(lit, ())
+        return [i for i in sorted(candidates) if satisfies(features, bodies[i])]
+    return contained
+
+
 class Engine:
     """Stateless reasoner over an immutable knowledge base; firings,
     assessment results and degree breakdowns are cached per scenario, and
@@ -113,31 +135,13 @@ class Engine:
             raise KeyError(f"unknown scenario {scenario_id!r}") from None
 
     @cached_property
-    def _rule_index(self) -> tuple[dict[FeatureLiteral, list[int]], list[int]]:
-        """Rule positions keyed by each body's rarest literal (counted over
-        all rule bodies), and the positions of the empty-bodied rules. A rule
-        can fire only where its key literal holds, so a scenario's candidates
-        are its features' buckets plus the empty bodies."""
-        counts = Counter(lit for r in self._rules for lit in r.body)
-        buckets: dict[FeatureLiteral, list[int]] = {}
-        always: list[int] = []
-        for i, r in enumerate(self._rules):
-            if r.body:
-                buckets.setdefault(min(r.body, key=counts.__getitem__), []).append(i)
-            else:
-                always.append(i)
-        return buckets, always
+    def _rule_index(self) -> Callable[[frozenset], list[int]]:
+        return _containment([r.body for r in self._rules])
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         """The rules whose bodies hold in the scenario, in `all_rules` order."""
         features = self._scenario(scenario_id).features
-        buckets, always = self._rule_index
-        candidates = list(always)
-        for lit in features:
-            candidates += buckets.get(lit, ())
-        rules = self._rules
-        return [rules[i] for i in sorted(candidates)
-                if satisfies(features, rules[i].body)]
+        return [self._rules[i] for i in self._rule_index(features)]
 
     def _firings(self, scenario_id: str) -> list[Rule]:
         """`fire_rules`, computed once per scenario and then kept."""
@@ -210,10 +214,9 @@ class Engine:
         for i, r1 in enumerate(rights):
             for r2 in rights[i + 1:]:
                 pair = frozenset((r1, r2))
-                if self._pair_incompatible(r1, r2):
-                    candidates[pair] = max(candidates.get(pair, 0), 0)
-                elif (self.config.derived_collision
-                      and {statuses[r1], statuses[r2]} == {Status.PROMOTED, Status.DEMOTED}):
+                if self._pair_incompatible(r1, r2) or (
+                        self.config.derived_collision
+                        and {statuses[r1], statuses[r2]} == {Status.PROMOTED, Status.DEMOTED}):
                     candidates[pair] = max(candidates.get(pair, 0), 0)
 
         result = {pair for pair, strength in candidates.items()
@@ -296,35 +299,24 @@ class Engine:
         when the toggle is off."""
         if not self.config.monotonicity_check:
             return []
-        raw: dict[str, tuple[set[str], set[str]]] = {}
-        for scen in self.kb.scenarios:
-            promotes: set[str] = set()
-            demotes: set[str] = set()
-            for f in self._firings(scen.id):
-                if isinstance(f.head, PredHead):
-                    if f.head.kind == "promotes":
-                        promotes.add(f.head.rights[0])
-                    elif f.head.kind == "demotes":
-                        demotes.add(f.head.rights[0])
-            raw[scen.id] = (promotes, demotes)
-
+        raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
+                            if isinstance(f.head, PredHead) and f.head.kind == kind}
+                     for kind in ("promotes", "demotes")}
+               for sid in self._scenarios}
+        # (X, Y) by position: features(X) <= features(Y), X the weaker one
+        scenarios = self.kb.scenarios
+        subsets = _containment([s.features for s in scenarios])
+        pairs = sorted((x, y) for y, sup in enumerate(scenarios)
+                       for x in subsets(sup.features) if scenarios[x].id != sup.id)
         diags: list[Diagnostic] = []
-        for sub in self.kb.scenarios:       # X: the weaker description
-            for sup in self.kb.scenarios:   # Y: features(Y) >= features(X)
-                if sub.id == sup.id or not sub.features <= sup.features:
-                    continue
-                sup_p, sup_d = raw[sup.id]
-                sub_p, sub_d = raw[sub.id]
-                for right in sorted(sup_p & sub_d):
+        for x, y in pairs:
+            sub, sup = scenarios[x].id, scenarios[y].id
+            for sup_kind, sub_kind in (("promotes", "demotes"), ("demotes", "promotes")):
+                for right in sorted(raw[sup][sup_kind] & raw[sub][sub_kind]):
                     diags.append(Diagnostic(
                         "warning", "monotonicity",
-                        f"{sup.id!r} promotes {right!r} while feature-subset "
-                        f"scenario {sub.id!r} demotes it"))
-                for right in sorted(sup_d & sub_p):
-                    diags.append(Diagnostic(
-                        "warning", "monotonicity",
-                        f"{sup.id!r} demotes {right!r} while feature-subset "
-                        f"scenario {sub.id!r} promotes it"))
+                        f"{sup!r} {sup_kind} {right!r} while feature-subset "
+                        f"scenario {sub!r} {sub_kind} it"))
         return diags
 
     # -- explanation --------------------------------------------------------
@@ -390,16 +382,14 @@ class Engine:
 
     def _explain_collision(self, scenario_id: str, kind: str,
                            pair: frozenset[str]) -> Explanation:
-        findings = self.assess(scenario_id)
-        in_collision = pair in findings.collisions
+        in_collision = pair in self.assess(scenario_id).collisions
+        r1, r2 = sorted(pair)
         if kind == "not_collides":
             if not in_collision:
-                r1, r2 = sorted(pair)
                 return Explanation(True, DerivationTrace(
                     f"no collision between {r1} and {r2} in {scenario_id}", None))
             return Explanation(False, blocked=f"{sorted(pair)} collide in {scenario_id}")
         if in_collision:
-            r1, r2 = sorted(pair)
             fired = self._firings(scenario_id)
             explicit = [f for f in fired
                         if isinstance(f.head, PredHead) and f.head.kind == "collides"

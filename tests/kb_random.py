@@ -88,3 +88,14 @@ def random_kb(rng: random.Random, max_scenarios=12, max_chain=4,
                     sid, *[rng.randint(1, 5) for _ in range(5)]))
 
     return kb
+
+
+def with_refinements(kb, rng):
+    """`kb` plus scenarios that add one literal to an existing scenario's
+    features, so a base scenario's asserts fire in its refinements."""
+    for scen in list(kb.scenarios):
+        atom = rng.choice([f"g{i}" for i in range(3)])
+        if rng.random() < 0.5 and atom not in {lit.atom for lit in scen.features}:
+            kb.scenarios.append(Scenario(f"{scen.id}_{atom}", scen.features
+                                         | {FeatureLiteral(atom, rng.random() < 0.5)}))
+    return kb

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from rightsrisk.cli import main
+from rightsrisk.cli import build_arg_parser, main
 from rightsrisk.report import parse_report
 from test_lexer_oracle import mutants
 from test_model import BANGS_TEXT, CHAIN_TEXT, shared_chain
@@ -84,6 +84,36 @@ def promoted_in_s(text, right):
     """`text` plus one scenario S that promotes `right` and `y` (`!x`)."""
     return (text + "scenario S { f }\ndomain D { S }\n"
             f"assert promotes({right}) in S;\nassert promotes(y) in S;\n")
+
+
+class TestArgumentParser:
+    """One parser serves every call in a process."""
+
+    def test_built_once(self):
+        assert build_arg_parser() is build_arg_parser()
+
+    def test_usage_error_then_good_call(self, capsys, fixtures_dir):
+        kb = fx(fixtures_dir, "scholarship.rights")
+        before = run(capsys, "assess", kb)
+        for bad in (["assess", kb, "--json", "--mode", "bogus"], ["fria", kb, "--bogus"],
+                    ["explain", kb], ["nonsense"], []):
+            code, out, err = run(capsys, *bad)
+            assert (code, out) == (2, "") and "usage: rightsrisk" in err, bad
+            assert run(capsys, "assess", kb) == before
+
+    def test_help_exits_zero(self, capsys, fixtures_dir):
+        for argv in (["--help"], ["fria", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and out.startswith("usage: rightsrisk")
+        code, out, _ = run(capsys, "check", fx(fixtures_dir, "scholarship.rights"))
+        assert (code, out) == (0, "ok\n")
+
+    def test_options_do_not_carry_over(self, capsys, fixtures_dir):
+        kb = fx(fixtures_dir, "scholarship.rights")
+        code, out, _ = run(capsys, "assess", kb, "--json")
+        assert code == 0 and json.loads(out)
+        code, out, _ = run(capsys, "assess", kb)
+        assert code == 0 and out.startswith("scenario ")
 
 
 class TestDeepDefinitions:

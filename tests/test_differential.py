@@ -1,8 +1,10 @@
 """Whole-pipeline differential oracle. On seeded random KBs, the CLI's
 `fria --format json`, `explain` and `minimize --json` answers are compared
 with the benchmark's independent evaluator (`perfbench/reference.py`),
-which shares no code with the engine, scoring or minimizer. A disagreement
-names the KB's seed, the call and the first differing path."""
+which shares no code with the engine, scoring or minimizer. A second set
+of KBs adds refinement scenarios, so that monotonicity warnings are
+compared too. A disagreement names the KB's seed, the call and the first
+differing path."""
 import importlib.util
 import itertools
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kb_random import random_kb
+from kb_random import random_kb, with_refinements
 from rightsrisk import cli
 from rightsrisk.dsl import parse_kb, print_kb
 
@@ -70,34 +72,59 @@ def explain_sample(rng, ref, sid):
         yield kind, args, f"{kind}({', '.join(named)})"
 
 
+def write_kb(tmp_path, name, kb):
+    """`kb` printed to `tmp_path / name`: its path, and the KB parsed back."""
+    text = print_kb(kb)
+    path = tmp_path / f"{name}.rights"
+    path.write_text(text, encoding="utf-8")
+    return str(path), parse_kb(text)
+
+
+def check_reports(capsys, label, path, ref):
+    """`fria --format json` and `minimize --json` for every domain and
+    purpose, against the reference; the parsed reports."""
+    reports = []
+    for flag, keyword, selected in selections(ref.kb):
+        code, out, err = run(capsys, "fria", path, flag, selected,
+                             "--format", "json", "--fixed-time", FIXED_TIME)
+        assert (code, err) == (0, ""), f"{label} fria {flag} {selected}: {err}"
+        report = json.loads(out)
+        diff = reference.check_fria(ref.fria(FIXED_TIME, **{keyword: selected}), report)
+        assert diff is None, f"{label} fria {flag} {selected}: {diff}"
+
+        code, out, err = run(capsys, "minimize", path, flag, selected, "--json")
+        assert (code, err) == (0, ""), f"{label} minimize {flag} {selected}: {err}"
+        shared = {k: v for k, v in json.loads(out).items() if k in MINIMIZATION}
+        diff = reference.first_difference(report["minimization"], shared)
+        assert diff is None, f"{label} minimize {flag} {selected}: {diff}"
+        reports.append(report)
+    return reports
+
+
 @pytest.mark.parametrize("block", range(4))
-def test_cli_agrees_with_the_reference(capsys, monkeypatch, tmp_path, block):
-    # one argument parser for all calls: building it is half of a small call
-    monkeypatch.setattr(cli, "build_arg_parser", lambda parser=cli.build_arg_parser(): parser)
+def test_cli_agrees_with_the_reference(capsys, tmp_path, block):
     for seed in range(block * KBS // 4, (block + 1) * KBS // 4):
         rng = random.Random(seed)
-        text = print_kb(random_kb(rng, with_extras=True))
-        path = tmp_path / f"kb{seed}.rights"
-        path.write_text(text, encoding="utf-8")
-        kb = parse_kb(text)
+        path, kb = write_kb(tmp_path, f"kb{seed}", random_kb(rng, with_extras=True))
         ref = reference.Reference(kb)
-        for flag, keyword, selected in selections(kb):
-            code, out, err = run(capsys, "fria", str(path), flag, selected,
-                                 "--format", "json", "--fixed-time", FIXED_TIME)
-            assert (code, err) == (0, ""), f"seed {seed} fria {flag} {selected}: {err}"
-            report = json.loads(out)
-            diff = reference.check_fria(ref.fria(FIXED_TIME, **{keyword: selected}), report)
-            assert diff is None, f"seed {seed} fria {flag} {selected}: {diff}"
-
-            code, out, err = run(capsys, "minimize", str(path), flag, selected, "--json")
-            assert (code, err) == (0, ""), f"seed {seed} minimize {flag} {selected}: {err}"
-            shared = {k: v for k, v in json.loads(out).items() if k in MINIMIZATION}
-            diff = reference.first_difference(report["minimization"], shared)
-            assert diff is None, f"seed {seed} minimize {flag} {selected}: {diff}"
-
+        check_reports(capsys, f"seed {seed}", path, ref)
         for sid in sorted(ref.scenarios):
             for kind, args, conclusion in explain_sample(rng, ref, sid):
-                code, out, err = run(capsys, "explain", str(path), sid, conclusion)
+                code, out, err = run(capsys, "explain", path, sid, conclusion)
                 diff = reference.check_explain(ref.explain(sid, kind, args),
                                                sid, code, out, err)
                 assert diff is None, f"seed {seed} explain {sid} {conclusion!r}: {diff}"
+
+
+def test_refinements_agree_with_the_reference(capsys, tmp_path):
+    """KBs whose refinement scenarios add a literal to a base scenario, so
+    that monotonicity warnings occur and are compared."""
+    warnings = 0
+    for seed in range(KBS):
+        rng = random.Random(seed)
+        kb = with_refinements(random_kb(rng, with_extras=True), rng)
+        path, kb = write_kb(tmp_path, f"refined{seed}", kb)
+        for report in check_reports(capsys, f"refined seed {seed}", path,
+                                    reference.Reference(kb)):
+            warnings += sum("[monotonicity]" in d for d in report["diagnostics"])
+    assert warnings > 0

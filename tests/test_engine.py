@@ -1,15 +1,15 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
-from kb_random import random_kb
+from kb_random import random_kb, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
-from rightsrisk.model import (ChainHead, FeatureLiteral, PredHead,
-                              PriorityChain, Scenario, expand_right,
+from rightsrisk.model import (PredHead, PriorityChain, expand_right,
                               logically_incompatible, satisfies)
 from test_model import truth_table_satisfiable
 
@@ -58,15 +58,37 @@ def naive_fire(kb, scenario_id):
     return [r for r in kb.all_rules() if satisfies(features, r.body)]
 
 
-def with_refinements(kb, rng):
-    """`kb` plus scenarios that add one literal to an existing scenario's
-    features, so a base scenario's asserts fire in its refinements."""
-    for scen in list(kb.scenarios):
-        atom = rng.choice([f"g{i}" for i in range(3)])
-        if rng.random() < 0.5 and atom not in {lit.atom for lit in scen.features}:
-            kb.scenarios.append(Scenario(f"{scen.id}_{atom}", scen.features
-                                         | {FeatureLiteral(atom, rng.random() < 0.5)}))
-    return kb
+def naive_monotonicity(engine):
+    """Reference monotonicity check: every ordered scenario pair compared."""
+    raw = {}
+    for scen in engine.kb.scenarios:
+        promotes, demotes = set(), set()
+        for f in naive_fire(engine.kb, scen.id):
+            if isinstance(f.head, PredHead):
+                if f.head.kind == "promotes":
+                    promotes.add(f.head.rights[0])
+                elif f.head.kind == "demotes":
+                    demotes.add(f.head.rights[0])
+        raw[scen.id] = (promotes, demotes)
+
+    diags = []
+    for sub in engine.kb.scenarios:       # X: the weaker description
+        for sup in engine.kb.scenarios:   # Y: features(Y) >= features(X)
+            if sub.id == sup.id or not sub.features <= sup.features:
+                continue
+            sup_p, sup_d = raw[sup.id]
+            sub_p, sub_d = raw[sub.id]
+            for right in sorted(sup_p & sub_d):
+                diags.append(model.Diagnostic(
+                    "warning", "monotonicity",
+                    f"{sup.id!r} promotes {right!r} while feature-subset "
+                    f"scenario {sub.id!r} demotes it"))
+            for right in sorted(sup_d & sub_p):
+                diags.append(model.Diagnostic(
+                    "warning", "monotonicity",
+                    f"{sup.id!r} demotes {right!r} while feature-subset "
+                    f"scenario {sub.id!r} promotes it"))
+    return diags
 
 
 class TestFiringOracle:
@@ -82,6 +104,7 @@ class TestFiringOracle:
             assert engine.fire_rules(scen.id) == naive_fire(kb, scen.id)
             assert engine.assess(scen.id) == reference.assess(scen.id)
         assert engine.check_monotonicity() == reference.check_monotonicity()
+        assert engine.check_monotonicity() == naive_monotonicity(engine)
 
     def fired_ids(self, text, scenario="S"):
         kb = parse_kb(text)
@@ -353,6 +376,62 @@ class TestMonotonicity:
         kb = parse_kb(self.KB_TEXT)
         config = EngineConfig(monotonicity_check=False)
         assert Engine(kb, config).check_monotonicity() == []
+
+    @staticmethod
+    def warnings(text):
+        """(superset, kind, right, subset) per warning, checked against the
+        pair scan kept here as the oracle."""
+        engine = Engine(parse_kb(text))
+        diags = engine.check_monotonicity()
+        assert diags == naive_monotonicity(engine)
+        return [tuple(re.fullmatch(r"'(\w+)' (\w+) '(\w+)' while feature-subset "
+                                   r"scenario '(\w+)' \w+ it", d.message).groups())
+                for d in diags]
+
+    def test_featureless_scenario_is_a_subset_of_all(self):
+        text = ("right a;\nscenario E { }\nscenario S { x }\nscenario T { y, z }\n"
+                "assert demotes(a) in E;\n"
+                "rule r1: x => promotes(a);\nrule r2: z => promotes(a);")
+        assert self.warnings(text) == [("S", "promotes", "a", "E"),
+                                       ("T", "promotes", "a", "E")]
+
+    def test_equal_features_count_both_ways(self):
+        text = ("right a;\nscenario A { x, y }\nscenario B { y, x }\n"
+                "assert promotes(a) in A;\nassert demotes(a) in B;")
+        assert self.warnings(text) == [("B", "promotes", "a", "A"),
+                                       ("B", "demotes", "a", "A"),
+                                       ("A", "promotes", "a", "B"),
+                                       ("A", "demotes", "a", "B")]
+
+    def test_duplicate_ids_are_skipped(self):
+        text = ("right a;\nscenario S { x }\nscenario S { x, y }\n"
+                "scenario T { x, y, z }\n"
+                "assert demotes(a) in S;\nrule r: z => promotes(a);")
+        assert self.warnings(text) == [("T", "promotes", "a", "S")] * 2
+
+    def test_chain(self):
+        text = ("right a; right b;\nscenario Z { p, q, r }\nscenario X { p }\n"
+                "scenario Y { p, q }\n"
+                "rule r1: p => demotes(a);\nrule r2: q => promotes(a);\n"
+                "rule r3: q => promotes(b);\nrule r4: r => demotes(b);")
+        assert self.warnings(text) == [("Z", "promotes", "a", "X"),
+                                       ("Y", "promotes", "a", "X"),
+                                       ("Z", "promotes", "a", "Y"),
+                                       ("Z", "demotes", "a", "Y"),
+                                       ("Z", "demotes", "b", "Y")]
+
+    def test_both_directions_with_several_rights(self):
+        rules = [("x", "demotes", "b"), ("y", "promotes", "a"), ("x", "promotes", "d"),
+                 ("y", "demotes", "d"), ("x", "demotes", "a"), ("y", "promotes", "b"),
+                 ("x", "promotes", "c"), ("y", "demotes", "c")]
+        text = ("right a; right b; right c; right d;\n"
+                "scenario Y { x, y }\nscenario X { x }\n"
+                + "".join(f"rule r{i}: {lit} => {kind}({right});\n"
+                          for i, (lit, kind, right) in enumerate(rules)))
+        assert self.warnings(text) == [("Y", "promotes", "a", "X"),
+                                       ("Y", "promotes", "b", "X"),
+                                       ("Y", "demotes", "c", "X"),
+                                       ("Y", "demotes", "d", "X")]
 
 
 class TestExplain:
