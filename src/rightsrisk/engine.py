@@ -12,12 +12,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
-                    Diagnostic, FeatureLiteral, KnowledgeBase, PredHead,
-                    PriorityChain, Rule, Scenario, logically_incompatible,
-                    satisfies)
+                    Diagnostic, FeatureLiteral, KnowledgeBase, PriorityChain,
+                    Rule, Scenario, logically_incompatible, satisfies)
 
 if TYPE_CHECKING:
     from .scoring import DegreeBreakdown
@@ -103,6 +103,22 @@ def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
     return contained
 
 
+def _strongest(fired: list[Rule], kinds: tuple[str, ...]) -> dict[tuple[str, frozenset[str]], int]:
+    """The strongest strength of each fired conclusion of the given kinds,
+    keyed by (kind, rights), in first-fired order."""
+    best: dict[tuple[str, frozenset[str]], int] = {}
+    for f in fired:
+        if f.head.kind in kinds:
+            key = (f.head.kind, frozenset(f.head.rights))
+            best[key] = max(best.get(key, f.strength), f.strength)
+    return best
+
+
+def _concluding(rules: list[Rule], kind: str, rights: frozenset[str]) -> list[Rule]:
+    """The rules concluding `kind` over exactly these rights, in order."""
+    return [r for r in rules if r.head.kind == kind and frozenset(r.head.rights) == rights]
+
+
 class Engine:
     """Stateless reasoner over an immutable knowledge base; firings,
     assessment results and degree breakdowns are cached per scenario, and
@@ -155,39 +171,27 @@ class Engine:
     def resolve_statuses(fired: list[Rule]) -> tuple[dict[str, Status], list[Diagnostic]]:
         """Strength comparison with ambiguity blocking on ties; a
         `not_demotes` head blocks demotions of equal or lower strength."""
-        by_right: dict[str, dict[str, list[int]]] = {}
-        for f in fired:
-            if isinstance(f.head, PredHead) and f.head.kind in ("promotes", "demotes", "not_demotes"):
-                slot = by_right.setdefault(f.head.rights[0], {})
-                slot.setdefault(f.head.kind, []).append(f.strength)
-
+        best = _strongest(fired, UNARY_PREDS)
         statuses: dict[str, Status] = {}
         diags: list[Diagnostic] = []
-        for right, heads in by_right.items():
-            promotes = heads.get("promotes", [])
-            demotes = heads.get("demotes", [])
-            blocks = heads.get("not_demotes", [])
-            if blocks:
-                bar = max(blocks)
-                demotes = [s for s in demotes if s > bar]
-            pmax = max(promotes) if promotes else None
-            dmax = max(demotes) if demotes else None
-            if pmax is None and dmax is None:
-                statuses[right] = Status.UNDEFINED
-            elif dmax is None:
+        for key in dict.fromkeys(rights for _, rights in best):
+            pmax = best.get(("promotes", key))
+            dmax = best.get(("demotes", key))
+            bar = best.get(("not_demotes", key))
+            if bar is not None and dmax is not None and dmax <= bar:
+                dmax = None
+            (right,) = key
+            statuses[right] = Status.UNDEFINED
+            if pmax == dmax:
+                if pmax is not None:
+                    diags.append(Diagnostic(
+                        "warning", "ambiguity",
+                        f"right {right!r}: promote and demote conclusions tie "
+                        f"at strength {pmax}; status undefined"))
+            elif dmax is None or (pmax is not None and pmax > dmax):
                 statuses[right] = Status.PROMOTED
-            elif pmax is None:
-                statuses[right] = Status.DEMOTED
-            elif pmax > dmax:
-                statuses[right] = Status.PROMOTED
-            elif dmax > pmax:
-                statuses[right] = Status.DEMOTED
             else:
-                statuses[right] = Status.UNDEFINED
-                diags.append(Diagnostic(
-                    "warning", "ambiguity",
-                    f"right {right!r}: promote and demote conclusions tie "
-                    f"at strength {pmax}; status undefined"))
+                statuses[right] = Status.DEMOTED
         return statuses, diags
 
     # -- collisions ---------------------------------------------------------
@@ -201,27 +205,19 @@ class Engine:
 
     def derive_collisions(self, statuses: dict[str, Status],
                           fired: list[Rule]) -> frozenset[frozenset[str]]:
-        explicit: dict[frozenset[str], int] = {}
-        blocks: dict[frozenset[str], int] = {}
-        for f in fired:
-            if isinstance(f.head, PredHead) and f.head.kind in ("collides", "not_collides"):
-                pair = frozenset(f.head.rights)
-                target = explicit if f.head.kind == "collides" else blocks
-                target[pair] = max(target.get(pair, f.strength), f.strength)
-
-        candidates: dict[frozenset[str], int] = dict(explicit)
+        best = _strongest(fired, BINARY_PREDS)
+        candidates = {pair: s for (kind, pair), s in best.items() if kind == "collides"}
         rights = sorted(statuses)
-        for i, r1 in enumerate(rights):
-            for r2 in rights[i + 1:]:
-                pair = frozenset((r1, r2))
-                if self._pair_incompatible(r1, r2) or (
-                        self.config.derived_collision
-                        and {statuses[r1], statuses[r2]} == {Status.PROMOTED, Status.DEMOTED}):
-                    candidates[pair] = max(candidates.get(pair, 0), 0)
-
-        result = {pair for pair, strength in candidates.items()
-                  if not (pair in blocks and blocks[pair] >= strength)}
-        return frozenset(result)
+        pairs = [frozenset(p) for p in combinations(rights, 2) if self._pair_incompatible(*p)]
+        if self.config.derived_collision:
+            promoted, demoted = ([r for r in rights if statuses[r] is status]
+                                 for status in (Status.PROMOTED, Status.DEMOTED))
+            pairs += [frozenset((p, d)) for p in promoted for d in demoted]
+        for pair in pairs:
+            candidates[pair] = max(candidates.get(pair, 0), 0)
+        # a not_collides of equal or greater strength removes the pair
+        return frozenset(pair for pair, strength in candidates.items()
+                         if best.get(("not_collides", pair), strength - 1) < strength)
 
     # -- adoption -----------------------------------------------------------
 
@@ -251,16 +247,14 @@ class Engine:
 
         # rights in scope: everything the fired conclusions mention (an
         # assert's rule always fires in its own scenario)
-        scope: set[str] = set(statuses)
         for f in fired:
-            scope.update(f.head.rights)
-        for right in scope:
-            statuses.setdefault(right, Status.UNDEFINED)
+            for right in f.head.rights:
+                statuses.setdefault(right, Status.UNDEFINED)
 
         collisions = self.derive_collisions(statuses, fired)
 
         fired_chains = [PriorityChain(f.id, f.head.rights, f.body)
-                        for f in fired if isinstance(f.head, ChainHead)]
+                        for f in fired if f.head.kind == "chain"]
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []
@@ -273,7 +267,7 @@ class Engine:
                     demoted.append(Occurrence(right, chain.id, x, len(chain.rights)))
 
         # singleton convention: chainless rights count as length-1 chains
-        for right in sorted(scope - chained_rights):
+        for right in sorted(statuses.keys() - chained_rights):
             if statuses[right] == Status.PROMOTED:
                 adopted.append(Occurrence(right, SINGLETON, 1, 1))
             elif statuses[right] == Status.DEMOTED:
@@ -300,7 +294,7 @@ class Engine:
         if not self.config.monotonicity_check:
             return []
         raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
-                            if isinstance(f.head, PredHead) and f.head.kind == kind}
+                            if f.head.kind == kind}
                      for kind in ("promotes", "demotes")}
                for sid in self._scenarios}
         # (X, Y) by position: features(X) <= features(Y), X the weaker one
@@ -368,17 +362,12 @@ class Engine:
         return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
-        fired = self._firings(scenario_id)
-        hits = [f for f in fired
-                if isinstance(f.head, PredHead) and f.head.kind == kind
-                and f.head.rights[0] == right]
+        hits = _concluding(self._firings(scenario_id), kind, frozenset((right,)))
         if hits:
             best = max(hits, key=lambda f: f.strength)
             return Explanation(True, self._pred_trace(scenario_id, best))
         return Explanation(False, blocked=self._nearest_blocked(
-            scenario_id, lambda r: isinstance(r.head, PredHead)
-            and r.head.kind == kind and r.head.rights[0] == right,
-            f"{kind}({right})"))
+            scenario_id, kind, frozenset((right,)), f"{kind}({right})"))
 
     def _explain_collision(self, scenario_id: str, kind: str,
                            pair: frozenset[str]) -> Explanation:
@@ -390,10 +379,7 @@ class Engine:
                     f"no collision between {r1} and {r2} in {scenario_id}", None))
             return Explanation(False, blocked=f"{sorted(pair)} collide in {scenario_id}")
         if in_collision:
-            fired = self._firings(scenario_id)
-            explicit = [f for f in fired
-                        if isinstance(f.head, PredHead) and f.head.kind == "collides"
-                        and frozenset(f.head.rights) == pair]
+            explicit = _concluding(self._firings(scenario_id), "collides", pair)
             if explicit:
                 return Explanation(True, self._pred_trace(scenario_id, explicit[0]))
             if self._pair_incompatible(r1, r2):
@@ -403,9 +389,7 @@ class Engine:
             return Explanation(True, DerivationTrace(
                 f"collides({r1}, {r2})", reason))
         return Explanation(False, blocked=self._nearest_blocked(
-            scenario_id, lambda r: isinstance(r.head, PredHead)
-            and r.head.kind == "collides" and frozenset(r.head.rights) == pair,
-            f"collides({sorted(pair)})"))
+            scenario_id, "collides", pair, f"collides({sorted(pair)})"))
 
     def _explain_choice(self, scenario_id: str, right: str) -> Explanation:
         findings = self.assess(scenario_id)
@@ -448,9 +432,10 @@ class Engine:
         return Explanation(True, DerivationTrace(
             f"choice({scenario_id}, {right})", rule, tuple(premises)))
 
-    def _nearest_blocked(self, scenario_id: str, match, label: str) -> str:
+    def _nearest_blocked(self, scenario_id: str, kind: str, rights: frozenset[str],
+                         label: str) -> str:
         scen = self._scenario(scenario_id)
-        candidates = [r for r in self._rules if match(r)]
+        candidates = _concluding(self._rules, kind, rights)
         if not candidates:
             return f"not derivable: no rule concludes {label}"
         best = min(candidates,

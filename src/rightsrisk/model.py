@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Union)
+from typing import (Any, Callable, ClassVar, Iterable, Iterator, NamedTuple,
+                    Optional, Union)
 
 
 class ModelError(Exception):
@@ -120,6 +120,7 @@ class PredHead:
 @dataclass(frozen=True)
 class ChainHead:
     rights: tuple[str, ...]
+    kind: ClassVar[str] = "chain"
 
     def __str__(self) -> str:
         return " > ".join(self.rights)
@@ -611,22 +612,16 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                                     f"obligation {o.id!r} applies to unknown scenario {o.applies_to!r}"))
 
     def check_head(where: str, head: Head) -> None:
-        if isinstance(head, PredHead):
-            for rid in head.rights:
-                if rid not in declared_rights:
-                    diags.append(Diagnostic("error", "unknown-right",
-                                            f"{where}: unknown right {rid!r}"))
-            if head.kind in BINARY_PREDS and len(set(head.rights)) != len(head.rights):
-                diags.append(Diagnostic("error", "self-collision",
-                                        f"{where}: {head.kind} needs two distinct rights"))
-        else:
-            for rid in head.rights:
-                if rid not in declared_rights:
-                    diags.append(Diagnostic("error", "unknown-right",
-                                            f"{where}: unknown right {rid!r} in chain"))
-            if len(set(head.rights)) != len(head.rights):
-                diags.append(Diagnostic("error", "duplicate-chain-right",
-                                        f"{where}: chain repeats a right"))
+        chain = head.kind == "chain"
+        for rid in head.rights:
+            if rid not in declared_rights:
+                diags.append(Diagnostic("error", "unknown-right", f"{where}: unknown "
+                                        f"right {rid!r}{' in chain' if chain else ''}"))
+        if len(set(head.rights)) != len(head.rights):
+            diags.append(Diagnostic("error", "duplicate-chain-right",
+                                    f"{where}: chain repeats a right") if chain else
+                         Diagnostic("error", "self-collision",
+                                    f"{where}: {head.kind} needs two distinct rights"))
 
     for a in kb.assertions:
         if a.scenario not in scen_ids:
