@@ -69,7 +69,7 @@ def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
         try:
             lookup(named)
         except KeyError as exc:
-            raise CliError(str(exc), EXIT_SEMANTIC)
+            raise CliError(exc.args[0], EXIT_SEMANTIC)
         return kind, named
     if len(declared) == 1:
         return kind, declared[0].id
@@ -144,7 +144,7 @@ def cmd_assess(args) -> int:
     engine = _load_engine(args)
     kb = engine.kb
 
-    if args.scenario:
+    if args.scenario is not None:
         try:
             kb.scenario(args.scenario)
         except KeyError:

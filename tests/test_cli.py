@@ -163,6 +163,11 @@ class TestAssess:
         assert code == 1
         assert "unknown scenario" in err
 
+    def test_empty_scenario_id_is_unknown(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "assess", fx(fixtures_dir, "pandemic.rights"),
+                             "--scenario", "")
+        assert (code, out, err) == (1, "", "unknown scenario ''\n")
+
     def test_json_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "assess", fx(fixtures_dir, "pandemic.rights"),
                            "--scenario", "S", "--json")
@@ -323,6 +328,13 @@ class TestFria:
         code, _, err = run(capsys, "fria", fx(fixtures_dir, "triage.rights"))
         assert code == 1
         assert "ambiguous domain" in err
+
+    @pytest.mark.parametrize("flag, message", [("--domain", "unknown domain 'nope'\n"),
+                                               ("--purpose", "unknown purpose 'nope'\n")],
+                             ids=["domain", "purpose"])
+    def test_unknown_selector_unquoted(self, capsys, fixtures_dir, flag, message):
+        code, out, err = run(capsys, "fria", fx(fixtures_dir, "triage.rights"), flag, "nope")
+        assert (code, out, err) == (1, "", message)
 
     def test_fixed_time_is_deterministic(self, capsys, fixtures_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
