@@ -99,3 +99,20 @@ def with_refinements(kb, rng):
             kb.scenarios.append(Scenario(f"{scen.id}_{atom}", scen.features
                                          | {FeatureLiteral(atom, rng.random() < 0.5)}))
     return kb
+
+
+def with_collision_rules(kb, rng):
+    """`kb` plus rules concluding collides, not_collides, promotes, demotes
+    and not_demotes at strengths -3..3, with bodies drawn from the
+    scenarios' literals so that they fire. The heads share at most three
+    rights, so that explicit, blocked and implied collisions meet."""
+    rights = rng.sample([r.id for r in kb.rights], min(3, len(kb.rights)))
+    for i in range(rng.randint(2, 8)):
+        features = sorted(rng.choice(kb.scenarios).features,
+                          key=lambda l: (l.atom, l.positive))
+        body = tuple(rng.sample(features, rng.randint(0, min(2, len(features)))))
+        kind = rng.choice(["collides", "not_collides", "collides", "not_collides",
+                           "promotes", "demotes", "not_demotes"])
+        head = PredHead(kind, tuple(rng.sample(rights, 2 if "collides" in kind else 1)))
+        kb.rules.append(Rule(f"extra{i}", body, head, rng.randint(-3, 3)))
+    return kb

@@ -5,12 +5,13 @@ import re
 
 import pytest
 
-from kb_random import random_kb, with_refinements
+from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
-from rightsrisk.model import (PredHead, PriorityChain, expand_right,
-                              logically_incompatible, satisfies)
+from rightsrisk.model import (UNARY_PREDS, ChainHead, Diagnostic,
+                              FeatureLiteral, PredHead, PriorityChain, Rule,
+                              expand_right, logically_incompatible, satisfies)
 from test_model import truth_table_satisfiable
 
 
@@ -228,10 +229,192 @@ class TestCollisions:
         f = Engine(kb).assess("S")
         assert frozenset({"a", "b"}) in f.collisions
 
+    @pytest.mark.parametrize("collides, blocks, expected", [
+        (-2, -1, True), (2, 1, True), (-1, 0, False), (1, 1, False)])
+    def test_implied_pair_strength(self, collides, blocks, expected):
+        """A derived pair collides at max(explicit strength, 0)."""
+        kb = parse_kb("right a; right b;\nscenario S { x }\n"
+                      "rule r1: x => promotes(a);\nrule r2: x => demotes(b);\n"
+                      f"rule r3 [{collides}]: x => collides(a, b);\n"
+                      f"rule r4 [{blocks}]: x => not_collides(a, b);")
+        f = Engine(kb).assess("S")
+        assert (frozenset({"a", "b"}) in f.collisions) == expected
+
     def test_symmetry(self, scholarship_kb):
         f = Engine(scholarship_kb).assess("S_r")
         for pair in f.collisions:
             assert frozenset(reversed(sorted(pair))) in f.collisions
+
+
+def naive_statuses(fired):
+    """Reference status resolution: the per-right strength lists that
+    `Engine.resolve_statuses` once built."""
+    by_right: dict[str, dict[str, list[int]]] = {}
+    for f in fired:
+        if isinstance(f.head, PredHead) and f.head.kind in ("promotes", "demotes", "not_demotes"):
+            slot = by_right.setdefault(f.head.rights[0], {})
+            slot.setdefault(f.head.kind, []).append(f.strength)
+
+    statuses: dict[str, Status] = {}
+    diags: list[Diagnostic] = []
+    for right, heads in by_right.items():
+        promotes = heads.get("promotes", [])
+        demotes = heads.get("demotes", [])
+        blocks = heads.get("not_demotes", [])
+        if blocks:
+            bar = max(blocks)
+            demotes = [s for s in demotes if s > bar]
+        pmax = max(promotes) if promotes else None
+        dmax = max(demotes) if demotes else None
+        if pmax is None and dmax is None:
+            statuses[right] = Status.UNDEFINED
+        elif dmax is None:
+            statuses[right] = Status.PROMOTED
+        elif pmax is None:
+            statuses[right] = Status.DEMOTED
+        elif pmax > dmax:
+            statuses[right] = Status.PROMOTED
+        elif dmax > pmax:
+            statuses[right] = Status.DEMOTED
+        else:
+            statuses[right] = Status.UNDEFINED
+            diags.append(Diagnostic(
+                "warning", "ambiguity",
+                f"right {right!r}: promote and demote conclusions tie "
+                f"at strength {pmax}; status undefined"))
+    return statuses, diags
+
+
+def naive_collisions(self, statuses, fired):
+    """Reference collisions: every right pair tested, as
+    `Engine.derive_collisions` once did; `self` is the Engine."""
+    explicit: dict[frozenset[str], int] = {}
+    blocks: dict[frozenset[str], int] = {}
+    for f in fired:
+        if isinstance(f.head, PredHead) and f.head.kind in ("collides", "not_collides"):
+            pair = frozenset(f.head.rights)
+            target = explicit if f.head.kind == "collides" else blocks
+            target[pair] = max(target.get(pair, f.strength), f.strength)
+
+    candidates: dict[frozenset[str], int] = dict(explicit)
+    rights = sorted(statuses)
+    for i, r1 in enumerate(rights):
+        for r2 in rights[i + 1:]:
+            pair = frozenset((r1, r2))
+            if self._pair_incompatible(r1, r2) or (
+                    self.config.derived_collision
+                    and {statuses[r1], statuses[r2]} == {Status.PROMOTED, Status.DEMOTED}):
+                candidates[pair] = max(candidates.get(pair, 0), 0)
+
+    result = {pair for pair, strength in candidates.items()
+              if not (pair in blocks and blocks[pair] >= strength)}
+    return frozenset(result)
+
+
+def collision_kb(seed):
+    """A refinement KB with extra collides, not_collides and unary rules at
+    strengths -3..3."""
+    rng = random.Random(seed)
+    kb = with_refinements(random_kb(rng, with_extras=seed % 2 == 1), rng)
+    return with_collision_rules(kb, rng)
+
+
+TOGGLES = [EngineConfig(derived, monotonicity)
+           for derived in (True, False) for monotonicity in (True, False)]
+
+
+class TestStatusCollisionOracle:
+    """`resolve_statuses` and `derive_collisions` against the reference
+    versions kept above."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_random_kbs(self, seed):
+        kb = collision_kb(seed)
+        for config in TOGGLES:
+            engine = Engine(kb, config)
+            for scen in kb.scenarios:
+                fired = engine.fire_rules(scen.id)
+                statuses, diags = engine.resolve_statuses(fired)
+                expected, expected_diags = naive_statuses(fired)
+                assert list(statuses.items()) == list(expected.items()), scen.id
+                assert diags == expected_diags, scen.id
+                findings = engine.assess(scen.id)
+                assert findings.collisions == naive_collisions(
+                    engine, findings.statuses, fired), scen.id
+
+    def test_kbs_reach_every_rule(self):
+        """The seeds above tie statuses, block collisions with not_collides
+        and collide pairs at negative explicit strength."""
+        seen = set()
+        for seed in range(150):
+            kb = collision_kb(seed)
+            engine = Engine(kb)
+            for scen in kb.scenarios:
+                fired = engine.fire_rules(scen.id)
+                findings = engine.assess(scen.id)
+                if any(d.code == "ambiguity" for d in findings.diagnostics):
+                    seen.add("tie")
+                for f in fired:
+                    pair = frozenset(f.head.rights)
+                    if f.head.kind == "not_collides" and pair not in findings.collisions:
+                        seen.add("blocked")
+                    if f.head.kind == "collides" and f.strength < 0 \
+                            and pair in findings.collisions:
+                        seen.add("negative")
+        assert seen == {"tie", "blocked", "negative"}
+
+    def test_ties_warn_in_first_concluded_order(self):
+        kb = parse_kb("right a; right b;\nscenario S { x }\n"
+                      "rule r1: x => demotes(a);\nrule r2: x => promotes(b);\n"
+                      "rule r3: x => demotes(b);\nrule r4: x => promotes(a);")
+        statuses, diags = Engine.resolve_statuses(Engine(kb).fire_rules("S"))
+        assert statuses == {"a": Status.UNDEFINED, "b": Status.UNDEFINED}
+        assert [d.message[:10] for d in diags] == ["right 'a':", "right 'b':"]
+
+
+class TestMetamorphic:
+    """Relations between the outputs on a KB and on a changed copy of it
+    (Chen et al., "Metamorphic Testing: A Review of Challenges and
+    Opportunities", ACM CSUR 2018), over the KBs of the oracle above."""
+
+    @staticmethod
+    def outputs(kb, config):
+        engine = Engine(kb, config)
+        findings = [engine.assess(scen.id) for scen in kb.scenarios]
+        return findings, engine.check_monotonicity()
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_scaled_strengths(self, seed):
+        """Only the order of strengths counts, and 0 (asserts, implied
+        collisions) is fixed by s -> 3s."""
+        kb = collision_kb(seed)
+        scaled = dataclasses.replace(kb, rules=[dataclasses.replace(r, strength=3 * r.strength)
+                                                for r in kb.rules])
+        for config in TOGGLES:
+            (before, mono), (after, mono_after) = (self.outputs(kb, config),
+                                                   self.outputs(scaled, config))
+            assert mono == mono_after
+            for b, a in zip(before, after):
+                assert (b.statuses, b.collisions, b.adopted, b.demoted_occurrences) == \
+                    (a.statuses, a.collisions, a.adopted, a.demoted_occurrences)
+                unscaled = [re.sub(r"at strength (-?\d+)",
+                                   lambda m: f"at strength {int(m[1]) // 3}", d.message)
+                            for d in a.diagnostics]
+                assert [d.message for d in b.diagnostics] == unscaled
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_rule_that_never_fires(self, seed):
+        kb = collision_kb(seed)
+        rng = random.Random(seed)
+        rights = [r.id for r in kb.rights]
+        kind = rng.choice(["promotes", "demotes", "not_demotes", "collides", "not_collides",
+                           "chain"])
+        chosen = tuple(rng.sample(rights, 1 if kind in UNARY_PREDS else 2))
+        head = ChainHead(chosen) if kind == "chain" else PredHead(kind, chosen)
+        body = (FeatureLiteral("never", True),) + rng.choice(kb.rules).body
+        added = dataclasses.replace(kb, rules=kb.rules + [Rule("unfired", body, head, 3)])
+        for config in TOGGLES:
+            assert self.outputs(kb, config) == self.outputs(added, config)
 
 
 class TestIncompatibilityOracle:
