@@ -362,12 +362,13 @@ class Engine:
         return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
-        hits = _concluding(self._firings(scenario_id), kind, frozenset((right,)))
+        rights = frozenset((right,))
+        hits = _concluding(self._firings(scenario_id), kind, rights)
         if hits:
             best = max(hits, key=lambda f: f.strength)
             return Explanation(True, self._pred_trace(scenario_id, best))
         return Explanation(False, blocked=self._nearest_blocked(
-            scenario_id, kind, frozenset((right,)), f"{kind}({right})"))
+            scenario_id, kind, rights, f"{kind}({right})"))
 
     def _explain_collision(self, scenario_id: str, kind: str,
                            pair: frozenset[str]) -> Explanation:

@@ -613,15 +613,15 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
 
     def check_head(where: str, head: Head) -> None:
         chain = head.kind == "chain"
+        in_chain = " in chain" if chain else ""
         for rid in head.rights:
             if rid not in declared_rights:
-                diags.append(Diagnostic("error", "unknown-right", f"{where}: unknown "
-                                        f"right {rid!r}{' in chain' if chain else ''}"))
+                diags.append(Diagnostic("error", "unknown-right",
+                                        f"{where}: unknown right {rid!r}{in_chain}"))
         if len(set(head.rights)) != len(head.rights):
-            diags.append(Diagnostic("error", "duplicate-chain-right",
-                                    f"{where}: chain repeats a right") if chain else
-                         Diagnostic("error", "self-collision",
-                                    f"{where}: {head.kind} needs two distinct rights"))
+            code, text = (("duplicate-chain-right", "chain repeats a right") if chain
+                          else ("self-collision", f"{head.kind} needs two distinct rights"))
+            diags.append(Diagnostic("error", code, f"{where}: {text}"))
 
     for a in kb.assertions:
         if a.scenario not in scen_ids:

@@ -342,7 +342,7 @@ class TestStatusCollisionOracle:
                 assert findings.collisions == naive_collisions(
                     engine, findings.statuses, fired), scen.id
 
-    def test_kbs_reach_every_rule(self):
+    def test_kbs_tie_block_and_collide_below_zero(self):
         """The seeds above tie statuses, block collisions with not_collides
         and collide pairs at negative explicit strength."""
         seen = set()

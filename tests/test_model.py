@@ -289,6 +289,17 @@ class TestValidateKb:
         diags = validate_kb(scholarship_kb)
         assert any("unknown right" in d.message for d in diags)
 
+    def test_head_diagnostics(self):
+        kb = parse_kb("right a; right b;\nscenario S { x }\n"
+                      "rule r1: x => a > nope > a;\nrule r2: x => collides(a, a);\n"
+                      "rule r3: x => not_collides(b, ghost);\nassert demotes(ghost) in S;")
+        assert [str(d) for d in validate_kb(kb)] == [
+            "error[unknown-right]: assert in 'S': unknown right 'ghost'",
+            "error[unknown-right]: rule 'r1': unknown right 'nope' in chain",
+            "error[duplicate-chain-right]: rule 'r1': chain repeats a right",
+            "error[self-collision]: rule 'r2': collides needs two distinct rights",
+            "error[unknown-right]: rule 'r3': unknown right 'ghost'"]
+
     def test_polarity_conflict(self):
         kb = KnowledgeBase(scenarios=[Scenario("S", lits("consent", "!consent"))])
         diags = validate_kb(kb)
