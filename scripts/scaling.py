@@ -75,7 +75,7 @@ def stage_times(text: str) -> dict[str, float]:
     timed("scoring", lambda: [degree_scenario(f) for f in findings])
     engine.validation = validation      # as `cli._load_engine` hands it on
     bundle = timed("build_bundle", build_bundle, engine, domain_id="D")
-    report = timed("build_report", build_report, kb, bundle, {"generated_at": FIXED_TIME})
+    report = timed("build_report", build_report, bundle, {"generated_at": FIXED_TIME})
     timed("render", render, report, "json")
     return times
 

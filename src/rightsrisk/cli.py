@@ -80,16 +80,14 @@ def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
                    EXIT_SEMANTIC)
 
 
-def _bundle(engine: Engine, args) -> tuple[str, AssessmentBundle]:
+def _bundle(engine: Engine, args) -> AssessmentBundle:
     kind, selected = _select(engine.kb, args)
     try:
         if kind == "purpose":
-            bundle = build_bundle(engine, purpose_id=selected, mode=args.mode)
-        else:
-            bundle = build_bundle(engine, domain_id=selected, mode=args.mode)
+            return build_bundle(engine, purpose_id=selected, mode=args.mode)
+        return build_bundle(engine, domain_id=selected, mode=args.mode)
     except (SizeError, ReportError) as exc:
         raise CliError(str(exc), EXIT_SEMANTIC)
-    return f"{kind} {selected}", bundle
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +140,12 @@ def _scenario_json(view: ScenarioView) -> dict:
 
 def cmd_assess(args) -> int:
     engine = _load_engine(args)
-    kb = engine.kb
 
     if args.scenario is not None:
         try:
-            kb.scenario(args.scenario)
-        except KeyError:
-            raise CliError(f"unknown scenario {args.scenario!r}", EXIT_SEMANTIC)
-        findings = engine.assess(args.scenario)
+            findings = engine.assess(args.scenario)
+        except KeyError as exc:
+            raise CliError(exc.args[0], EXIT_SEMANTIC)
         view = scenario_view(findings, degree_scenario(findings))
         if args.json:
             print(json.dumps(_scenario_json(view), indent=2, sort_keys=True))
@@ -159,16 +155,16 @@ def cmd_assess(args) -> int:
                 print(d)
         return EXIT_OK
 
-    label, bundle = _bundle(engine, args)
+    bundle = _bundle(engine, args)
     if args.json:
-        report = build_report(kb, bundle, {"generated_at": args.fixed_time or ""})
+        report = build_report(bundle, {"generated_at": args.fixed_time or ""})
         sys.stdout.write(render(report, "json"))
         return EXIT_OK
 
     for sid, findings in bundle.findings.items():
         print(_scenario_block(scenario_view(findings, bundle.breakdowns[sid])))
     total = bundle.total
-    print(f"{label} degree: {frac(total.degree)} "
+    print(f"{bundle.kind} {bundle.selector} degree: {frac(total.degree)} "
           f"(xi={frac(total.xi)}, delta={frac(total.delta)})")
     for d in bundle.diagnostics:
         if d.code == "monotonicity":
@@ -224,7 +220,7 @@ def cmd_explain(args) -> int:
 
 def cmd_fria(args) -> int:
     engine = _load_engine(args)
-    _, bundle = _bundle(engine, args)
+    bundle = _bundle(engine, args)
 
     metadata = {
         "process": args.process or "",
@@ -233,7 +229,7 @@ def cmd_fria(args) -> int:
     }
     if args.fixed_time:
         metadata["generated_at"] = args.fixed_time
-    report = build_report(engine.kb, bundle, metadata)
+    report = build_report(bundle, metadata)
     text = render(report, args.format)
 
     if args.out:

@@ -199,8 +199,7 @@ class Engine:
     def _pair_incompatible(self, r1: str, r2: str) -> bool:
         key = frozenset((r1, r2))
         if key not in self._incompat:
-            self._incompat[key] = logically_incompatible(self.kb, r1, r2,
-                                                         self._compiled)
+            self._incompat[key] = logically_incompatible(self._compiled, r1, r2)
         return self._incompat[key]
 
     def derive_collisions(self, statuses: dict[str, Status],
@@ -253,8 +252,7 @@ class Engine:
 
         collisions = self.derive_collisions(statuses, fired)
 
-        fired_chains = [PriorityChain(f.id, f.head.rights, f.body)
-                        for f in fired if f.head.kind == "chain"]
+        fired_chains = [PriorityChain(f.id, f.head.rights) for f in fired if f.head.kind == "chain"]
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []

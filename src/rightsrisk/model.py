@@ -150,7 +150,6 @@ class PriorityChain:
     """A fired priority sequence: rights[0] is preferred over rights[1], etc."""
     id: str
     rights: tuple[str, ...]
-    guard: tuple[FeatureLiteral, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -509,14 +508,11 @@ class CompiledRights:
         return self._programs[right_id]
 
 
-def logically_incompatible(kb: KnowledgeBase, r1: str, r2: str,
-                           compiled: Optional[CompiledRights] = None) -> bool:
+def logically_incompatible(rights: CompiledRights, r1: str, r2: str) -> bool:
     """True iff the expanded definitions of r1 and r2 can never hold
     together (see `jointly_satisfiable`). A right that does not expand is
-    compatible with every right. `compiled`, if given, holds `kb`'s rights
-    compiled by earlier calls and keeps the ones this call compiles; an
-    Engine passes one for its whole run."""
-    rights = compiled or CompiledRights(kb)
+    compatible with every right. `rights` keeps what this call compiles;
+    an Engine passes its own for its whole run."""
     p1, p2 = rights.program(r1), rights.program(r2)
     return p1 is not None and p2 is not None and not _jointly_satisfiable(p1, p2)
 

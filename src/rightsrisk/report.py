@@ -59,8 +59,8 @@ class ReportError(ValueError):
 class AssessmentBundle:
     """Everything the pipeline derives for one domain (or purpose)."""
     kb: KnowledgeBase
-    domain_id: Optional[str]
-    purpose_id: Optional[str]
+    kind: str                         # "domain" or "purpose"
+    selector: str                     # the domain's or purpose's id
     findings: dict[str, ScenarioFindings]
     breakdowns: dict[str, DegreeBreakdown]
     total: DegreeBreakdown
@@ -90,7 +90,8 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
     diagnostics = validation + engine.check_monotonicity()
     for f in findings.values():
         diagnostics.extend(f.diagnostics)
-    return AssessmentBundle(kb, domain_id, purpose_id, findings, breakdowns,
+    kind, selector = ("domain", domain_id) if domain_id is not None else ("purpose", purpose_id)
+    return AssessmentBundle(kb, kind, selector, findings, breakdowns,
                             total, minimization, diagnostics)
 
 
@@ -178,15 +179,12 @@ def kb_hash(kb: KnowledgeBase) -> str:
     return hashlib.sha256(print_kb(kb).encode("utf-8")).hexdigest()
 
 
-def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
-                 metadata: Optional[dict] = None) -> FriaReport:
+def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> FriaReport:
     """Assemble the FRIA report. Every demoted right of every assessed
     scenario lands in the risks-of-harm section; the minimizer's canonical
     subset is the mitigation recommendation."""
-    if bundle.kb is not kb and bundle.kb != kb:
-        raise ReportError("bundle was built from a different knowledge base")
+    kb, selector = bundle.kb, bundle.selector
     metadata = metadata or {}
-    selector = bundle.domain_id or bundle.purpose_id
     generated_at = metadata.get("generated_at")
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat()
@@ -233,7 +231,7 @@ def build_report(kb: KnowledgeBase, bundle: AssessmentBundle,
             "generated_at": generated_at,
             "kb_hash": kb_hash(kb),
             "selector": selector,
-            "kind": "domain" if bundle.domain_id else "purpose",
+            "kind": bundle.kind,
         },
         process=metadata.get("process", ""),
         scenarios=scenarios,

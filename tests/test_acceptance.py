@@ -89,7 +89,7 @@ def test_3_privacy_decomposition(privacy_kb):
 def test_4_length_three_conformance():
     with criterion(4, "64-case length-3 chain adoption conformance"):
         rights = ("ri", "rj", "rk")
-        chain = PriorityChain("c", rights, ())
+        chain = PriorityChain("c", rights)
         pairs = [frozenset(p) for p in itertools.combinations(rights, 2)]
         for demoted in itertools.product((False, True), repeat=3):
             statuses = {r: Status.DEMOTED if d else Status.UNDEFINED
@@ -186,7 +186,7 @@ def test_9_report_completeness(fixtures_dir):
             kb = load_fixture(path.name)
             for domain in kb.domains:
                 bundle = build_bundle(Engine(kb), domain_id=domain.id)
-                report = build_report(kb, bundle, meta)
+                report = build_report(bundle, meta)
                 markdown = render(report, "markdown")
                 harm = markdown.split("Art. 27(d))")[1].split("Art. 27(e)")[0]
                 for scen in report.scenarios:

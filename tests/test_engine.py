@@ -9,7 +9,7 @@ from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
-from rightsrisk.model import (UNARY_PREDS, ChainHead, Diagnostic,
+from rightsrisk.model import (UNARY_PREDS, ChainHead, CompiledRights, Diagnostic,
                               FeatureLiteral, PredHead, PriorityChain, Rule,
                               expand_right, logically_incompatible, satisfies)
 from test_model import truth_table_satisfiable
@@ -430,7 +430,8 @@ class TestIncompatibilityOracle:
                 expected = not truth_table_satisfiable(expand_right(kb, r1),
                                                        expand_right(kb, r2))
                 assert engine._pair_incompatible(r1, r2) == expected, (seed, r1, r2)
-                assert logically_incompatible(kb, r1, r2) == expected, (seed, r1, r2)
+                fresh = logically_incompatible(CompiledRights(kb), r1, r2)
+                assert fresh == expected, (seed, r1, r2)
                 answers.add(expected)
         assert answers == {False, True}
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rightsrisk import model
 from rightsrisk.dsl import parse_kb
-from rightsrisk.model import (AndExpr, FeatureLiteral, KnowledgeBase,
+from rightsrisk.model import (AndExpr, CompiledRights, FeatureLiteral, KnowledgeBase,
                               FundamentalRight, ModelError, OrExpr, RightRef,
                               Scenario, TRUTH_TABLE_ATOMS, expand_right,
                               expr_atoms, jointly_satisfiable,
@@ -111,7 +111,7 @@ class TestExpandRight:
         kb = parse_kb(CHAIN_TEXT)
         assert validate_kb(kb) == []
         assert expand_right(kb, "r0") == RightRef("x")
-        assert logically_incompatible(kb, "r0", "y")
+        assert logically_incompatible(CompiledRights(kb), "r0", "y")
 
     def test_chained_deep_negations(self):
         kb = parse_kb(BANGS_TEXT)
@@ -121,7 +121,7 @@ class TestExpandRight:
             expanded = expanded.operand
         assert expanded == RightRef("x")
         assert expr_atoms(expand_right(kb, "d11")) == {"x"}
-        assert logically_incompatible(kb, "d11", "y")
+        assert logically_incompatible(CompiledRights(kb), "d11", "y")
 
     def test_deep_cycle_diagnostic(self):
         kb = parse_kb("".join(f"right r{i} := r{i + 1};\n" for i in range(1100))
@@ -143,8 +143,8 @@ class TestIncompatibility:
         kb = parse_kb(shared_chain(60))
         start = time.perf_counter()
         assert expr_atoms(expand_right(kb, "r0")) == {"x"}
-        assert logically_incompatible(kb, "r0", "y")
-        assert not logically_incompatible(kb, "r0", "r5")
+        assert logically_incompatible(CompiledRights(kb), "r0", "y")
+        assert not logically_incompatible(CompiledRights(kb), "r0", "r5")
         assert time.perf_counter() - start < 1
 
     def test_negated_definitions_collide(self):
@@ -152,16 +152,17 @@ class TestIncompatibility:
             FundamentalRight("A", RightRef("x")),
             FundamentalRight("B", NotExpr(RightRef("x"))),
         ])
-        assert logically_incompatible(kb, "A", "B")
+        assert logically_incompatible(CompiledRights(kb), "A", "B")
 
     def test_distinct_atomics_compatible(self, pandemic_kb):
-        assert not logically_incompatible(pandemic_kb, "privacy", "public_health")
+        assert not logically_incompatible(CompiledRights(pandemic_kb),
+                                          "privacy", "public_health")
 
     def test_no_atom_cap(self, split_widths):
         atoms = [f"b{i}" for i in range(21)]
         kb = parse_kb("".join(f"basic {a};\n" for a in atoms)
                       + f"right big := {' & '.join(atoms)};\nright nb := !b0;\n")
-        assert logically_incompatible(kb, "big", "nb")
+        assert logically_incompatible(CompiledRights(kb), "big", "nb")
         assert split_widths == [21]
 
     def test_thousand_atoms(self, split_widths):

@@ -18,7 +18,7 @@ META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
 @pytest.fixture()
 def scholarship_report(scholarship_kb):
     bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
-    return build_report(scholarship_kb, bundle, META)
+    return build_report(bundle, META)
 
 
 class TestBuildReport:
@@ -39,7 +39,7 @@ class TestBuildReport:
 
     def test_pandemic_degree(self, pandemic_kb):
         bundle = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
-        report = build_report(pandemic_kb, bundle, META)
+        report = build_report(bundle, META)
         (scen,) = report.scenarios
         assert scen.demoted == ["privacy"]
         assert str(scen.degree) == "-1"
@@ -50,7 +50,7 @@ class TestBuildReport:
             Scenario("S", frozenset({FeatureLiteral("f")})))
         privacy_kb.domains.append(DeploymentDomain("D", ("S",)))
         bundle = build_bundle(Engine(privacy_kb), domain_id="D")
-        report = build_report(privacy_kb, bundle, META)
+        report = build_report(bundle, META)
         assert report.scenarios[0].demoted == []
         assert len(report.checklist) == 11
 
@@ -62,18 +62,18 @@ class TestBuildReport:
     def test_checklist_statuses_from_metadata(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         meta = dict(META, checklist={0: "addressed", 5: "not-applicable"})
-        report = build_report(scholarship_kb, bundle, meta)
+        report = build_report(bundle, meta)
         assert report.checklist[0].status == "addressed"
         assert report.checklist[5].status == "not-applicable"
 
     def test_invalid_checklist_status(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         with pytest.raises(ReportError):
-            build_report(scholarship_kb, bundle, {"checklist": {0: "done"}})
+            build_report(bundle, {"checklist": {0: "done"}})
 
     def test_band_from_risk_annotation(self, triage_kb):
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
-        report = build_report(triage_kb, bundle, META)
+        report = build_report(bundle, META)
         by_id = {s.scenario: s for s in report.scenarios}
         assert by_id["S_outbreak"].band == "Critical"
         assert by_id["S_routine"].band is None
@@ -107,7 +107,7 @@ class TestRender:
     def test_deterministic(self, scholarship_kb):
         def make():
             bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
-            report = build_report(scholarship_kb, bundle, META)
+            report = build_report(bundle, META)
             return render(report, "json"), render(report, "markdown")
         assert make() == make()
 
@@ -122,8 +122,8 @@ class TestRender:
     def test_kb_hash_tracks_input(self, scholarship_kb, pandemic_kb):
         b1 = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         b2 = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
-        r1 = build_report(scholarship_kb, b1, META)
-        r2 = build_report(pandemic_kb, b2, META)
+        r1 = build_report(b1, META)
+        r2 = build_report(b2, META)
         assert r1.meta["kb_hash"] != r2.meta["kb_hash"]
 
     def test_unknown_format(self, scholarship_report):
@@ -175,7 +175,7 @@ class TestAnnotationsAndObligations:
                                   Obligation("o_z", "z", "S_outbreak"),
                                   Obligation("o_a", "a", "S_routine")]
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
-        report = build_report(triage_kb, bundle, META)
+        report = build_report(bundle, META)
         by_id = {s.scenario: s for s in report.scenarios}
         assert by_id["S_routine"].obligations[-2:] == ["o_b", "o_a"]
         self.assert_matches_lookups(triage_kb, report)
@@ -184,7 +184,7 @@ class TestAnnotationsAndObligations:
         for seed in range(60):
             kb = random_kb(random.Random(seed), with_extras=True)
             bundle = build_bundle(Engine(kb), domain_id="D")
-            self.assert_matches_lookups(kb, build_report(kb, bundle, META))
+            self.assert_matches_lookups(kb, build_report(bundle, META))
 
     @staticmethod
     def assert_matches_lookups(kb, report):
