@@ -342,9 +342,13 @@ class Engine:
         if not want:
             raise ValueError(f"unknown conclusion kind {kind!r}")
         args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-        # a leading scenario id is dropped, unless it may be the right meant
+        # a leading scenario id is dropped, unless it may be the right meant;
+        # it must be the scenario explained
         if args and (args[0] == scenario_id or args[0] in self._scenarios) \
                 and (args[0] not in rights or len(args) > want):
+            if args[0] != scenario_id:
+                raise ValueError(f"conclusion {conclusion!r} names scenario "
+                                 f"{args[0]!r}, not {scenario_id!r}")
             args = args[1:]
         if not args:
             raise ValueError(f"conclusion {conclusion!r} names no right")

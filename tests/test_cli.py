@@ -285,6 +285,12 @@ class TestExplain:
         assert (code, err) == (0, "")
         assert "S2" in out
 
+    def test_conclusion_naming_another_scenario_exits_two(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "explain", fx(fixtures_dir, "scholarship.rights"),
+                             "S_d", "demotes(S_r, privacy)")
+        assert (code, out) == (2, "")
+        assert err == "conclusion 'demotes(S_r, privacy)' names scenario 'S_r', not 'S_d'\n"
+
     @pytest.mark.parametrize("conclusion", ["bogus(nope)", "bogus(privacy)"])
     def test_unknown_kind_exits_two_whatever_its_rights(self, capsys, fixtures_dir,
                                                         conclusion):
