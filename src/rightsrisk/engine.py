@@ -380,7 +380,7 @@ class Engine:
             if not in_collision:
                 return Explanation(True, DerivationTrace(
                     f"no collision between {r1} and {r2} in {scenario_id}", None))
-            return Explanation(False, blocked=f"{sorted(pair)} collide in {scenario_id}")
+            return Explanation(False, blocked=f"{r1} and {r2} collide in {scenario_id}")
         if in_collision:
             explicit = _concluding(self._firings(scenario_id), "collides", pair)
             if explicit:

@@ -291,6 +291,11 @@ class TestExplain:
         assert (code, out) == (2, "")
         assert err == "conclusion 'demotes(S_r, privacy)' names scenario 'S_r', not 'S_d'\n"
 
+    def test_not_collides_answer_names_the_pair(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "explain", fx(fixtures_dir, "pandemic.rights"),
+                             "S", "not_collides(public_health, privacy)")
+        assert (code, out, err) == (1, "privacy and public_health collide in S\n", "")
+
     @pytest.mark.parametrize("conclusion", ["bogus(nope)", "bogus(privacy)"])
     def test_unknown_kind_exits_two_whatever_its_rights(self, capsys, fixtures_dir,
                                                         conclusion):
