@@ -250,15 +250,18 @@ def cmd_fria(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
+    """The two Engine toggles, plus whichever of `--mode` and `--json` are named."""
     parser.add_argument("--no-derived-collision", action="store_true",
                         help="do not derive collisions from promoted/demoted pairs")
     parser.add_argument("--no-monotonicity-check", action="store_true",
                         help="suppress monotonicity warnings")
-    parser.add_argument("--mode", choices=("exhaustive", "fast"), default="fast",
-                        help="subset search mode (default fast)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
+    if "--mode" in options:
+        parser.add_argument("--mode", choices=("exhaustive", "fast"), default="fast",
+                            help="subset search mode (default fast)")
+    if "--json" in options:
+        parser.add_argument("--json", action="store_true",
+                            help="emit machine-readable JSON")
 
 
 @functools.cache  # one parser per process: building it costs more than a parse
@@ -279,7 +282,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain")
     p.add_argument("--purpose")
     p.add_argument("--fixed-time")
-    _add_common(p)
+    _add_common(p, "--mode", "--json")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("minimize", help="find risk-minimizing subsets")
@@ -288,7 +291,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--purpose")
     p.add_argument("--gpai", action="store_true",
                    help="minimize over the purpose's domains")
-    _add_common(p)
+    _add_common(p, "--mode", "--json")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("explain", help="derivation trace for one conclusion")
@@ -309,7 +312,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--oversight", help="Art. 27(e) oversight measures")
     p.add_argument("--mitigation", help="Art. 27(f) mitigation measures")
     p.add_argument("--fixed-time", help="pin the report timestamp (RFC 3339)")
-    _add_common(p)
+    _add_common(p, "--mode")
     p.set_defaults(func=cmd_fria)
 
     return parser

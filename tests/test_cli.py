@@ -96,7 +96,9 @@ class TestArgumentParser:
         kb = fx(fixtures_dir, "scholarship.rights")
         before = run(capsys, "assess", kb)
         for bad in (["assess", kb, "--json", "--mode", "bogus"], ["fria", kb, "--bogus"],
-                    ["explain", kb], ["nonsense"], []):
+                    ["explain", kb], ["nonsense"], [], ["fria", kb, "--json"],
+                    ["explain", kb, "S_d", "promotes(S_d, merit)", "--json"],
+                    ["explain", kb, "S_d", "promotes(S_d, merit)", "--mode", "exhaustive"]):
             code, out, err = run(capsys, *bad)
             assert (code, out) == (2, "") and "usage: rightsrisk" in err, bad
             assert run(capsys, "assess", kb) == before
