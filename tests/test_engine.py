@@ -9,9 +9,12 @@ from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
-from rightsrisk.model import (UNARY_PREDS, ChainHead, CompiledRights, Diagnostic,
-                              FeatureLiteral, PredHead, PriorityChain, Rule,
-                              expand_right, logically_incompatible, satisfies)
+from rightsrisk.minimizer import minimize_domain
+from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
+                              Diagnostic, FeatureLiteral, PredHead, PriorityChain,
+                              Rule, expand_right, logically_incompatible, satisfies,
+                              validate_kb)
+from rightsrisk.scoring import degree_scenario
 from test_model import truth_table_satisfiable
 
 
@@ -415,6 +418,52 @@ class TestMetamorphic:
         added = dataclasses.replace(kb, rules=kb.rules + [Rule("unfired", body, head, 3)])
         for config in TOGGLES:
             assert self.outputs(kb, config) == self.outputs(added, config)
+
+    SHUFFLED = ("rules", "assertions", "scenarios", "rights", "basic_rights")
+
+    @staticmethod
+    def unordered(kb, config, assert_order):
+        """Per scenario id: statuses, collisions, adopted and demoted
+        occurrences, sorted ambiguity messages and degree; then the sorted
+        monotonicity warnings and each domain's minimization. `assert_order[j]`
+        is the declared position, in the unshuffled KB, of assert j."""
+        def original(occurrence):
+            chain = re.sub(r"^assert#(\d+)@", lambda m: f"assert#{assert_order[int(m[1])]}@",
+                           occurrence.chain)
+            return dataclasses.replace(occurrence, chain=chain)
+        engine = Engine(kb, config)
+        per_scenario = {}
+        for scen in kb.scenarios:
+            f = engine.assess(scen.id)
+            per_scenario[scen.id] = (
+                f.statuses, f.collisions, {original(o) for o in f.adopted},
+                {original(o) for o in f.demoted_occurrences},
+                sorted(d.message for d in f.diagnostics if d.code == "ambiguity"),
+                degree_scenario(f).degree)
+        return (per_scenario, sorted(d.message for d in engine.check_monotonicity()),
+                [minimize_domain(engine, d.id) for d in kb.domains])
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_shuffled_declarations(self, seed):
+        """Relation 3(a): the order of rules, asserts, scenarios, rights
+        and basic rights changes no finding."""
+        kb = collision_kb(seed)
+        rng = random.Random(seed)
+        # asserted chains, so that occurrences name assert rules
+        rights = [r.id for r in kb.rights]
+        kb.assertions += [AssertStmt(rng.choice(kb.scenarios).id,
+                                     ChainHead(tuple(rng.sample(rights, 2))))
+                          for _ in range(3)]
+        assert not [d for d in validate_kb(kb) if d.severity == "error"]
+        identity = range(len(kb.assertions))
+        expected = [self.unordered(kb, config, identity) for config in TOGGLES]
+        for name in self.SHUFFLED:
+            declared = getattr(kb, name)
+            order = rng.sample(range(len(declared)), len(declared))
+            shuffled = dataclasses.replace(kb, **{name: [declared[i] for i in order]})
+            assert_order = order if name == "assertions" else identity
+            for config, before in zip(TOGGLES, expected):
+                assert self.unordered(shuffled, config, assert_order) == before, (name, config)
 
 
 class TestIncompatibilityOracle:
