@@ -120,9 +120,9 @@ def _concluding(rules: list[Rule], kind: str, rights: frozenset[str]) -> list[Ru
 
 
 class Engine:
-    """Stateless reasoner over an immutable knowledge base; firings,
-    assessment results and degree breakdowns are cached per scenario, and
-    the rule index is built on the first firing."""
+    """Reasoner over an immutable knowledge base that keeps what it works
+    out: each scenario's firings and findings, each right pair's check, the
+    compiled rights, the score table, and the rule index, built on first firing."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
