@@ -252,7 +252,8 @@ class Engine:
 
         collisions = self.derive_collisions(statuses, fired)
 
-        fired_chains = [PriorityChain(f.id, f.head.rights) for f in fired if f.head.kind == "chain"]
+        fired_chains = [PriorityChain(f.id, f.head.rights)
+                        for f in fired if f.head.kind == "chain"]
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []

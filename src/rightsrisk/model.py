@@ -511,8 +511,7 @@ class CompiledRights:
 def logically_incompatible(rights: CompiledRights, r1: str, r2: str) -> bool:
     """True iff the expanded definitions of r1 and r2 can never hold
     together (see `jointly_satisfiable`). A right that does not expand is
-    compatible with every right. `rights` keeps what this call compiles;
-    an Engine passes its own for its whole run."""
+    compatible with every right; `rights` keeps what this call compiles."""
     p1, p2 = rights.program(r1), rights.program(r2)
     return p1 is not None and p2 is not None and not _jointly_satisfiable(p1, p2)
 

@@ -695,11 +695,9 @@ class TestExplain:
             Engine(pandemic_kb).explain("S", "choice[")
 
     def test_conclusion_naming_another_scenario(self, scholarship_kb):
-        engine = Engine(scholarship_kb)
         with pytest.raises(ValueError, match=r"^conclusion 'demotes\(S_r, privacy\)' "
                                              r"names scenario 'S_r', not 'S_d'$"):
-            engine.explain("S_d", "demotes(S_r, privacy)")
-        assert engine.explain("S_r", "demotes(S_r, privacy)").derivable
+            Engine(scholarship_kb).explain("S_d", "demotes(S_r, privacy)")
 
 
 class TestDefeasibleProperties:
