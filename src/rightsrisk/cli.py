@@ -84,8 +84,8 @@ def _bundle(engine: Engine, args) -> AssessmentBundle:
     kind, selected = _select(engine.kb, args)
     try:
         if kind == "purpose":
-            return build_bundle(engine, purpose_id=selected, mode=args.mode)
-        return build_bundle(engine, domain_id=selected, mode=args.mode)
+            return build_bundle(engine, purpose_id=selected)
+        return build_bundle(engine, domain_id=selected)
     except (SizeError, ReportError) as exc:
         raise CliError(str(exc), EXIT_SEMANTIC)
 
@@ -177,7 +177,7 @@ def cmd_minimize(args) -> int:
     kind, selected = _select(engine.kb, args)
     minimize = minimize_purpose if kind == "purpose" else minimize_domain
     try:
-        result = minimize(engine, selected, mode=args.mode)
+        result = minimize(engine, selected)
     except SizeError as exc:
         raise CliError(str(exc), EXIT_SEMANTIC)
     label = f"{kind} {selected}"
@@ -191,8 +191,7 @@ def cmd_minimize(args) -> int:
         }, indent=2, sort_keys=True))
         return EXIT_OK
 
-    print(f"{label}: optimal degree {frac(result.optimal_degree)} "
-          f"({result.method})")
+    print(f"{label}: optimal degree {frac(result.optimal_degree)} (fast-path)")
     shown = result.maximizers
     print(f"maximizers ({result.maximizer_count}):")
     for m in shown:
@@ -250,16 +249,13 @@ def cmd_fria(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
-    """The two Engine toggles, plus whichever of `--mode` and `--json` are named."""
+def _add_common(parser: argparse.ArgumentParser, json: bool = False) -> None:
+    """The two Engine toggles, plus `--json` if asked for."""
     parser.add_argument("--no-derived-collision", action="store_true",
                         help="do not derive collisions from promoted/demoted pairs")
     parser.add_argument("--no-monotonicity-check", action="store_true",
                         help="suppress monotonicity warnings")
-    if "--mode" in options:
-        parser.add_argument("--mode", choices=("exhaustive", "fast"), default="fast",
-                            help="subset search mode (default fast)")
-    if "--json" in options:
+    if json:
         parser.add_argument("--json", action="store_true",
                             help="emit machine-readable JSON")
 
@@ -282,7 +278,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain")
     p.add_argument("--purpose")
     p.add_argument("--fixed-time")
-    _add_common(p, "--mode", "--json")
+    _add_common(p, json=True)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("minimize", help="find risk-minimizing subsets")
@@ -291,7 +287,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--purpose")
     p.add_argument("--gpai", action="store_true",
                    help="minimize over the purpose's domains")
-    _add_common(p, "--mode", "--json")
+    _add_common(p, json=True)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("explain", help="derivation trace for one conclusion")
@@ -312,7 +308,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--oversight", help="Art. 27(e) oversight measures")
     p.add_argument("--mitigation", help="Art. 27(f) mitigation measures")
     p.add_argument("--fixed-time", help="pin the report timestamp (RFC 3339)")
-    _add_common(p, "--mode")
+    _add_common(p)
     p.set_defaults(func=cmd_fria)
 
     return parser

@@ -2,21 +2,20 @@
 domain's scenarios (or a purpose's domains) find those with maximal
 impact degree.
 
-Degrees are additive over disjoint unions, so the exhaustive
-enumeration doubles as the oracle for the additivity-based fast path.
+Degrees are additive over disjoint unions, so every maximizer is the
+positive units plus some zero-degree ones, or else a best single unit.
+The tests check this against enumeration of every subset.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .engine import Engine
 # unused here, but `perfbench/spans.py` patches degree_scenario at this name
 from .scoring import degree_domain, degree_scenario, scenario_breakdown  # noqa: F401
 
-EXHAUSTIVE_LIMIT = 24
 MAXIMIZER_CAP = 64
 
 
@@ -31,7 +30,6 @@ class MinimizationResult:
     canonical: frozenset[str]
     optimal_degree: Fraction
     per_unit_degrees: dict[str, Fraction] = field(default_factory=dict)
-    method: str = "fast-path"
 
 
 def _subsets(ids: list[str], smallest: int):
@@ -41,46 +39,26 @@ def _subsets(ids: list[str], smallest: int):
         yield from itertools.combinations(ids, r)
 
 
-def _minimize_units(per_unit: dict[str, Fraction], mode: str) -> MinimizationResult:
+def _minimize_units(per_unit: dict[str, Fraction]) -> MinimizationResult:
     ids = sorted(per_unit)
-    n = len(ids)
-    if n == 0:
+    if not ids:
         raise SizeError("nothing to minimize over")
 
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_LIMIT:
-            raise SizeError(
-                f"exhaustive mode supports at most {EXHAUSTIVE_LIMIT} units, "
-                f"got {n}; use fast mode")
-        optimal: Optional[Fraction] = None
-        maximizers: list[frozenset[str]] = []
-        count = 0
-        for subset in _subsets(ids, 1):
-            total = sum((per_unit[i] for i in subset), Fraction(0))
-            if optimal is None or total > optimal:
-                optimal, maximizers, count = total, [], 0
-            if total == optimal:
-                count += 1
-                if count <= MAXIMIZER_CAP:
-                    maximizers.append(frozenset(subset))
-    elif mode != "fast":
-        raise ValueError(f"unknown mode {mode!r}")
+    positives = tuple(i for i in ids if per_unit[i] > 0)
+    zeros = [i for i in ids if per_unit[i] == 0]
+    if positives or zeros:
+        # every maximizer is the positives plus some zeros; within one
+        # size, P | E sorts like E because P is fixed and disjoint from E
+        optimal = sum((per_unit[i] for i in positives), Fraction(0))
+        family = (frozenset(positives + extra)
+                  for extra in _subsets(zeros, 0 if positives else 1))
+        maximizers = list(itertools.islice(family, MAXIMIZER_CAP))
+        count = 2 ** len(zeros) - (0 if positives else 1)
     else:
-        positives = tuple(i for i in ids if per_unit[i] > 0)
-        zeros = [i for i in ids if per_unit[i] == 0]
-        if positives or zeros:
-            # every maximizer is the positives plus some zeros; within one
-            # size, P | E sorts like E because P is fixed and disjoint from E
-            optimal = sum((per_unit[i] for i in positives), Fraction(0))
-            family = (frozenset(positives + extra)
-                      for extra in _subsets(zeros, 0 if positives else 1))
-            maximizers = list(itertools.islice(family, MAXIMIZER_CAP))
-            count = 2 ** len(zeros) - (0 if positives else 1)
-        else:
-            # all degrees strictly negative: best single unit wins
-            optimal = max(per_unit.values())
-            singles = [frozenset((i,)) for i in ids if per_unit[i] == optimal]
-            maximizers, count = singles[:MAXIMIZER_CAP], len(singles)
+        # all degrees strictly negative: best single unit wins
+        optimal = max(per_unit.values())
+        singles = [frozenset((i,)) for i in ids if per_unit[i] == optimal]
+        maximizers, count = singles[:MAXIMIZER_CAP], len(singles)
 
     return MinimizationResult(
         maximizers=maximizers,
@@ -88,23 +66,20 @@ def _minimize_units(per_unit: dict[str, Fraction], mode: str) -> MinimizationRes
         canonical=maximizers[0],
         optimal_degree=optimal,
         per_unit_degrees=per_unit,
-        method="exhaustive" if mode == "exhaustive" else "fast-path",
     )
 
 
-def minimize_domain(engine: Engine, domain_id: str,
-                    mode: str = "fast") -> MinimizationResult:
+def minimize_domain(engine: Engine, domain_id: str) -> MinimizationResult:
     """Degree-maximizing non-empty subsets of the domain's scenario set."""
     domain = engine.kb.domain(domain_id)
     per_unit = {sid: scenario_breakdown(engine, sid).degree
                 for sid in domain.scenarios}
-    return _minimize_units(per_unit, mode)
+    return _minimize_units(per_unit)
 
 
-def minimize_purpose(engine: Engine, purpose_id: str,
-                     mode: str = "fast") -> MinimizationResult:
+def minimize_purpose(engine: Engine, purpose_id: str) -> MinimizationResult:
     """Same search one level up, over the purpose's domains."""
     purpose = engine.kb.purpose(purpose_id)
     per_unit = {did: degree_domain(engine, did).degree
                 for did in purpose.domains}
-    return _minimize_units(per_unit, mode)
+    return _minimize_units(per_unit)

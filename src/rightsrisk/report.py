@@ -69,21 +69,20 @@ class AssessmentBundle:
 
 
 def build_bundle(engine: Engine, domain_id: Optional[str] = None,
-                 purpose_id: Optional[str] = None,
-                 mode: str = "fast") -> AssessmentBundle:
+                 purpose_id: Optional[str] = None) -> AssessmentBundle:
     if (domain_id is None) == (purpose_id is None):
         raise ReportError("select exactly one domain or purpose")
     kb = engine.kb
     if domain_id is not None:
         scenario_ids = list(kb.domain(domain_id).scenarios)
         total = degree_domain(engine, domain_id)
-        minimization = minimize_domain(engine, domain_id, mode=mode)
+        minimization = minimize_domain(engine, domain_id)
     else:
         scenario_ids = []
         for did in kb.purpose(purpose_id).domains:
             scenario_ids.extend(kb.domain(did).scenarios)
         total = degree_purpose(engine, purpose_id)
-        minimization = minimize_purpose(engine, purpose_id, mode=mode)
+        minimization = minimize_purpose(engine, purpose_id)
     findings = {sid: engine.assess(sid) for sid in scenario_ids}
     breakdowns = {sid: scenario_breakdown(engine, sid) for sid in findings}
     validation = validate_kb(kb) if engine.validation is None else engine.validation
@@ -171,7 +170,7 @@ def minimization_record(result: MinimizationResult) -> dict:
         "maximizers": [sorted(m) for m in result.maximizers],
         "maximizer_count": result.maximizer_count,
         "canonical": sorted(result.canonical),
-        "method": result.method,
+        "method": "fast-path",
     }
 
 

@@ -19,6 +19,7 @@ from rightsrisk.scoring import degree_domain, degree_scenario
 
 from conftest import load_fixture
 from kb_random import random_kb
+from test_minimizer import brute_force
 
 
 @contextmanager
@@ -66,8 +67,7 @@ def test_2_scholarship_degrees_and_minimizer(scholarship_kb):
                     if s == Status.DEMOTED} == demoted
             degrees[sid] = degree_scenario(f).degree
         assert degrees == {"S_d": 3, "S_r": 0, "S_e": 0}
-        result = minimize_domain(Engine(scholarship_kb), "D_scholarship",
-                                 mode="exhaustive")
+        result = minimize_domain(Engine(scholarship_kb), "D_scholarship")
         assert result.optimal_degree == 3
         assert set(result.maximizers) == {
             frozenset({"S_d"}),
@@ -114,17 +114,14 @@ def test_4_length_three_conformance():
                 assert all(statuses[r] != Status.DEMOTED for r in adopted)
 
 
-def test_5_fast_minimizer_matches_exhaustive():
-    with criterion(5, "fast minimizer equals exhaustive on 500 random kbs"):
+def test_5_fast_minimizer_matches_enumeration():
+    with criterion(5, "fast minimizer equals enumeration on 500 random kbs"):
         start = time.perf_counter()
         rng = random.Random(2026)
         for _ in range(500):
             kb = random_kb(rng, max_scenarios=12, max_chain=4)
-            fast = minimize_domain(Engine(kb), "D", mode="fast")
-            full = minimize_domain(Engine(kb), "D", mode="exhaustive")
-            assert fast.optimal_degree == full.optimal_degree
-            assert fast.maximizers == full.maximizers
-            assert fast.maximizer_count == full.maximizer_count
+            result = minimize_domain(Engine(kb), "D")
+            assert result == brute_force(result.per_unit_degrees)
         assert time.perf_counter() - start < 30.0
 
 

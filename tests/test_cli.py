@@ -98,7 +98,10 @@ class TestArgumentParser:
         for bad in (["assess", kb, "--json", "--mode", "bogus"], ["fria", kb, "--bogus"],
                     ["explain", kb], ["nonsense"], [], ["fria", kb, "--json"],
                     ["explain", kb, "S_d", "promotes(S_d, merit)", "--json"],
-                    ["explain", kb, "S_d", "promotes(S_d, merit)", "--mode", "exhaustive"]):
+                    ["explain", kb, "S_d", "promotes(S_d, merit)", "--mode", "exhaustive"],
+                    ["minimize", kb, "--mode", "exhaustive"],
+                    ["assess", kb, "--mode", "exhaustive"],
+                    ["fria", kb, "--mode", "exhaustive"]):
             code, out, err = run(capsys, *bad)
             assert (code, out) == (2, "") and "usage: rightsrisk" in err, bad
             assert run(capsys, "assess", kb) == before
@@ -186,15 +189,6 @@ class TestAssess:
                                "--purpose", "P_triage", *extra)
             assert first == second
 
-    def test_exhaustive_size_error(self, capsys, tmp_path):
-        big = tmp_path / "big.rights"
-        big.write_text("right a;\n"
-                       + "".join(f"scenario S{i} {{ x{i} }}\n" for i in range(30))
-                       + "domain D { " + ", ".join(f"S{i}" for i in range(30)) + " }\n")
-        code, _, err = run(capsys, "assess", str(big), "--mode", "exhaustive")
-        assert code == 1
-        assert "fast mode" in err
-
     def test_ambiguous_purpose(self, capsys, tmp_path):
         kb = tmp_path / "two.rights"
         kb.write_text("right a;\nscenario S { x }\ndomain D { S }\n"
@@ -207,8 +201,7 @@ class TestAssess:
 class TestMinimize:
     def test_scholarship(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "minimize",
-                           fx(fixtures_dir, "scholarship.rights"),
-                           "--mode", "exhaustive")
+                           fx(fixtures_dir, "scholarship.rights"))
         assert code == 0
         assert "optimal degree 3" in out
         assert "maximizers (4):" in out
@@ -219,16 +212,6 @@ class TestMinimize:
                            "--gpai")
         assert code == 0
         assert "canonical: {D_clinic}" in out
-
-    def test_exhaustive_size_error(self, capsys, tmp_path):
-        lines = ["right a;"]
-        lines += [f"scenario S{i} {{ x{i} }}" for i in range(30)]
-        lines.append("domain D { " + ", ".join(f"S{i}" for i in range(30)) + " }")
-        big = tmp_path / "big.rights"
-        big.write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, "minimize", str(big), "--mode", "exhaustive")
-        assert code == 1
-        assert "fast mode" in err
 
     def test_json(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "minimize",

@@ -104,8 +104,6 @@ def fixture_calls(name: str) -> list[list[str]]:
             ["assess", path, *selector, "--json", "--fixed-time", FIXED_TIME],
             ["minimize", path, *selector],
             ["minimize", path, *selector, "--json"],
-            ["minimize", path, *selector, "--mode", "exhaustive"],
-            ["minimize", path, *selector, "--mode", "exhaustive", "--json"],
             ["fria", path, *selector, "--fixed-time", FIXED_TIME],
             ["fria", path, *selector, "--fixed-time", FIXED_TIME, "--format", "json"],
         ]
@@ -120,8 +118,6 @@ def fixture_calls(name: str) -> list[list[str]]:
         variant_calls += [
             ["minimize", path, *selector],
             ["minimize", path, *selector, "--json"],
-            ["minimize", path, *selector, "--mode", "exhaustive"],
-            ["minimize", path, *selector, "--mode", "exhaustive", "--json"],
             ["fria", path, *selector, "--fixed-time", FIXED_TIME],
             ["fria", path, *selector, "--fixed-time", FIXED_TIME, "--format", "json"],
         ]
