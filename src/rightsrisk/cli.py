@@ -60,7 +60,8 @@ def _load_engine(args) -> Engine:
 
 def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
     """("domain" or "purpose", id): `--purpose`/`--gpai` select a purpose,
-    else a domain; the flag names it, or else the KB declares exactly one."""
+    else a domain (the parser lets at most one selector through); the flag
+    names it, or else the KB declares exactly one."""
     if args.purpose or getattr(args, "gpai", False):
         kind, named, declared, lookup = "purpose", args.purpose, kb.purposes, kb.purpose
     else:
@@ -274,19 +275,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assess", help="derive statuses, adoptions, and degrees")
     p.add_argument("file")
-    p.add_argument("--scenario")
-    p.add_argument("--domain")
-    p.add_argument("--purpose")
+    select = p.add_mutually_exclusive_group()
+    select.add_argument("--scenario")
+    select.add_argument("--domain")
+    select.add_argument("--purpose")
     p.add_argument("--fixed-time")
     _add_common(p, json=True)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("minimize", help="find risk-minimizing subsets")
     p.add_argument("file")
-    p.add_argument("--domain")
-    p.add_argument("--purpose")
-    p.add_argument("--gpai", action="store_true",
-                   help="minimize over the purpose's domains")
+    select = p.add_mutually_exclusive_group()
+    select.add_argument("--domain")
+    select.add_argument("--purpose")
+    select.add_argument("--gpai", action="store_true",
+                        help="minimize over the purpose's domains")
     _add_common(p, json=True)
     p.set_defaults(func=cmd_minimize)
 
@@ -299,9 +302,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fria", help="write a FRIA-style assessment report")
     p.add_argument("file")
-    p.add_argument("--domain")
-    p.add_argument("--purpose")
-    p.add_argument("--gpai", action="store_true")
+    select = p.add_mutually_exclusive_group()
+    select.add_argument("--domain")
+    select.add_argument("--purpose")
+    select.add_argument("--gpai", action="store_true")
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
     p.add_argument("--out")
     p.add_argument("--process", help="Art. 27(a) process description")
