@@ -419,6 +419,19 @@ class TestMetamorphic:
         for config in TOGGLES:
             assert self.outputs(kb, config) == self.outputs(added, config)
 
+    @pytest.mark.parametrize("seed", range(150))
+    def test_duplicated_rule(self, seed):
+        """Relation 3(e) for predicate heads: a copy of a rule under a new
+        id changes nothing. (A copied chain rule is scored as a second chain.)"""
+        kb = collision_kb(seed)
+        expected = [self.outputs(kb, config) for config in TOGGLES]
+        for rule in kb.rules:
+            if isinstance(rule.head, PredHead):
+                copy = dataclasses.replace(rule, id=rule.id + "_copy")
+                duplicated = dataclasses.replace(kb, rules=kb.rules + [copy])
+                for config, before in zip(TOGGLES, expected):
+                    assert self.outputs(duplicated, config) == before, (rule.id, config)
+
     SHUFFLED = ("rules", "assertions", "scenarios", "rights", "basic_rights")
 
     @staticmethod
