@@ -86,26 +86,14 @@ def promoted_in_s(text, right):
             f"assert promotes({right}) in S;\nassert promotes(y) in S;\n")
 
 
-def conflicting_selectors(fixtures_dir):
-    kb = fx(fixtures_dir, "triage.rights")
-    return (["fria", kb, "--domain", "D_clinic", "--purpose", "P_triage"],
-            ["minimize", kb, "--gpai", "--domain", "D_clinic"],
-            ["assess", kb, "--scenario", "S_routine", "--domain", "nope"])
-
-
 class TestArgumentParser:
     """One parser serves every call in a process."""
 
     def test_built_once(self):
         assert build_arg_parser() is build_arg_parser()
 
-    def test_selectors_exclude_each_other(self, capsys, fixtures_dir):
-        for argv in conflicting_selectors(fixtures_dir):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (2, "") and "not allowed with argument" in err, argv
-
     def test_usage_error_then_good_call(self, capsys, fixtures_dir):
-        kb = fx(fixtures_dir, "scholarship.rights")
+        kb, triage = fx(fixtures_dir, "scholarship.rights"), fx(fixtures_dir, "triage.rights")
         before = run(capsys, "assess", kb)
         for bad in (["assess", kb, "--json", "--mode", "bogus"], ["fria", kb, "--bogus"],
                     ["explain", kb], ["nonsense"], [], ["fria", kb, "--json"],
@@ -114,7 +102,9 @@ class TestArgumentParser:
                     ["minimize", kb, "--mode", "exhaustive"],
                     ["assess", kb, "--mode", "exhaustive"],
                     ["fria", kb, "--mode", "exhaustive"],
-                    *conflicting_selectors(fixtures_dir)):
+                    ["fria", triage, "--domain", "D_clinic", "--purpose", "P_triage"],
+                    ["minimize", triage, "--gpai", "--domain", "D_clinic"],
+                    ["assess", triage, "--scenario", "S_routine", "--domain", "nope"]):
             code, out, err = run(capsys, *bad)
             assert (code, out) == (2, "") and "usage: rightsrisk" in err, bad
             assert run(capsys, "assess", kb) == before
