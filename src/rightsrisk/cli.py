@@ -84,9 +84,7 @@ def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
 def _bundle(engine: Engine, args) -> AssessmentBundle:
     kind, selected = _select(engine.kb, args)
     try:
-        if kind == "purpose":
-            return build_bundle(engine, purpose_id=selected)
-        return build_bundle(engine, domain_id=selected)
+        return build_bundle(engine, **{f"{kind}_id": selected})
     except (SizeError, ReportError) as exc:
         raise CliError(str(exc), EXIT_SEMANTIC)
 
@@ -111,7 +109,6 @@ def cmd_check(args) -> int:
 
 
 def _scenario_block(view: ScenarioView) -> str:
-    b = view.breakdown
     statuses = " ".join(f"{r}={s}" for r, s in view.statuses.items())
     lines = [f"scenario {view.scenario}:", f"  statuses: {statuses or '(none)'}"]
     if view.collisions:
@@ -119,24 +116,9 @@ def _scenario_block(view: ScenarioView) -> str:
         lines.append(f"  collisions: {pairs}")
     lines.append(f"  adopted: {' '.join(view.adopted) or '(none)'}")
     lines.append(f"  demoted: {' '.join(view.demoted) or '(none)'}")
-    lines.append(f"  degree: {frac(b.degree)} (xi={frac(b.xi)}, delta={frac(b.delta)})")
+    lines.append(f"  degree: {view.degree} (xi={view.xi}, delta={view.delta})")
     lines += [f"  {d}" for d in view.diagnostics]
     return "\n".join(lines)
-
-
-def _scenario_json(view: ScenarioView) -> dict:
-    b = view.breakdown
-    return {
-        "scenario": view.scenario,
-        "statuses": view.statuses,
-        "collisions": view.collisions,
-        "adopted": view.adopted,
-        "demoted": view.demoted,
-        "degree": frac(b.degree),
-        "xi": frac(b.xi),
-        "delta": frac(b.delta),
-        "diagnostics": view.diagnostics,
-    }
 
 
 def cmd_assess(args) -> int:
@@ -149,7 +131,7 @@ def cmd_assess(args) -> int:
             raise CliError(exc.args[0], EXIT_SEMANTIC)
         view = scenario_view(findings, degree_scenario(findings))
         if args.json:
-            print(json.dumps(_scenario_json(view), indent=2, sort_keys=True))
+            print(json.dumps(vars(view), indent=2, sort_keys=True))
         else:
             print(_scenario_block(view))
             for d in engine.check_monotonicity():

@@ -74,22 +74,20 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
         raise ReportError("select exactly one domain or purpose")
     kb = engine.kb
     if domain_id is not None:
-        scenario_ids = list(kb.domain(domain_id).scenarios)
+        kind, selector, domain_ids = "domain", domain_id, [domain_id]
         total = degree_domain(engine, domain_id)
         minimization = minimize_domain(engine, domain_id)
     else:
-        scenario_ids = []
-        for did in kb.purpose(purpose_id).domains:
-            scenario_ids.extend(kb.domain(did).scenarios)
+        kind, selector, domain_ids = "purpose", purpose_id, kb.purpose(purpose_id).domains
         total = degree_purpose(engine, purpose_id)
         minimization = minimize_purpose(engine, purpose_id)
-    findings = {sid: engine.assess(sid) for sid in scenario_ids}
+    findings = {sid: engine.assess(sid)
+                for did in domain_ids for sid in kb.domain(did).scenarios}
     breakdowns = {sid: scenario_breakdown(engine, sid) for sid in findings}
     validation = validate_kb(kb) if engine.validation is None else engine.validation
     diagnostics = validation + engine.check_monotonicity()
     for f in findings.values():
         diagnostics.extend(f.diagnostics)
-    kind, selector = ("domain", domain_id) if domain_id is not None else ("purpose", purpose_id)
     return AssessmentBundle(kb, kind, selector, findings, breakdowns,
                             total, minimization, diagnostics)
 
@@ -107,14 +105,16 @@ def frac(value: Fraction) -> str:
 @dataclass
 class ScenarioView:
     """One scenario's findings and degree, in the canonical order that the
-    text, JSON and Markdown renderers all show."""
+    text, JSON and Markdown renderers all show; `assess --scenario --json`
+    writes exactly these fields."""
     scenario: str
     statuses: dict[str, str]          # right -> Promoted/Demoted/Undefined
     collisions: list[list[str]]
     adopted: list[str]                # "right<x,y>" occurrence labels
     demoted: list[str]                # "right<x,y>" occurrence labels
-    demoted_rights: list[str]
-    breakdown: DegreeBreakdown
+    degree: str                       # exact, as `frac` writes it
+    xi: str
+    delta: str
     diagnostics: list[str]
 
 
@@ -126,8 +126,9 @@ def scenario_view(findings: ScenarioFindings,
         collisions=sorted(sorted(pair) for pair in findings.collisions),
         adopted=sorted(str(o) for o in findings.adopted),
         demoted=sorted(str(o) for o in findings.demoted_occurrences),
-        demoted_rights=sorted({o.right for o in findings.demoted_occurrences}),
-        breakdown=breakdown,
+        degree=frac(breakdown.degree),
+        xi=frac(breakdown.xi),
+        delta=frac(breakdown.delta),
         diagnostics=[str(d) for d in findings.diagnostics],
     )
 
@@ -136,10 +137,10 @@ def scenario_view(findings: ScenarioFindings,
 class ScenarioRisk:
     scenario: str
     statuses: dict[str, str]          # right -> Promoted/Demoted/Undefined
-    demoted: list[str]
+    demoted: list[str]                # the demoted rights
     collisions: list[list[str]]
     adopted: list[str]                # "right<x,y>" occurrence labels
-    degree: Fraction
+    degree: str                       # exact, as `frac` writes it
     band: Optional[str]               # qualitative, configuration-defined
     obligations: list[str]
 
@@ -197,7 +198,8 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
 
     scenarios: list[ScenarioRisk] = []
     for sid in sorted(bundle.findings):
-        view = scenario_view(bundle.findings[sid], bundle.breakdowns[sid])
+        findings = bundle.findings[sid]
+        view = scenario_view(findings, bundle.breakdowns[sid])
         ann = annotations.get(sid)
         band = None
         if ann is not None and all(getattr(ann, n) is not None
@@ -207,10 +209,10 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
         scenarios.append(ScenarioRisk(
             scenario=sid,
             statuses=view.statuses,
-            demoted=view.demoted_rights,
+            demoted=sorted({o.right for o in findings.demoted_occurrences}),
             collisions=view.collisions,
             adopted=view.adopted,
-            degree=view.breakdown.degree,
+            degree=view.degree,
             band=band,
             obligations=obligations.get(sid, []),
         ))
@@ -241,8 +243,7 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
             "optimal_degree": frac(mini.optimal_degree),
         },
         degrees={
-            "per_scenario": {sid: frac(b.degree)
-                             for sid, b in sorted(bundle.breakdowns.items())},
+            "per_scenario": {s.scenario: s.degree for s in scenarios},
             "xi": frac(bundle.total.xi),
             "delta": frac(bundle.total.delta),
             "total": frac(bundle.total.degree),
@@ -258,9 +259,9 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: FriaReport) -> dict:
-    """The JSON form: each record's dataclass fields, degrees as text."""
+    """The JSON form: each record's dataclass fields."""
     return {**vars(report),
-            "scenarios": [{**vars(s), "degree": frac(s.degree)} for s in report.scenarios],
+            "scenarios": [dict(vars(s)) for s in report.scenarios],
             "checklist": [dict(vars(c)) for c in report.checklist]}
 
 
@@ -268,8 +269,6 @@ def report_from_dict(data: dict) -> FriaReport:
     """Inverse of `report_to_dict`; a missing or unknown field is a TypeError."""
     report = FriaReport(**data)
     report.scenarios = [ScenarioRisk(**s) for s in report.scenarios]
-    for s in report.scenarios:
-        s.degree = Fraction(s.degree)
     report.checklist = [ChecklistItem(**c) for c in report.checklist]
     return report
 
@@ -298,7 +297,7 @@ def _render_markdown(report: FriaReport) -> str:
             pairs = "; ".join(" / ".join(p) for p in s.collisions)
             lines.append(f"Collisions: {pairs}")
         lines.append("Adopted: " + (", ".join(s.adopted) if s.adopted else "none"))
-        lines.append(f"Impact degree: {frac(s.degree)}")
+        lines.append(f"Impact degree: {s.degree}")
         if s.band is not None:
             lines.append(f"Risk band: {s.band} (qualitative, configuration-defined)")
         if s.obligations:
