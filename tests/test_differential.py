@@ -1,10 +1,10 @@
 """Whole-pipeline differential oracle. On seeded random KBs, the CLI's
-`fria --format json`, `explain` and `minimize --json` answers are compared
-with the benchmark's independent evaluator (`perfbench/reference.py`),
-which shares no code with the engine, scoring or minimizer. A second set
-of KBs adds refinement scenarios, so that monotonicity warnings are
-compared too. A disagreement names the KB's seed, the call and the first
-differing path."""
+`fria --format json`, `explain`, `minimize --json` and `assess --scenario`
+(JSON and text) answers are compared with the benchmark's independent
+evaluator (`perfbench/reference.py`), which shares no code with the
+engine, scoring or minimizer. A second set of KBs adds refinement
+scenarios, so that monotonicity warnings are compared too. A disagreement
+names the KB's seed, the call and the first differing path."""
 import importlib.util
 import itertools
 import json
@@ -101,6 +101,26 @@ def check_reports(capsys, label, path, ref):
     return reports
 
 
+def check_scenarios(capsys, label, path, ref):
+    """`assess --scenario --json` and text `assess --scenario` for every
+    scenario, against the reference; the number of monotonicity lines in
+    the text answers."""
+    warnings = 0
+    for sid in sorted(ref.scenarios):
+        call = f"{label} assess --scenario {sid}"
+        code, out, err = run(capsys, "assess", path, "--scenario", sid, "--json")
+        assert (code, err) == (0, ""), f"{call} --json: {err}"
+        diff = reference.first_difference(ref.scenario_json(sid), json.loads(out))
+        assert diff is None, f"{call} --json: {diff}"
+
+        code, out, err = run(capsys, "assess", path, "--scenario", sid)
+        assert (code, err) == (0, ""), f"{call}: {err}"
+        diff = reference.first_difference(ref.scenario_text(sid), out.splitlines())
+        assert diff is None, f"{call}: {diff}"
+        warnings += out.count("[monotonicity]")
+    return warnings
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_cli_agrees_with_the_reference(capsys, tmp_path, block):
     for seed in range(block * KBS // 4, (block + 1) * KBS // 4):
@@ -128,3 +148,19 @@ def test_refinements_agree_with_the_reference(capsys, tmp_path):
                                     reference.Reference(kb)):
             warnings += sum("[monotonicity]" in d for d in report["diagnostics"])
     assert warnings > 0
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["random", "refined"])
+def test_assess_scenario_agrees_with_the_reference(capsys, tmp_path, refined):
+    """Every scenario of the KBs above, in both forms of `assess --scenario`;
+    the text form ends with the KB's monotonicity warnings."""
+    warnings = 0
+    for seed in range(KBS):
+        rng = random.Random(seed)
+        kb = random_kb(rng, with_extras=True)
+        if refined:
+            kb = with_refinements(kb, rng)
+        label = f"{'refined ' if refined else ''}seed {seed}"
+        path, kb = write_kb(tmp_path, f"kb{seed}", kb)
+        warnings += check_scenarios(capsys, label, path, reference.Reference(kb))
+    assert warnings > 0 or not refined

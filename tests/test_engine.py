@@ -7,7 +7,7 @@ import pytest
 
 from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
-from rightsrisk.dsl import parse_kb
+from rightsrisk.dsl import parse_kb, print_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
 from rightsrisk.minimizer import minimize_domain
 from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
@@ -432,6 +432,17 @@ class TestMetamorphic:
                 for config, before in zip(TOGGLES, expected):
                     assert self.outputs(duplicated, config) == before, (rule.id, config)
 
+    @staticmethod
+    def with_asserted_chains(kb, rng):
+        """`kb` plus three asserted chains, so that occurrences name assert
+        rules."""
+        rights = [r.id for r in kb.rights]
+        kb.assertions += [AssertStmt(rng.choice(kb.scenarios).id,
+                                     ChainHead(tuple(rng.sample(rights, 2))))
+                          for _ in range(3)]
+        assert not [d for d in validate_kb(kb) if d.severity == "error"]
+        return kb
+
     SHUFFLED = ("rules", "assertions", "scenarios", "rights", "basic_rights")
 
     @staticmethod
@@ -460,14 +471,8 @@ class TestMetamorphic:
     def test_shuffled_declarations(self, seed):
         """Relation 3(a): the order of rules, asserts, scenarios, rights
         and basic rights changes no finding."""
-        kb = collision_kb(seed)
         rng = random.Random(seed)
-        # asserted chains, so that occurrences name assert rules
-        rights = [r.id for r in kb.rights]
-        kb.assertions += [AssertStmt(rng.choice(kb.scenarios).id,
-                                     ChainHead(tuple(rng.sample(rights, 2))))
-                          for _ in range(3)]
-        assert not [d for d in validate_kb(kb) if d.severity == "error"]
+        kb = self.with_asserted_chains(collision_kb(seed), rng)
         identity = range(len(kb.assertions))
         expected = [self.unordered(kb, config, identity) for config in TOGGLES]
         for name in self.SHUFFLED:
@@ -477,6 +482,53 @@ class TestMetamorphic:
             assert_order = order if name == "assertions" else identity
             for config, before in zip(TOGGLES, expected):
                 assert self.unordered(shuffled, config, assert_order) == before, (name, config)
+
+    @staticmethod
+    def renamed_outputs(kb, config, rename):
+        """Per renamed scenario id: statuses, collisions, adopted and demoted
+        occurrences, the sorted diagnostics and the degree, all mapped
+        through `rename`; then the sorted monotonicity warnings and each
+        domain's optimal degree and maximizer count."""
+        def occurrences(occs):
+            return {dataclasses.replace(o, right=rename(o.right), chain=rename(o.chain))
+                    for o in occs}
+        engine = Engine(kb, config)
+        per_scenario = {}
+        for scen in kb.scenarios:
+            f = engine.assess(scen.id)
+            per_scenario[rename(scen.id)] = (
+                {rename(r): status for r, status in f.statuses.items()},
+                {frozenset(map(rename, pair)) for pair in f.collisions},
+                occurrences(f.adopted), occurrences(f.demoted_occurrences),
+                sorted(rename(d.message) for d in f.diagnostics),
+                degree_scenario(f).degree)
+        minimized = [minimize_domain(engine, d.id) for d in kb.domains]
+        return (per_scenario, sorted(rename(d.message) for d in engine.check_monotonicity()),
+                [(m.optimal_degree, m.maximizer_count) for m in minimized])
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_renamed_names(self, seed):
+        """Relation 3(b): renaming rights, basic rights, features and
+        scenarios consistently maps every output through the renaming. The
+        renaming is applied to each name token of the printed KB, and to
+        the names inside chain ids (`assert#i@S`) and messages. Which
+        maximizers are listed depends on name order, so only the optimal
+        degree and the maximizer count are compared."""
+        rng = random.Random(seed)
+        kb = self.with_asserted_chains(collision_kb(seed), rng)
+        names = sorted({r.id for r in kb.rights} | {b.id for b in kb.basic_rights}
+                       | {s.id for s in kb.scenarios}
+                       | {lit.atom for s in kb.scenarios for lit in s.features}
+                       | {lit.atom for r in kb.rules for lit in r.body})
+        fresh = dict(zip(names, (f"n{i}" for i in rng.sample(range(len(names)), len(names)))))
+        assert sorted(fresh) != sorted(fresh, key=fresh.get) or len(names) < 2
+
+        def rename(text):
+            return re.sub(r"[A-Za-z_]\w*", lambda m: fresh.get(m[0], m[0]), text)
+        renamed = parse_kb(rename(print_kb(kb)))
+        for config in TOGGLES:
+            assert self.renamed_outputs(kb, config, rename) == \
+                self.renamed_outputs(renamed, config, str), config
 
 
 class TestIncompatibilityOracle:

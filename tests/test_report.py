@@ -42,7 +42,8 @@ class TestBuildReport:
         report = build_report(bundle, META)
         (scen,) = report.scenarios
         assert scen.demoted == ["privacy"]
-        assert str(scen.degree) == "-1"
+        assert scen.degree == "-1"     # exact text, as in the JSON form
+        assert report.degrees["per_scenario"] == {"S": "-1"}
 
     def test_no_demotions_still_emits_sections(self, privacy_kb):
         from rightsrisk.model import DeploymentDomain, Scenario, FeatureLiteral
