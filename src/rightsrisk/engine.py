@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
@@ -122,7 +121,7 @@ def _concluding(rules: list[Rule], kind: str, rights: frozenset[str]) -> list[Ru
 class Engine:
     """Reasoner over an immutable knowledge base that keeps what it works
     out: each scenario's firings and findings, each right pair's check, the
-    compiled rights, the score table, and the rule index, built on first firing."""
+    compiled rights and their atom index, the score table, the rule index."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
@@ -131,6 +130,9 @@ class Engine:
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, list[Rule]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
+        self._linked: dict[str, set[str]] = {}  # the atom index of `_link`
+        self._by_atom: dict[str, set[str]] = {}
+        self._unsat: set[str] = set()
         self._compiled = CompiledRights(kb)  # compiles each right on first use
         # the score table, filled by `scoring.scenario_breakdown`
         self.breakdowns: dict[str, DegreeBreakdown] = {}
@@ -202,12 +204,35 @@ class Engine:
             self._incompat[key] = logically_incompatible(self._compiled, r1, r2)
         return self._incompat[key]
 
+    def _link(self, right: str) -> None:
+        """Index `right`: link it both ways to each right indexed so far that
+        may be logically incompatible with it. Formulas over disjoint atoms
+        hold together iff each holds alone, so these share an atom with it,
+        or are expandable while one of the two is unsatisfiable alone."""
+        program = self._compiled.program(right)
+        links = self._linked[right] = set()
+        if program is None:
+            return
+        links |= self._unsat
+        if self._pair_incompatible(right, right):
+            links.update(*self._by_atom.values())
+            self._unsat.add(right)
+        for atom in program.atoms:
+            links |= self._by_atom.setdefault(atom, set())
+            self._by_atom[atom].add(right)
+        for other in links:
+            self._linked[other].add(right)
+
     def derive_collisions(self, statuses: dict[str, Status],
                           fired: list[Rule]) -> frozenset[frozenset[str]]:
         best = _strongest(fired, BINARY_PREDS)
         candidates = {pair: s for (kind, pair), s in best.items() if kind == "collides"}
         rights = sorted(statuses)
-        pairs = [frozenset(p) for p in combinations(rights, 2) if self._pair_incompatible(*p)]
+        for r in rights:
+            if r not in self._linked:
+                self._link(r)
+        pairs = [frozenset((r, o)) for r in rights for o in self._linked[r]
+                 if r < o and o in statuses and self._pair_incompatible(r, o)]
         if self.config.derived_collision:
             promoted, demoted = ([r for r in rights if statuses[r] is status]
                                  for status in (Status.PROMOTED, Status.DEMOTED))

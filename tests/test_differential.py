@@ -3,8 +3,11 @@
 (JSON and text) answers are compared with the benchmark's independent
 evaluator (`perfbench/reference.py`), which shares no code with the
 engine, scoring or minimizer. A second set of KBs adds refinement
-scenarios, so that monotonicity warnings are compared too. A disagreement
-names the KB's seed, the call and the first differing path."""
+scenarios, so that monotonicity warnings are compared too, and small
+versions of the benchmark's workload shapes add many rights defined over
+shared basic rights. A disagreement names the KB's seed, the call and the
+first differing path."""
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -26,16 +29,18 @@ MINIMIZATION = ("optimal_degree", "maximizers", "maximizer_count", "canonical",
                 "method")
 
 
-def load_reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference",
-                                                  ROOT / "perfbench" / "reference.py")
+def load_perfbench(name):
+    """`perfbench/<name>.py`, imported by path under its own name, by which
+    the benchmark's modules import each other."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses look their module up
+    sys.modules[name] = module   # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-reference = load_reference()
+reference = load_perfbench("reference")
+gen = load_perfbench("gen")
 
 
 def run(capsys, *argv):
@@ -164,3 +169,34 @@ def test_assess_scenario_agrees_with_the_reference(capsys, tmp_path, refined):
         path, kb = write_kb(tmp_path, f"kb{seed}", kb)
         warnings += check_scenarios(capsys, label, path, reference.Reference(kb))
     assert warnings > 0 or not refined
+
+
+def small_shapes():
+    """Each benchmark workload's shape, cut to 12 scenarios, 4 domains and 2
+    zero-degree units. `perfbench/run.py` puts its own directory on
+    `sys.path`; that entry is taken out again."""
+    saved = list(sys.path)
+    try:
+        workloads = load_perfbench("run").WORKLOADS
+    finally:
+        sys.path[:] = saved
+    return {name: dataclasses.replace(w.shape, scenarios=12, domains=min(w.shape.domains, 4),
+                                      zeros=min(w.shape.zeros, 2))
+            for name, w in workloads.items()}
+
+
+SHAPES = small_shapes()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_benchmark_shapes_agree_with_the_reference(capsys, tmp_path, name):
+    """The benchmark generator's KBs, at seeds 0-4: many rights defined over
+    shared contested basic rights, so many right pairs share an atom."""
+    for seed in range(5):
+        text = gen.generate(name, SHAPES[name], seed, parse_kb).text
+        path = tmp_path / f"{name}{seed}.rights"
+        path.write_text(text, encoding="utf-8")
+        ref = reference.Reference(parse_kb(text))
+        label = f"{name} seed {seed}"
+        check_reports(capsys, label, str(path), ref)
+        check_scenarios(capsys, label, str(path), ref)

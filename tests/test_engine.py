@@ -11,11 +11,11 @@ from rightsrisk.dsl import parse_kb, print_kb
 from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
 from rightsrisk.minimizer import minimize_domain
 from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
-                              Diagnostic, FeatureLiteral, PredHead, PriorityChain,
-                              Rule, expand_right, logically_incompatible, satisfies,
-                              validate_kb)
+                              Diagnostic, FeatureLiteral, ModelError, PredHead,
+                              PriorityChain, Rule, expand_right, logically_incompatible,
+                              satisfies, validate_kb)
 from rightsrisk.scoring import degree_scenario
-from test_model import truth_table_satisfiable
+from test_model import leaf_names, truth_table_satisfiable
 
 
 def occ(right, chain, x, y):
@@ -575,6 +575,96 @@ class TestIncompatibilityOracle:
             assert engine._pair_incompatible(r1, r2) == expected
         assert checks == [("a", "d"), ("d", "e"), ("a", "e"), ("c1", "a")]
         assert len(compiles) == 3
+
+
+@pytest.fixture()
+def pair_checks(monkeypatch):
+    """The (r1, r2) of every `logically_incompatible` call the Engine makes."""
+    checks = []
+    check = engine_module.logically_incompatible
+    monkeypatch.setattr(engine_module, "logically_incompatible",
+                        lambda *args: checks.append(args[1:3]) or check(*args))
+    return checks
+
+
+def expanded(kb, right):
+    """`expand_right`, or None for an unknown or cyclic right."""
+    try:
+        return expand_right(kb, right)
+    except (KeyError, ModelError):
+        return None
+
+
+class TestAtomIndex:
+    """`derive_collisions` checks only the in-scope pairs that share an
+    atom or hold a right unsatisfiable alone."""
+
+    # z is unsatisfiable alone and shares no atom with a or d; u is not
+    # declared, and c1 is defined through a cycle
+    UNSAT_TEXT = ("basic x;\nbasic y;\nright a;\nright d := !y;\n"
+                  "right c1 := c2;\nright c2 := c1 & x;\nright z := x & !x;\n"
+                  "scenario S { f }\n"
+                  + "".join(f"assert promotes({r}) in S;\n" for r in ("z", "a", "d", "u", "c1")))
+
+    @pytest.mark.parametrize("config", TOGGLES)
+    def test_unsatisfiable_right_collides_with_each_expandable_right(self, config):
+        engine = Engine(parse_kb(self.UNSAT_TEXT), config)
+        findings = engine.assess("S")
+        assert findings.collisions == {frozenset({"z", "a"}), frozenset({"z", "d"})}
+        assert findings.collisions == naive_collisions(engine, findings.statuses,
+                                                       engine.fire_rules("S"))
+        assert engine.explain("S", "collides(a, z)").trace.rule == \
+            "logically incompatible definitions"
+
+    @pytest.mark.parametrize("strength, removed", [(-1, False), (0, True), (1, True)])
+    def test_not_collides_removes_an_unsatisfiable_pair(self, strength, removed):
+        kb = parse_kb(self.UNSAT_TEXT + f"rule r [{strength}]: f => not_collides(a, z);\n")
+        collisions = Engine(kb).assess("S").collisions
+        assert (frozenset({"a", "z"}) in collisions) != removed
+        assert frozenset({"d", "z"}) in collisions
+
+    def test_atomic_rights_check_no_pair(self, pair_checks, pandemic_kb, scholarship_kb):
+        """Atomic rights share no atom, so only each right's check against
+        itself (is it satisfiable alone?) is made, once."""
+        kbs = [pandemic_kb, scholarship_kb] + [random_kb(random.Random(seed))
+                                               for seed in range(50)]
+        checked = 0
+        for kb in kbs:
+            pair_checks.clear()
+            engine = Engine(kb)
+            for scen in kb.scenarios:
+                engine.assess(scen.id)
+            assert all(r1 == r2 for r1, r2 in pair_checks)
+            assert len(pair_checks) == len(set(pair_checks))
+            checked += len(pair_checks)
+        assert checked
+
+    def test_each_candidate_checked_once(self, pair_checks):
+        """Over every scenario of the oracle's KBs, the pairs checked are
+        exactly the in-scope pairs of expandable rights that share an atom
+        or hold a right unsatisfiable alone, each checked once per Engine."""
+        shared = unsat = 0
+        for seed in range(150):
+            kb = collision_kb(seed)
+            pair_checks.clear()
+            engine = Engine(kb)
+            expected = set()
+            for scen in kb.scenarios:
+                in_scope = sorted(engine.assess(scen.id).statuses)
+                for r1, r2 in itertools.combinations(in_scope, 2):
+                    e1, e2 = expanded(kb, r1), expanded(kb, r2)
+                    if e1 is None or e2 is None:
+                        continue
+                    if leaf_names(e1) & leaf_names(e2):
+                        shared += 1
+                    elif truth_table_satisfiable(e1, e1) and truth_table_satisfiable(e2, e2):
+                        continue
+                    else:
+                        unsat += 1
+                    expected.add(frozenset((r1, r2)))
+            pairs = [frozenset(c) for c in pair_checks if c[0] != c[1]]
+            assert len(pairs) == len(set(pairs)) and set(pairs) == expected, seed
+        assert shared and unsat
 
 
 class TestAdopt:

@@ -185,6 +185,14 @@ class TestIncompatibility:
         e1, e2 = data.draw(exprs_over(8)), data.draw(exprs_over(8))
         assert jointly_satisfiable(e1, e2) == truth_table_satisfiable(e1, e2)
 
+    @given(st.data())
+    def test_disjoint_atoms_hold_together_iff_each_holds_alone(self, data):
+        """The fact the Engine's atom index rests on: a pair over disjoint
+        atoms is incompatible only if one of its rights is unsatisfiable."""
+        e1, e2 = data.draw(exprs_over(4)), data.draw(exprs_over(4, first=4))
+        assert truth_table_satisfiable(e1, e2) == (
+            truth_table_satisfiable(e1, e1) and truth_table_satisfiable(e2, e2))
+
     @pytest.mark.parametrize("width", [TRUTH_TABLE_ATOMS, TRUTH_TABLE_ATOMS + 1])
     # a 17-atom split search refuted only by its last atom walks 2**16
     # branches, about 0.3 s
@@ -217,8 +225,9 @@ def split_widths(monkeypatch):
     return widths
 
 
-def exprs_over(n, max_leaves=12):
-    leaves = st.sampled_from([RightRef(f"b{i}") for i in range(n)])
+def exprs_over(n, max_leaves=12, first=0):
+    """Expressions over the n atoms b<first>, b<first+1>, ..."""
+    leaves = st.sampled_from([RightRef(f"b{i}") for i in range(first, first + n)])
     return st.recursive(leaves, lambda sub: st.one_of(
         sub.map(NotExpr),
         st.lists(sub, min_size=1, max_size=4).map(lambda es: AndExpr(tuple(es))),
