@@ -657,10 +657,10 @@ class TestAtomIndex:
                         continue
                     if leaf_names(e1) & leaf_names(e2):
                         shared += 1
-                    elif truth_table_satisfiable(e1, e1) and truth_table_satisfiable(e2, e2):
-                        continue
-                    else:
+                    elif not (truth_table_satisfiable(e1, e1) and truth_table_satisfiable(e2, e2)):
                         unsat += 1
+                    else:
+                        continue
                     expected.add(frozenset((r1, r2)))
             pairs = [frozenset(c) for c in pair_checks if c[0] != c[1]]
             assert len(pairs) == len(set(pairs)) and set(pairs) == expected, seed
