@@ -32,14 +32,15 @@ Comments run from `//` to end of line. Identifiers are
 digits only. Strings stay on one line; `\\n` and `\\t` are escapes, and a
 backslash before any other character stands for that character. Right
 expressions nest at most MAX_NESTING `!`s and parentheses deep. Tokens are
-stored as offsets into the text; line:col is computed on demand, for a
-ParseError or a Token read from tokenize's result.
+stored as a kind and a value only; a token's offset and line:col are found
+on demand, for a ParseError or a Token read from tokenize's result.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (AndExpr, AssertStmt, BasicRight, ChainHead,
                     DeploymentDomain, FeatureLiteral, FundamentalRight, Head,
@@ -61,24 +62,27 @@ _PUNCT = {
     ":=": "assign", "=>": "arrow", ":": "colon",
 }
 
-# One alternative per token class, tried in order at the current offset;
-# longer punctuation comes first so `:=` is not read as `:`. Whitespace and
-# comments match no named group; `eof` matches once, at the end. `bad` takes
-# a string left open to the end of its line, or any other character. Without
-# re.DOTALL no token crosses a newline.
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_STRING_RE = re.compile(_STRING)
+
+# Whitespace and comments, then one group of word alternatives, tried in
+# order at the current offset; longer punctuation comes first so `:=` is not
+# read as `:`. The last alternative takes a string left open to the end of
+# its line, or any other character. Without re.DOTALL no token crosses a
+# newline. `findall` gives each word, and '' for whitespace and comments;
+# `finditer` gives the words' offsets, only when a span is needed.
 _TOKEN_RE = re.compile(r"""
     [ \t\r\n]+ | //[^\n]*
-  | (?P<ident>   [A-Za-z_][A-Za-z0-9_]* )
-  | (?P<int>     -?[0-9]+ )
-  | (?P<string>  " (?: [^"\\\n] | \\. )* " )
-  | (?P<punct>   %s )
-  | (?P<eof>     \Z )
-  | (?P<bad>     "[^\n]* | . )
-""" % "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)),
+  | ( [A-Za-z_][A-Za-z0-9_]* | -?[0-9]+ | %s | %s | "[^\n]* | . )
+""" % (_STRING, "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True))),
     re.VERBOSE)
 
-# the kind of a keyword or punctuation word; other words keep their group's
-_WORD_KINDS = {**{k: "kw_" + k for k in KEYWORDS}, **_PUNCT}
+# the kind of a keyword or punctuation word, and of a lone `-` (the last
+# alternative's one character); any other word is classed by its first one
+_WORD_KINDS = {**{k: "kw_" + k for k in KEYWORDS}, **_PUNCT, "-": "bad"}
+_FIRST_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("0123456789-", "int"), '"': "string"}
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -116,20 +120,28 @@ class ParseError(Exception):
 
 
 def _span(text: str, file: str, start: int) -> SourceSpan:
-    """The span of the token at offset `start`, found by counting newlines."""
-    end = _TOKEN_RE.match(text, start).end()
+    """The span of the token at offset `start` (empty for eof), found by
+    counting newlines."""
+    m = _TOKEN_RE.match(text, start)
+    width = m.end() - start if m else 0
     line = text.count("\n", 0, start) + 1
     col = start - text.rfind("\n", 0, start)
-    return SourceSpan(file, line, col, line, col + end - start)
+    return SourceSpan(file, line, col, line, col + width)
 
 
 class Tokens(Sequence):
-    """tokenize's result: parallel kind, value and offset lists, ending with
-    `eof`. Each Token, with its line:col, is built when an item is read."""
+    """tokenize's result: parallel kind and value lists, ending with `eof`.
+    Each Token, with its line:col, is built when an item is read; the first
+    read finds every token's offset by lexing the text again."""
 
-    def __init__(self, text: str, file: str, kinds: list, values: list, offsets: list):
+    def __init__(self, text: str, file: str, kinds: list, values: list):
         self.text, self.file = text, file
-        self.kinds, self.values, self.offsets = kinds, values, offsets
+        self.kinds, self.values = kinds, values
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        return [m.start() for m in _TOKEN_RE.finditer(self.text)
+                if m.lastindex] + [len(self.text)]
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -141,26 +153,25 @@ class Tokens(Sequence):
 
 def tokenize(text: str, file: str = "<input>") -> Tokens:
     """Tokens of `text`, whitespace and `//` comments skipped. Each token is
-    kept as a kind, a value and a start offset; line:col is worked out from
-    the offset only for an error or an item read from the result."""
-    kinds, values, offsets = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        if kind == "string":
-            word = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
-        elif kind == "bad":
-            raise ParseError(_span(text, file, m.start()),
-                             "unterminated string literal" if word[0] == '"'
-                             else f"illegal character {word!r}")
-        else:
-            kind = _WORD_KINDS.get(word, kind)
-        kinds.append(kind)
-        values.append(word)
-        offsets.append(m.start())
-    return Tokens(text, file, kinds, values, offsets)
+    kept as a kind and a value; its offset and line:col are worked out only
+    for an error or an item read from the result."""
+    values = list(filter(None, _TOKEN_RE.findall(text)))
+    kinds = [_WORD_KINDS.get(w) or _FIRST_KINDS.get(w[0], "bad") for w in values]
+    tokens = Tokens(text, file, kinds, values)
+    i = -1
+    for _ in range(kinds.count("string")):
+        i = kinds.index("string", i + 1)
+        if _STRING_RE.fullmatch(values[i]):
+            values[i] = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), values[i][1:-1])
+        else:  # an open string, which runs to the end of its line
+            kinds[i] = "bad"
+    if "bad" in kinds:
+        bad = tokens[kinds.index("bad")]
+        raise ParseError(bad.span, "unterminated string literal" if bad.value[0] == '"'
+                         else f"illegal character {bad.value!r}")
+    kinds.append("eof")
+    values.append("")
+    return tokens
 
 
 class _Parser:

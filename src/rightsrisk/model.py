@@ -70,6 +70,18 @@ class FeatureLiteral:
     atom: str
     positive: bool = True
 
+    # the hash is looked up on every set and Counter use of a literal, so it
+    # is computed once; it is not a field, and pickling rebuilds it, since
+    # str hashes differ between interpreter runs
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.atom, self.positive)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FeatureLiteral, (self.atom, self.positive)
+
     def __str__(self) -> str:
         return self.atom if self.positive else "!" + self.atom
 
@@ -229,12 +241,16 @@ class KnowledgeBase:
         conjunction, in sorted order so the expansion is deterministic.
         """
         scenarios = self.scenarios_by_id()
+        bodies: dict[str, tuple[FeatureLiteral, ...]] = {}
         rules = list(self.rules)
         for i, a in enumerate(self.assertions):
-            scen = scenarios.get(a.scenario)
-            if scen is None:
-                continue  # reported by validate_kb
-            body = tuple(sorted(scen.features, key=lambda l: (l.atom, l.positive)))
+            body = bodies.get(a.scenario)
+            if body is None:
+                scen = scenarios.get(a.scenario)
+                if scen is None:
+                    continue  # reported by validate_kb
+                body = bodies[a.scenario] = tuple(
+                    sorted(scen.features, key=lambda l: (l.atom, l.positive)))
             rules.append(Rule(id=f"assert#{i}@{a.scenario}", body=body, head=a.head))
         return rules
 

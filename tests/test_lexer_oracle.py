@@ -1,11 +1,14 @@
 """Differential test of the front end: on seeded mutations of the fixtures,
 `rightsrisk.dsl` must give the same tokens (kind, value and span), the same
 ParseError (message, span and expected) and the same knowledge base as the
-reference lexer and parser in `dsl_reference.py`."""
+reference lexer and parser in `dsl_reference.py`; on generated texts from
+an alphabet of the lexer's awkward characters, the same tokens and
+ParseError as the reference lexer."""
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import dsl_reference as reference
 from rightsrisk import dsl
@@ -92,3 +95,20 @@ def test_tokens_are_a_sequence():
     assert len(tokens) == len(want) == 7
     assert list(tokens) == want and tokens[-2] == want[-2]
     assert tokens.index(want[3]) == 3 and want[4] in tokens
+
+
+# quotes, escapes, the starts of ints and comments, two-character punctuation,
+# line breaks, digits and a non-ASCII letter, with a few ordinary words
+AWKWARD = ['"', "\\", '\\"', "-", "/", "//", ":", "=", ":=", "=>", ">", "\r", "\n",
+           "0", "7", "é", " ", "a", "_b", "{", ";"]
+
+
+@given(st.lists(st.sampled_from(AWKWARD), max_size=24).map("".join))
+@example("-")
+@example("-7")
+@example('x "ab\\"\ny')
+@example('"')
+@example('a "b // c" d')
+@example(":=>")
+def test_awkward_texts_lex_like_reference(text):
+    assert lexed(dsl.tokenize, text) == lexed(reference.tokenize, text)

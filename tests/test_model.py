@@ -1,5 +1,10 @@
+import dataclasses
 import functools
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -57,6 +62,55 @@ class TestAllRules:
         assert [r.id for r in rules] == ["r", "assert#1@S"]
         assert rules[1].body == (lit("!x"), lit("y"))  # first S, sorted
         assert rules[1].head == kb.assertions[1].head
+
+    def test_asserts_of_one_scenario_share_its_sorted_body(self):
+        kb = parse_kb("right a;\nscenario S { y, !x, b }\nscenario T { }\n"
+                      "assert promotes(a) in S;\nassert demotes(a) in Nowhere;\n"
+                      "assert demotes(a) in T;\nassert not_demotes(a) in S;\n")
+        rules = kb.all_rules()
+        assert [r.id for r in rules] == ["assert#0@S", "assert#2@T", "assert#3@S"]
+        assert rules[0].body == rules[2].body == (lit("b"), lit("!x"), lit("y"))
+        assert rules[1].body == ()
+        assert [r.head for r in rules] == [kb.assertions[i].head for i in (0, 2, 3)]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(code: str, hashseed: int, stdin: bytes = b"") -> bytes:
+    env = {**os.environ, "PYTHONHASHSEED": str(hashseed),
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, check=True).stdout
+
+
+class TestFeatureLiteral:
+    def test_fields_repr_and_equality_are_the_dataclass_ones(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(FeatureLiteral)] == [
+            ("atom", dataclasses.MISSING), ("positive", True)]
+        assert repr(FeatureLiteral("x", False)) == "FeatureLiteral(atom='x', positive=False)"
+        assert FeatureLiteral("x") == FeatureLiteral("x", True) != FeatureLiteral("x", False)
+        assert str(FeatureLiteral("x", False)) == "!x"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        x = FeatureLiteral("x")
+        for other in (x, dataclasses.replace(x, positive=False),
+                      pickle.loads(pickle.dumps(x))):
+            assert hash(other) == hash((other.atom, other.positive))
+
+    def test_pickle_rebuilds_the_hash_under_another_hash_seed(self):
+        dumped = run_python(
+            "import pickle, sys\n"
+            "from rightsrisk.model import FeatureLiteral\n"
+            "sys.stdout.buffer.write(pickle.dumps("
+            "[FeatureLiteral('x'), FeatureLiteral('consent', False)]))\n", 0)
+        found = run_python(
+            "import pickle, sys\n"
+            "from rightsrisk.model import FeatureLiteral\n"
+            "fresh = {FeatureLiteral('x'), FeatureLiteral('consent', False)}\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print([lit in fresh for lit in loaded])\n", 1, dumped)
+        assert found.decode().strip() == "[True, True]"
 
 
 CHAIN_TEXT = ("basic x;\nright y := !x;\n"
