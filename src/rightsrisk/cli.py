@@ -16,7 +16,8 @@ from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, validate_kb
 from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
-                     build_report, frac, minimization_record, render, scenario_view)
+                     build_report, dump_json, frac, minimization_record, render,
+                     scenario_view)
 from .scoring import degree_scenario
 
 EXIT_OK = 0
@@ -131,7 +132,7 @@ def cmd_assess(args) -> int:
             raise CliError(exc.args[0], EXIT_SEMANTIC)
         view = scenario_view(findings, degree_scenario(findings))
         if args.json:
-            print(json.dumps(vars(view), indent=2, sort_keys=True))
+            sys.stdout.write(dump_json(vars(view)))
         else:
             print(_scenario_block(view))
             for d in engine.check_monotonicity():
@@ -166,12 +167,12 @@ def cmd_minimize(args) -> int:
     label = f"{kind} {selected}"
 
     if args.json:
-        print(json.dumps({
+        sys.stdout.write(dump_json({
             "selector": label,
             **minimization_record(result),
             "per_unit_degrees": {k: frac(v)
                                  for k, v in sorted(result.per_unit_degrees.items())},
-        }, indent=2, sort_keys=True))
+        }))
         return EXIT_OK
 
     print(f"{label}: optimal degree {frac(result.optimal_degree)} (fast-path)")

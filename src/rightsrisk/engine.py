@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
                     Diagnostic, FeatureLiteral, KnowledgeBase, PriorityChain,
-                    Rule, Scenario, logically_incompatible, satisfies)
+                    Rule, Scenario, logically_incompatible)
 
 if TYPE_CHECKING:
     from .scoring import DegreeBreakdown
@@ -81,10 +81,10 @@ class Explanation:
 
 
 def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
-    """A search giving, in order, the positions of the literal sets in
-    `bodies` that a feature set contains. Each body is filed under its
-    rarest literal, counted over all bodies, so a feature set's candidates
-    are its literals' buckets plus the empty bodies."""
+    """A search giving the positions of the literal sets in `bodies` that a
+    feature set contains, each once, in no set order. Each body is filed
+    under its rarest literal, counted over all bodies, so a feature set's
+    candidates are its literals' buckets plus the empty bodies."""
     counts = Counter(lit for body in bodies for lit in body)
     buckets: dict[FeatureLiteral, list[int]] = {}
     always: list[int] = []
@@ -98,7 +98,7 @@ def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
         candidates = list(always)
         for lit in features:
             candidates += buckets.get(lit, ())
-        return [i for i in sorted(candidates) if satisfies(features, bodies[i])]
+        return [i for i in candidates if features.issuperset(bodies[i])]
     return contained
 
 
@@ -153,13 +153,23 @@ class Engine:
             raise KeyError(f"unknown scenario {scenario_id!r}") from None
 
     @cached_property
-    def _rule_index(self) -> Callable[[frozenset], list[int]]:
-        return _containment([r.body for r in self._rules])
+    def _rule_index(self) -> tuple[Callable[[frozenset], list[int]], list[list[int]]]:
+        """A containment search over each distinct rule body, filed once,
+        with the positions of the rules that share each body. The asserts
+        of a scenario all share one body tuple, so a KB has far fewer
+        distinct bodies than rules."""
+        groups: dict[tuple[FeatureLiteral, ...], list[int]] = {}
+        for i, rule in enumerate(self._rules):
+            groups.setdefault(rule.body, []).append(i)
+        return _containment(list(groups)), list(groups.values())
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         """The rules whose bodies hold in the scenario, in `all_rules` order."""
         features = self._scenario(scenario_id).features
-        return [self._rules[i] for i in self._rule_index(features)]
+        contained, groups = self._rule_index
+        positions = [i for body in contained(features) for i in groups[body]]
+        positions.sort()
+        return [self._rules[i] for i in positions]
 
     def _firings(self, scenario_id: str) -> list[Rule]:
         """`fire_rules`, computed once per scenario and then kept."""
@@ -314,18 +324,20 @@ class Engine:
     def check_monotonicity(self) -> list[Diagnostic]:
         """Warn when a scenario promotes a right that a feature-subset
         scenario demotes (or vice versa). Warnings only; disabled entirely
-        when the toggle is off."""
+        when the toggle is off. The feature-subset pairs are found first, so
+        only the scenarios in some pair are fired."""
         if not self.config.monotonicity_check:
             return []
-        raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
-                            if f.head.kind == kind}
-                     for kind in ("promotes", "demotes")}
-               for sid in self._scenarios}
         # (X, Y) by position: features(X) <= features(Y), X the weaker one
         scenarios = self.kb.scenarios
         subsets = _containment([s.features for s in scenarios])
         pairs = sorted((x, y) for y, sup in enumerate(scenarios)
                        for x in subsets(sup.features) if scenarios[x].id != sup.id)
+        paired = dict.fromkeys(scenarios[i].id for pair in pairs for i in pair)
+        raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
+                            if f.head.kind == kind}
+                     for kind in ("promotes", "demotes")}
+               for sid in paired}
         diags: list[Diagnostic] = []
         for x, y in pairs:
             sub, sup = scenarios[x].id, scenarios[y].id

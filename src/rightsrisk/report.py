@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .dsl import print_kb
@@ -332,11 +333,50 @@ def _render_markdown(report: FriaReport) -> str:
     return "\n".join(lines)
 
 
+def _json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for str-keyed dicts,
+    lists, str, int, bool and None. With `indent` the stdlib (up to 3.13)
+    encodes in pure Python; this writer quotes each string with the same C function
+    and joins each list or dict in one call."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+            for k, v in sorted(value.items())]) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _json(v, inner)
+            for v in value]) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dump_json(value) -> str:
+    """`value` as indented JSON with sorted keys, ending in a newline: the
+    form of the report and of the `--json` records of `assess --scenario`
+    and `minimize`."""
+    return _json(value) + "\n"
+
+
 def render(report: FriaReport, fmt: str = "json") -> str:
     """Deterministic rendering; the JSON form parses back to an equal
     report."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return dump_json(report_to_dict(report))
     if fmt == "markdown":
         return _render_markdown(report)
     raise ReportError(f"unknown format {fmt!r}")

@@ -148,6 +148,22 @@ class TestFiringOracle:
                 "rule r1: x => promotes(a);\nrule r2: y => demotes(a);")
         assert self.fired_ids(text) == ["r1", "assert#0@S"]
 
+    def test_shared_body_fires_every_rule_in_order(self):
+        # both asserts of S share one body tuple; r2 lists the same literals
+        # in another order and r4 in the asserts' sorted order
+        text = ("right a; right b;\nscenario S { z, !y, x }\nscenario T { x, z }\n"
+                "assert promotes(a) in S;\n"
+                "rule r1: x => promotes(a);\nrule r2: z & x & !y => demotes(b);\n"
+                "rule r3: x & z => promotes(b);\n"
+                "assert demotes(b) in S;\n"
+                "rule r4: x & !y & z => promotes(b);\nrule r5: w => demotes(a);")
+        assert self.fired_ids(text, "S") == ["r1", "r2", "r3", "r4",
+                                             "assert#0@S", "assert#1@S"]
+        assert self.fired_ids(text, "T") == ["r1", "r3"]
+        engine = Engine(parse_kb(text))
+        _, groups = engine._rule_index
+        assert groups == [[0], [1], [2], [3, 5, 6], [4]]
+
     def test_unknown_scenario(self, pandemic_kb):
         with pytest.raises(KeyError) as exc:
             Engine(pandemic_kb).fire_rules("X")
@@ -764,6 +780,21 @@ class TestMonotonicity:
         kb = parse_kb(self.KB_TEXT)
         config = EngineConfig(monotonicity_check=False)
         assert Engine(kb, config).check_monotonicity() == []
+
+    def test_fires_only_paired_scenarios(self):
+        # A's features are a subset of B's; no other scenario is in a pair
+        text = ("right a;\nscenario C { z }\nscenario A { x }\nscenario D { !x, w }\n"
+                "scenario B { x, y }\n"
+                "assert demotes(a) in A;\nassert promotes(a) in B;\n"
+                "rule r: z => demotes(a);")
+        engine = Engine(parse_kb(text))
+        calls = []
+        fire = engine.fire_rules
+        engine.fire_rules = lambda sid: calls.append(sid) or fire(sid)
+        diags = engine.check_monotonicity()
+        assert sorted(calls) == ["A", "B"]
+        assert len(diags) == 1
+        assert diags == naive_monotonicity(engine)
 
     @staticmethod
     def warnings(text):

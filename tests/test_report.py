@@ -3,12 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import load_fixture
 from kb_random import random_kb
 from rightsrisk import report as report_module
 from rightsrisk.engine import Engine
 from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
-from rightsrisk.report import (ART26_ITEMS, ReportError, build_bundle,
+from rightsrisk.report import (ART26_ITEMS, ReportError, _json, build_bundle,
                                build_report, parse_report, render, report_to_dict)
 
 META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
@@ -130,6 +132,47 @@ class TestRender:
     def test_unknown_format(self, scholarship_report):
         with pytest.raises(ReportError):
             render(scholarship_report, "pdf")
+
+
+# text that the JSON string escapes must handle: quotes, backslashes,
+# control characters, lone surrogates and non-ASCII text
+TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\ud800",
+                     "\udfff", "\u2028", "é", "\U0001f600", "a"]),
+    st.characters()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda children: st.lists(children) | st.dictionaries(TEXT, children))
+
+
+class TestJsonWriter:
+    """`_json` against the stdlib's indented encoder it stands in for."""
+
+    @given(JSON_VALUES)
+    def test_matches_stdlib(self, value):
+        assert _json(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [[], {}, [[{}]]],
+                                       {"b": [1, True], "a": None, "\ud800": "\x00"}])
+    def test_empty_and_nested(self, value):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_refuses_what_it_does_not_write(self):
+        with pytest.raises(TypeError):
+            _json({"x": 1.5})
+
+    # privacy.rights declares no domain or purpose, so `fria` refuses it
+    @pytest.mark.parametrize("name", ["pandemic", "scholarship", "triage"])
+    def test_fixture_reports_match_stdlib(self, name):
+        kb = load_fixture(f"{name}.rights")
+        meta = dict(META, process="Prüfung — \"pilot\"\n\\ phase 1")
+        selections = [{"domain_id": d.id} for d in kb.domains]
+        selections += [{"purpose_id": p.id} for p in kb.purposes]
+        assert selections
+        for selection in selections:
+            report = build_report(build_bundle(Engine(kb), **selection), meta)
+            assert render(report, "json") == json.dumps(
+                report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 class TestBuildBundle:
