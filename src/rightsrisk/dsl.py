@@ -179,7 +179,7 @@ class _Parser:
         self.tokens, self.kinds, self.values = tokens, tokens.kinds, tokens.values
         # one object per distinct literal: set and dict lookups of literals
         # (rule firing, subset checks) then match by identity, without
-        # calling the dataclass `__eq__`
+        # comparing the literals' fields
         self.lits: dict[tuple[bool, str], FeatureLiteral] = {}
         # a token is consumed only once its kind is checked, and no check asks
         # for eof, so pos (and _head's lookahead past an ident) stays in range

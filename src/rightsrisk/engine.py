@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
                     Diagnostic, FeatureLiteral, KnowledgeBase, PriorityChain,
@@ -36,8 +36,7 @@ class EngineConfig:
     monotonicity_check: bool = True
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A right at position x of a length-y chain (or a singleton, x = y = 1)."""
     right: str
     chain: str

@@ -1,15 +1,18 @@
 """Core domain types: rights, scenarios, rules, chains, and the knowledge base.
 
-Everything here is an immutable value (frozen dataclasses) except the
-KnowledgeBase container itself, which is assembled once by the parser and
-then treated as read-only.
+Everything here is an immutable value except the KnowledgeBase container
+itself, which is assembled once by the parser and then treated as
+read-only. The records built per literal, scenario, rule, head and fired
+chain are named tuples: an analysis builds and hashes thousands of them,
+and a tuple is built and hashed in C, where a frozen dataclass sets each
+field through `object.__setattr__`. The records built once per run stay
+frozen dataclasses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import (Any, Callable, ClassVar, Iterable, Iterator, NamedTuple,
-                    Optional, Union)
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class ModelError(Exception):
@@ -65,29 +68,15 @@ class FundamentalRight:
     definition: Optional[RightExpr] = None  # None => atomic
 
 
-@dataclass(frozen=True)
-class FeatureLiteral:
+class FeatureLiteral(NamedTuple):
     atom: str
     positive: bool = True
-
-    # the hash is looked up on every set and Counter use of a literal, so it
-    # is computed once; it is not a field, and pickling rebuilds it, since
-    # str hashes differ between interpreter runs
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.atom, self.positive)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return FeatureLiteral, (self.atom, self.positive)
 
     def __str__(self) -> str:
         return self.atom if self.positive else "!" + self.atom
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     id: str
     features: frozenset[FeatureLiteral]
 
@@ -120,8 +109,7 @@ UNARY_PREDS = ("promotes", "demotes", "not_demotes")
 BINARY_PREDS = ("collides", "not_collides")
 
 
-@dataclass(frozen=True)
-class PredHead:
+class PredHead(NamedTuple):
     kind: str  # one of PRED_KINDS
     rights: tuple[str, ...]  # one id for unary, two for binary
 
@@ -129,10 +117,9 @@ class PredHead:
         return f"{self.kind}({', '.join(self.rights)})"
 
 
-@dataclass(frozen=True)
-class ChainHead:
+class ChainHead(NamedTuple):
     rights: tuple[str, ...]
-    kind: ClassVar[str] = "chain"
+    kind = "chain"  # not annotated, or NamedTuple would make it a field
 
     def __str__(self) -> str:
         return " > ".join(self.rights)
@@ -141,24 +128,21 @@ class ChainHead:
 Head = Union[PredHead, ChainHead]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     body: tuple[FeatureLiteral, ...]  # empty => unconditional
     head: Head
     strength: int = 0
 
 
-@dataclass(frozen=True)
-class AssertStmt:
+class AssertStmt(NamedTuple):
     """`assert HEAD in SCENARIO;` — sugar for a rule guarded by the
     scenario's full feature conjunction."""
     scenario: str
     head: Head
 
 
-@dataclass(frozen=True)
-class PriorityChain:
+class PriorityChain(NamedTuple):
     """A fired priority sequence: rights[0] is preferred over rights[1], etc."""
     id: str
     rights: tuple[str, ...]
@@ -249,9 +233,8 @@ class KnowledgeBase:
                 scen = scenarios.get(a.scenario)
                 if scen is None:
                     continue  # reported by validate_kb
-                body = bodies[a.scenario] = tuple(
-                    sorted(scen.features, key=lambda l: (l.atom, l.positive)))
-            rules.append(Rule(id=f"assert#{i}@{a.scenario}", body=body, head=a.head))
+                body = bodies[a.scenario] = tuple(sorted(scen.features))
+            rules.append(Rule(f"assert#{i}@{a.scenario}", body, a.head))
         return rules
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .engine import Engine, Occurrence, ScenarioFindings
 
@@ -21,8 +21,7 @@ class ScoringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OccurrenceWeight:
+class OccurrenceWeight(NamedTuple):
     scenario: str
     right: str
     chain: str
@@ -57,9 +56,7 @@ def weight(x: int, y: int) -> Fraction:
 
 
 def _entries(scenario: str, occs: Iterable[Occurrence], side: str) -> list[OccurrenceWeight]:
-    out = [OccurrenceWeight(scenario, o.right, o.chain, o.position, o.length,
-                            side, weight(o.position, o.length))
-           for o in occs]
+    out = [OccurrenceWeight(scenario, *o, side, weight(o.position, o.length)) for o in occs]
     out.sort(key=lambda e: (e.chain, e.position, e.right))
     return out
 

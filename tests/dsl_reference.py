@@ -67,7 +67,7 @@ class _Parser:
         self.tokens = tokens
         # one object per distinct literal: set and dict lookups of literals
         # (rule firing, subset checks) then match by identity, without
-        # calling the dataclass `__eq__`
+        # comparing the literals' fields
         self.lits: dict[FeatureLiteral, FeatureLiteral] = {}
         self.pos = 0
         self.depth = 0  # right-expression nesting, checked in _rfactor

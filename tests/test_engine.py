@@ -407,7 +407,7 @@ class TestMetamorphic:
         """Only the order of strengths counts, and 0 (asserts, implied
         collisions) is fixed by s -> 3s."""
         kb = collision_kb(seed)
-        scaled = dataclasses.replace(kb, rules=[dataclasses.replace(r, strength=3 * r.strength)
+        scaled = dataclasses.replace(kb, rules=[r._replace(strength=3 * r.strength)
                                                 for r in kb.rules])
         for config in TOGGLES:
             (before, mono), (after, mono_after) = (self.outputs(kb, config),
@@ -443,7 +443,7 @@ class TestMetamorphic:
         expected = [self.outputs(kb, config) for config in TOGGLES]
         for rule in kb.rules:
             if isinstance(rule.head, PredHead):
-                copy = dataclasses.replace(rule, id=rule.id + "_copy")
+                copy = rule._replace(id=rule.id + "_copy")
                 duplicated = dataclasses.replace(kb, rules=kb.rules + [copy])
                 for config, before in zip(TOGGLES, expected):
                     assert self.outputs(duplicated, config) == before, (rule.id, config)
@@ -470,7 +470,7 @@ class TestMetamorphic:
         def original(occurrence):
             chain = re.sub(r"^assert#(\d+)@", lambda m: f"assert#{assert_order[int(m[1])]}@",
                            occurrence.chain)
-            return dataclasses.replace(occurrence, chain=chain)
+            return occurrence._replace(chain=chain)
         engine = Engine(kb, config)
         per_scenario = {}
         for scen in kb.scenarios:
@@ -506,7 +506,7 @@ class TestMetamorphic:
         through `rename`; then the sorted monotonicity warnings and each
         domain's optimal degree and maximizer count."""
         def occurrences(occs):
-            return {dataclasses.replace(o, right=rename(o.right), chain=rename(o.chain))
+            return {o._replace(right=rename(o.right), chain=rename(o.chain))
                     for o in occs}
         engine = Engine(kb, config)
         per_scenario = {}
@@ -926,7 +926,7 @@ class TestDefeasibleProperties:
             right = rule.head.rights[0]
             for strength in (rule.strength + 1, top):
                 rules = list(kb.rules)
-                rules[i] = dataclasses.replace(rule, strength=strength)
+                rules[i] = rule._replace(strength=strength)
                 after = Engine(dataclasses.replace(kb, rules=rules))
                 for scen in kb.scenarios:
                     status = after.assess(scen.id).statuses.get(right)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import os
@@ -10,14 +9,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES, load_fixture
 from rightsrisk import model
 from rightsrisk.dsl import parse_kb
-from rightsrisk.model import (AndExpr, CompiledRights, FeatureLiteral, KnowledgeBase,
-                              FundamentalRight, ModelError, OrExpr, RightRef,
-                              Scenario, TRUTH_TABLE_ATOMS, expand_right,
-                              expr_atoms, jointly_satisfiable,
+from rightsrisk.engine import Engine, Occurrence
+from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledRights,
+                              FeatureLiteral, KnowledgeBase, FundamentalRight,
+                              ModelError, OrExpr, PredHead, PriorityChain,
+                              RightRef, Rule, Scenario, TRUTH_TABLE_ATOMS,
+                              expand_right, expr_atoms, jointly_satisfiable,
                               logically_incompatible, satisfies, validate_kb,
                               NotExpr)
+from rightsrisk.scoring import OccurrenceWeight, degree_scenario
 
 
 def lit(s: str) -> FeatureLiteral:
@@ -85,16 +88,16 @@ def run_python(code: str, hashseed: int, stdin: bytes = b"") -> bytes:
 
 
 class TestFeatureLiteral:
-    def test_fields_repr_and_equality_are_the_dataclass_ones(self):
-        assert [(f.name, f.default) for f in dataclasses.fields(FeatureLiteral)] == [
-            ("atom", dataclasses.MISSING), ("positive", True)]
+    def test_fields_repr_and_equality_are_the_named_tuple_ones(self):
+        assert FeatureLiteral._fields == ("atom", "positive")
+        assert FeatureLiteral._field_defaults == {"positive": True}
         assert repr(FeatureLiteral("x", False)) == "FeatureLiteral(atom='x', positive=False)"
         assert FeatureLiteral("x") == FeatureLiteral("x", True) != FeatureLiteral("x", False)
         assert str(FeatureLiteral("x", False)) == "!x"
 
     def test_hash_is_the_field_tuple_hash(self):
         x = FeatureLiteral("x")
-        for other in (x, dataclasses.replace(x, positive=False),
+        for other in (x, x._replace(positive=False),
                       pickle.loads(pickle.dumps(x))):
             assert hash(other) == hash((other.atom, other.positive))
 
@@ -111,6 +114,56 @@ class TestFeatureLiteral:
             "loaded = pickle.loads(sys.stdin.buffer.read())\n"
             "print([lit in fresh for lit in loaded])\n", 1, dumped)
         assert found.decode().strip() == "[True, True]"
+
+
+RECORD_TYPES = (FeatureLiteral, Scenario, PredHead, ChainHead, Rule, AssertStmt,
+                PriorityChain, Occurrence, OccurrenceWeight)
+
+
+def triage_records() -> list:
+    """Instances of every record type: the parsed fixture's literals,
+    scenarios, rules, asserts and heads, then each scenario's fired chains,
+    adopted and demoted occurrences and their weights."""
+    kb = load_fixture("triage.rights")
+    records = [*kb.scenarios, *kb.rules, *kb.assertions]
+    records += [lit for s in kb.scenarios for lit in s.features]
+    records += [r.head for r in kb.all_rules()]
+    engine = Engine(kb)
+    for s in kb.scenarios:
+        findings = engine.assess(s.id)
+        records += [*findings.fired_chains, *findings.adopted, *findings.demoted_occurrences]
+        records += degree_scenario(findings).per_occurrence
+    return records
+
+
+class TestRecordValues:
+    def test_fixture_yields_every_record_type(self):
+        assert {type(r) for r in triage_records()} == set(RECORD_TYPES)
+
+    def test_records_are_immutable_hashable_picklable_values(self):
+        for record in triage_records():
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+            copy = record._replace(**record._asdict())
+            assert copy is not record and type(copy) is type(record)
+            assert copy == record and hash(copy) == hash(record)
+            loaded = pickle.loads(pickle.dumps(record))
+            assert type(loaded) is type(record) and loaded == record
+
+    def test_parsed_kb_pickles_across_hash_seeds(self):
+        dump = ("import pickle, sys\n"
+                "from rightsrisk.dsl import parse_kb\n"
+                "text = sys.stdin.read()\n"
+                "sys.stdout.buffer.write(pickle.dumps((text, parse_kb(text))))\n")
+        load = ("import pickle, sys\n"
+                "from rightsrisk.dsl import parse_kb\n"
+                "text, kb = pickle.loads(sys.stdin.buffer.read())\n"
+                "print(kb == parse_kb(text), pickle.loads(pickle.dumps(kb)) == kb)\n")
+        text = (FIXTURES / "triage.rights").read_bytes()
+        for dump_seed, load_seed in ((0, 1), (1, 0)):
+            found = run_python(load, load_seed, run_python(dump, dump_seed, text))
+            assert found.decode().split() == ["True", "True"], (dump_seed, load_seed)
 
 
 CHAIN_TEXT = ("basic x;\nright y := !x;\n"
@@ -347,7 +400,6 @@ class TestValidateKb:
         assert validate_kb(triage_kb) == []
 
     def test_unknown_right_reference(self, scholarship_kb):
-        from rightsrisk.model import AssertStmt, PredHead
         scholarship_kb.assertions.append(
             AssertStmt("S_d", PredHead("promotes", ("made_up",))))
         diags = validate_kb(scholarship_kb)
