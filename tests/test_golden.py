@@ -101,7 +101,6 @@ def fixture_calls(name: str) -> list[list[str]]:
     for selector in [[]] + [["--domain", d] for d in domains] + [["--domain", "nope"]]:
         variant_calls += [
             ["assess", path, *selector],
-            ["assess", path, *selector, "--json", "--fixed-time", FIXED_TIME],
             ["minimize", path, *selector],
             ["minimize", path, *selector, "--json"],
             ["fria", path, *selector, "--fixed-time", FIXED_TIME],
@@ -109,11 +108,7 @@ def fixture_calls(name: str) -> list[list[str]]:
         ]
     purpose_selectors = [["--purpose", p.id] for p in kb.purposes]
     if has_purpose:
-        variant_calls += [
-            ["assess", path, "--purpose", kb.purposes[0].id],
-            ["assess", path, "--purpose", kb.purposes[0].id, "--json",
-             "--fixed-time", FIXED_TIME],
-        ]
+        variant_calls.append(["assess", path, "--purpose", kb.purposes[0].id])
     for selector in [["--gpai"]] + purpose_selectors + [["--purpose", "nope"]]:
         variant_calls += [
             ["minimize", path, *selector],
