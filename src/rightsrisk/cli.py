@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -123,6 +124,9 @@ def _scenario_block(view: ScenarioView) -> str:
 
 
 def cmd_assess(args) -> int:
+    if args.json and args.scenario is None:
+        raise CliError("assess --json needs --scenario; for a domain or purpose "
+                       "use fria --format json", EXIT_USAGE)
     engine = _load_engine(args)
 
     if args.scenario is not None:
@@ -140,11 +144,6 @@ def cmd_assess(args) -> int:
         return EXIT_OK
 
     bundle = _bundle(engine, args)
-    if args.json:
-        report = build_report(bundle, {"generated_at": args.fixed_time or ""})
-        sys.stdout.write(render(report, "json"))
-        return EXIT_OK
-
     for sid, findings in bundle.findings.items():
         print(_scenario_block(scenario_view(findings, bundle.breakdowns[sid])))
     total = bundle.total
@@ -262,7 +261,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     select.add_argument("--scenario")
     select.add_argument("--domain")
     select.add_argument("--purpose")
-    p.add_argument("--fixed-time")
     _add_common(p, json=True)
     p.set_defaults(func=cmd_assess)
 
@@ -314,7 +312,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Fires every rule whose body the scenario's features satisfy, resolves
 promotion/demotion conflicts by rule strength with ambiguity blocking,
-derives contextual and logical collisions, and walks each fired priority
-chain with the generalized adoption rule.
+derives contextual and logical collisions, and walks each fired chain
+rule's priority sequence with the generalized adoption rule.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .model import (BINARY_PREDS, UNARY_PREDS, ChainHead, CompiledRights,
-                    Diagnostic, FeatureLiteral, KnowledgeBase, PriorityChain,
-                    Rule, Scenario, logically_incompatible)
+from .model import (BINARY_PREDS, UNARY_PREDS, CompiledRights, Diagnostic,
+                    FeatureLiteral, KnowledgeBase, Rule, Scenario,
+                    logically_incompatible)
 
 if TYPE_CHECKING:
     from .scoring import DegreeBreakdown
@@ -52,7 +52,7 @@ class ScenarioFindings:
     scenario: str
     statuses: dict[str, Status]
     collisions: frozenset[frozenset[str]]
-    fired_chains: list[PriorityChain]
+    fired_chains: list[Rule]  # the fired rules with a chain head
     adopted: frozenset[Occurrence]
     demoted_occurrences: frozenset[Occurrence]
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -255,19 +255,19 @@ class Engine:
     # -- adoption -----------------------------------------------------------
 
     @staticmethod
-    def adopt(chain: PriorityChain, statuses: dict[str, Status],
+    def adopt(chain_id: str, rights: tuple[str, ...], statuses: dict[str, Status],
               collisions: frozenset[frozenset[str]]) -> list[Occurrence]:
-        """Generalized right adoption: position x is adopted iff its right is
-        not demoted and does not collide with an already-adopted element of
-        the same chain. The first non-demoted element is always adopted."""
-        length = len(chain.rights)
+        """Generalized right adoption over `rights`, preferred first: position
+        x is adopted iff its right is not demoted and does not collide with an
+        already-adopted element. The first non-demoted element is always adopted."""
+        length = len(rights)
         adopted: list[Occurrence] = []
-        for x, right in enumerate(chain.rights, start=1):
+        for x, right in enumerate(rights, start=1):
             if statuses.get(right) == Status.DEMOTED:
                 continue
             if any(frozenset((right, prev.right)) in collisions for prev in adopted):
                 continue
-            adopted.append(Occurrence(right, chain.id, x, length))
+            adopted.append(Occurrence(right, chain_id, x, length))
         return adopted
 
     # -- scenario assessment ------------------------------------------------
@@ -286,18 +286,18 @@ class Engine:
 
         collisions = self.derive_collisions(statuses, fired)
 
-        fired_chains = [PriorityChain(f.id, f.head.rights)
-                        for f in fired if f.head.kind == "chain"]
+        fired_chains = [f for f in fired if f.head.kind == "chain"]
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []
         chained_rights: set[str] = set()
         for chain in fired_chains:
-            chained_rights.update(chain.rights)
-            adopted.extend(self.adopt(chain, statuses, collisions))
-            for x, right in enumerate(chain.rights, start=1):
+            rights = chain.head.rights
+            chained_rights.update(rights)
+            adopted.extend(self.adopt(chain.id, rights, statuses, collisions))
+            for x, right in enumerate(rights, start=1):
                 if statuses.get(right) == Status.DEMOTED:
-                    demoted.append(Occurrence(right, chain.id, x, len(chain.rights)))
+                    demoted.append(Occurrence(right, chain.id, x, len(rights)))
 
         # singleton convention: chainless rights count as length-1 chains
         for right in sorted(statuses.keys() - chained_rights):
@@ -454,9 +454,9 @@ class Engine:
                 (sub.trace,) if sub.trace else ()))
 
         chain = next(c for c in findings.fired_chains if c.id == occ.chain)
-        premises = [DerivationTrace(f"chain {ChainHead(chain.rights)} fired", chain.id)]
+        premises = [DerivationTrace(f"chain {chain.head} fired", chain.id)]
         predecessors_demoted = True
-        for prev in chain.rights[:occ.position - 1]:
+        for prev in chain.head.rights[:occ.position - 1]:
             if findings.statuses.get(prev) == Status.DEMOTED:
                 sub = self._explain_pred(scenario_id, "demotes", prev)
                 if sub.trace:

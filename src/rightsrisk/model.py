@@ -2,8 +2,8 @@
 
 Everything here is an immutable value except the KnowledgeBase container
 itself, which is assembled once by the parser and then treated as
-read-only. The records built per literal, scenario, rule, head and fired
-chain are named tuples: an analysis builds and hashes thousands of them,
+read-only. The records built per literal, scenario, rule and head are
+named tuples: an analysis builds and hashes thousands of them,
 and a tuple is built and hashed in C, where a frozen dataclass sets each
 field through `object.__setattr__`. The records built once per run stay
 frozen dataclasses.
@@ -140,12 +140,6 @@ class AssertStmt(NamedTuple):
     scenario's full feature conjunction."""
     scenario: str
     head: Head
-
-
-class PriorityChain(NamedTuple):
-    """A fired priority sequence: rights[0] is preferred over rights[1], etc."""
-    id: str
-    rights: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -577,8 +571,6 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             expand(r.id)
         except ModelError as exc:
             diags.append(Diagnostic("error", "recursive-definition", str(exc)))
-        except KeyError:
-            pass
 
     for s in kb.scenarios:
         if not s.features:

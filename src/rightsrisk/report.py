@@ -266,16 +266,12 @@ def report_to_dict(report: FriaReport) -> dict:
             "checklist": [dict(vars(c)) for c in report.checklist]}
 
 
-def report_from_dict(data: dict) -> FriaReport:
-    """Inverse of `report_to_dict`; a missing or unknown field is a TypeError."""
-    report = FriaReport(**data)
+def parse_report(text: str) -> FriaReport:
+    """Inverse of `render(report, "json")`; a missing or unknown field is a TypeError."""
+    report = FriaReport(**json.loads(text))
     report.scenarios = [ScenarioRisk(**s) for s in report.scenarios]
     report.checklist = [ChecklistItem(**c) for c in report.checklist]
     return report
-
-
-def parse_report(text: str) -> FriaReport:
-    return report_from_dict(json.loads(text))
 
 
 def _render_markdown(report: FriaReport) -> str:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .engine import Engine, Occurrence, ScenarioFindings
 
@@ -83,19 +83,6 @@ def scenario_breakdown(engine: Engine, scenario_id: str) -> DegreeBreakdown:
     return table[scenario_id]
 
 
-def _chosen(units: tuple[str, ...], subset: Optional[set[str]],
-            unit_kind: str, owner: str) -> list[str]:
-    """`units` in declaration order, or those in a non-empty `subset` of them."""
-    if subset is None:
-        return list(units)
-    if not subset:
-        raise ScoringError("empty subset: minimization ranges over non-empty sets")
-    extra = set(subset) - set(units)
-    if extra:
-        raise ScoringError(f"{unit_kind} {sorted(extra)} outside {owner}")
-    return [u for u in units if u in subset]
-
-
 def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
     """A new breakdown; the parts are left as they were."""
     parts = list(parts)
@@ -104,18 +91,13 @@ def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
                            [e for p in parts for e in p.per_occurrence])
 
 
-def degree_domain(engine: Engine, domain_id: str,
-                  subset: Optional[set[str]] = None) -> DegreeBreakdown:
-    """Sum of scenario degrees over the domain (or an explicit non-empty
-    subset of its scenarios)."""
-    chosen = _chosen(engine.kb.domain(domain_id).scenarios, subset,
-                     "scenarios", f"domain {domain_id!r}")
-    return _sum(scenario_breakdown(engine, sid) for sid in chosen)
+def degree_domain(engine: Engine, domain_id: str) -> DegreeBreakdown:
+    """Sum of scenario degrees over the domain."""
+    return _sum(scenario_breakdown(engine, sid)
+                for sid in engine.kb.domain(domain_id).scenarios)
 
 
-def degree_purpose(engine: Engine, purpose_id: str,
-                   subset: Optional[set[str]] = None) -> DegreeBreakdown:
+def degree_purpose(engine: Engine, purpose_id: str) -> DegreeBreakdown:
     """Sum of domain degrees over the purpose's family of domains."""
-    chosen = _chosen(engine.kb.purpose(purpose_id).domains, subset,
-                     "domains", f"purpose {purpose_id!r}")
-    return _sum(degree_domain(engine, did) for did in chosen)
+    return _sum(degree_domain(engine, did)
+                for did in engine.kb.purpose(purpose_id).domains)

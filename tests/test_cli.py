@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from rightsrisk.cli import build_arg_parser, main
 from rightsrisk.report import parse_report
 from test_lexer_oracle import mutants
-from test_model import BANGS_TEXT, CHAIN_TEXT, shared_chain
+from test_model import BANGS_TEXT, CHAIN_TEXT, SRC, shared_chain
 
 
 def run(capsys, *argv):
@@ -101,6 +104,8 @@ class TestArgumentParser:
                     ["explain", kb, "S_d", "promotes(S_d, merit)", "--mode", "exhaustive"],
                     ["minimize", kb, "--mode", "exhaustive"],
                     ["assess", kb, "--mode", "exhaustive"],
+                    ["assess", kb, "--fixed-time", "2026-01-01T00:00:00Z"],
+                    ["assess", kb, "--scenario", "S_d", "--json", "--fixed-time", "T"],
                     ["fria", kb, "--mode", "exhaustive"],
                     ["fria", triage, "--domain", "D_clinic", "--purpose", "P_triage"],
                     ["minimize", triage, "--gpai", "--domain", "D_clinic"],
@@ -118,7 +123,7 @@ class TestArgumentParser:
 
     def test_options_do_not_carry_over(self, capsys, fixtures_dir):
         kb = fx(fixtures_dir, "scholarship.rights")
-        code, out, _ = run(capsys, "assess", kb, "--json")
+        code, out, _ = run(capsys, "assess", kb, "--scenario", "S_d", "--json")
         assert code == 0 and json.loads(out)
         code, out, _ = run(capsys, "assess", kb)
         assert code == 0 and out.startswith("scenario ")
@@ -185,12 +190,38 @@ class TestAssess:
         assert data["statuses"]["privacy"] == "Demoted"
 
     def test_byte_identical_runs(self, capsys, fixtures_dir):
-        for extra in ((), ("--json",)):
-            _, first, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
-                              "--purpose", "P_triage", *extra)
-            _, second, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"),
-                               "--purpose", "P_triage", *extra)
+        for select in (("--purpose", "P_triage"), ("--scenario", "S_outbreak", "--json")):
+            _, first, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"), *select)
+            _, second, _ = run(capsys, "assess", fx(fixtures_dir, "triage.rights"), *select)
             assert first == second
+
+    @pytest.mark.parametrize("name, select", [
+        ("scholarship.rights", ()), ("scholarship.rights", ("--domain", "D_scholarship")),
+        ("triage.rights", ("--purpose", "P_triage"))])
+    def test_json_needs_a_scenario(self, capsys, fixtures_dir, name, select):
+        code, out, err = run(capsys, "assess", fx(fixtures_dir, name), *select, "--json")
+        assert (code, out) == (2, "")
+        assert err == ("assess --json needs --scenario; for a domain or purpose "
+                       "use fria --format json\n")
+
+    def test_closed_stdout_exits_two_without_traceback(self, tmp_path):
+        # 300 scenarios in which 200 rights are promoted: about 1.4 MB of text
+        n_rights, n_scenarios = 200, 300
+        lines = [f"right r{i};" for i in range(n_rights)]
+        lines += [f"scenario S{i} {{ f{i} }}" for i in range(n_scenarios)]
+        lines.append("domain D { " + ", ".join(f"S{i}" for i in range(n_scenarios)) + " }")
+        lines += [f"rule p{i}: => promotes(r{i});" for i in range(n_rights)]
+        path = tmp_path / "wide.rights"
+        path.write_text("\n".join(lines) + "\n")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen([sys.executable, "-m", "rightsrisk", "assess", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"scenario S0:\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err, err
 
     def test_ambiguous_purpose(self, capsys, tmp_path):
         kb = tmp_path / "two.rights"

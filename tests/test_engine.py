@@ -12,7 +12,7 @@ from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
 from rightsrisk.minimizer import minimize_domain
 from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
                               Diagnostic, FeatureLiteral, ModelError, PredHead,
-                              PriorityChain, Rule, expand_right, logically_incompatible,
+                              Rule, expand_right, logically_incompatible,
                               satisfies, validate_kb)
 from rightsrisk.scoring import degree_scenario
 from test_model import leaf_names, truth_table_satisfiable
@@ -692,18 +692,16 @@ class TestAdopt:
         assert (d.right, d.position, d.length) == ("privacy", 1, 2)
 
     def test_nothing_demoted_adopts_all(self):
-        chain = PriorityChain("c", ("A", "B", "C"))
         statuses = {r: Status.PROMOTED for r in "ABC"}
-        adopted = Engine.adopt(chain, statuses, frozenset())
+        adopted = Engine.adopt("c", ("A", "B", "C"), statuses, frozenset())
         assert [(o.right, o.position, o.length) for o in adopted] == \
             [("A", 1, 3), ("B", 2, 3), ("C", 3, 3)]
 
     def test_collision_blocks_third(self):
-        chain = PriorityChain("c", ("A", "B", "C"))
         statuses = {"A": Status.DEMOTED, "B": Status.PROMOTED,
                     "C": Status.PROMOTED}
         collisions = frozenset({frozenset({"B", "C"})})
-        adopted = Engine.adopt(chain, statuses, collisions)
+        adopted = Engine.adopt("c", ("A", "B", "C"), statuses, collisions)
         assert [(o.right, o.position) for o in adopted] == [("B", 2)]
 
     def test_first_survivor_property(self):
@@ -711,7 +709,7 @@ class TestAdopt:
         for demoted in itertools.product((False, True), repeat=4):
             statuses = {r: (Status.DEMOTED if d else Status.UNDEFINED)
                         for r, d in zip(rights, demoted)}
-            adopted = Engine.adopt(PriorityChain("c", rights), statuses, frozenset())
+            adopted = Engine.adopt("c", rights, statuses, frozenset())
             survivors = [r for r in rights if statuses[r] != Status.DEMOTED]
             if survivors:
                 assert adopted[0].right == survivors[0]

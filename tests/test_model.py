@@ -15,7 +15,7 @@ from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, Occurrence
 from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledRights,
                               FeatureLiteral, KnowledgeBase, FundamentalRight,
-                              ModelError, OrExpr, PredHead, PriorityChain,
+                              ModelError, OrExpr, PredHead,
                               RightRef, Rule, Scenario, TRUTH_TABLE_ATOMS,
                               expand_right, expr_atoms, jointly_satisfiable,
                               logically_incompatible, satisfies, validate_kb,
@@ -117,13 +117,13 @@ class TestFeatureLiteral:
 
 
 RECORD_TYPES = (FeatureLiteral, Scenario, PredHead, ChainHead, Rule, AssertStmt,
-                PriorityChain, Occurrence, OccurrenceWeight)
+                Occurrence, OccurrenceWeight)
 
 
 def triage_records() -> list:
     """Instances of every record type: the parsed fixture's literals,
-    scenarios, rules, asserts and heads, then each scenario's fired chains,
-    adopted and demoted occurrences and their weights."""
+    scenarios, rules, asserts and heads, then each scenario's fired chain
+    rules, adopted and demoted occurrences and their weights."""
     kb = load_fixture("triage.rights")
     records = [*kb.scenarios, *kb.rules, *kb.assertions]
     records += [lit for s in kb.scenarios for lit in s.features]

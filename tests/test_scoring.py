@@ -82,18 +82,6 @@ class TestDegreeDomain:
         assert per == {"S_d": 3, "S_r": 0, "S_e": 0}
         assert degree_domain(Engine(scholarship_kb), "D_scholarship").degree == 3
 
-    def test_subset(self, scholarship_kb):
-        assert degree_domain(Engine(scholarship_kb), "D_scholarship",
-                             subset={"S_r"}).degree == 0
-
-    def test_empty_subset_rejected(self, scholarship_kb):
-        with pytest.raises(ScoringError, match="empty subset"):
-            degree_domain(Engine(scholarship_kb), "D_scholarship", subset=set())
-
-    def test_foreign_scenario_rejected(self, triage_kb):
-        with pytest.raises(ScoringError, match="outside domain"):
-            degree_domain(Engine(triage_kb), "D_clinic", subset={"S_outbreak"})
-
 
 class TestDegreePurpose:
     def test_triage_purpose(self, triage_kb):
@@ -101,23 +89,6 @@ class TestDegreePurpose:
         parts = (degree_domain(Engine(triage_kb), "D_clinic").degree
                  + degree_domain(Engine(triage_kb), "D_population").degree)
         assert total.degree == parts
-
-    def test_subset_of_domains(self, triage_kb):
-        only = degree_purpose(Engine(triage_kb), "P_triage", subset={"D_population"})
-        assert only.degree == degree_domain(Engine(triage_kb), "D_population").degree
-
-    def test_foreign_domain_rejected(self, triage_kb):
-        with pytest.raises(ScoringError, match="outside purpose"):
-            degree_purpose(Engine(triage_kb), "P_triage", subset={"D_other"})
-
-    def test_messages_name_the_units_and_owner(self, triage_kb):
-        engine = Engine(triage_kb)
-        with pytest.raises(ScoringError, match=r"^scenarios \['S_outbreak'\] "
-                                               r"outside domain 'D_clinic'$"):
-            degree_domain(engine, "D_clinic", subset={"S_outbreak"})
-        with pytest.raises(ScoringError, match=r"^domains \['D_other'\] "
-                                               r"outside purpose 'P_triage'$"):
-            degree_purpose(engine, "P_triage", subset={"D_other"})
 
     def test_sum_keeps_every_occurrence_in_order(self, triage_kb):
         engine = Engine(triage_kb)
@@ -133,9 +104,8 @@ class TestDegreePurpose:
 class TestAdditivity:
     def test_disjoint_union(self, scholarship_kb):
         whole = degree_domain(Engine(scholarship_kb), "D_scholarship").degree
-        a = degree_domain(Engine(scholarship_kb), "D_scholarship", subset={"S_d"}).degree
-        b = degree_domain(Engine(scholarship_kb), "D_scholarship",
-                          subset={"S_r", "S_e"}).degree
+        a = fresh_sum(scholarship_kb, EngineConfig(), ["S_d"]).degree
+        b = fresh_sum(scholarship_kb, EngineConfig(), ["S_r", "S_e"]).degree
         assert whole == a + b
 
 
