@@ -174,6 +174,38 @@ def test_golden(group, case):
     assert runner(case["argv"]) == case
 
 
+def _assess_json_selections() -> list:
+    """Each `assess … --json` call without `--scenario` that the golden set
+    once held (each domain, none, an unknown one and the first purpose, in
+    every toggle variant), with the stored `fria … --format json` call for
+    the same file, selector and toggles, which printed the same report."""
+    from rightsrisk.dsl import parse_kb
+    cases = []
+    for name in FIXTURES:
+        path = f"fixtures/{name}.rights"
+        kb = parse_kb((ROOT / path).read_text(), file=path)
+        selectors = [[]] + [["--domain", d.id] for d in kb.domains] + [["--domain", "nope"]]
+        selectors += [["--purpose", p.id] for p in kb.purposes[:1]]
+        for selector in selectors:
+            for flags in FLAG_VARIANTS:
+                assess = ["assess", path, *selector, "--json", *flags]
+                fria = ["fria", path, *selector, "--fixed-time", FIXED_TIME,
+                        "--format", "json", *flags]
+                shown = " ".join(a for a in assess if a != path)
+                cases.append(pytest.param(name, assess, fria, id=f"{name}:{shown}"))
+    return cases
+
+
+@pytest.mark.parametrize("group, assess, fria", _assess_json_selections())
+def test_assess_json_names_the_stored_fria_call(group, assess, fria):
+    assert run_cli(assess) == {
+        "argv": assess, "exit": 2, "stdout": [""],
+        "stderr": ["assess --json needs --scenario; for a domain or purpose "
+                   "use fria --format json", ""]}
+    stored = json.loads((GOLDEN / f"{group}.json").read_text(encoding="utf-8"))
+    assert fria in [case["argv"] for case in stored]
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     record()

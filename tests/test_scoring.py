@@ -82,6 +82,11 @@ class TestDegreeDomain:
         assert per == {"S_d": 3, "S_r": 0, "S_e": 0}
         assert degree_domain(Engine(scholarship_kb), "D_scholarship").degree == 3
 
+    def test_one_scenario_is_a_per_unit_degree(self, scholarship_kb):
+        # the degree of a part of a domain is read per unit, as the minimizer does
+        per_unit = minimize_domain(Engine(scholarship_kb), "D_scholarship").per_unit_degrees
+        assert per_unit["S_r"] == fresh_sum(scholarship_kb, EngineConfig(), ["S_r"]).degree == 0
+
 
 class TestDegreePurpose:
     def test_triage_purpose(self, triage_kb):
@@ -89,6 +94,11 @@ class TestDegreePurpose:
         parts = (degree_domain(Engine(triage_kb), "D_clinic").degree
                  + degree_domain(Engine(triage_kb), "D_population").degree)
         assert total.degree == parts
+
+    def test_one_domain_is_a_per_unit_degree(self, triage_kb):
+        per_unit = minimize_purpose(Engine(triage_kb), "P_triage").per_unit_degrees
+        assert per_unit["D_population"] == degree_domain(Engine(triage_kb),
+                                                         "D_population").degree
 
     def test_sum_keeps_every_occurrence_in_order(self, triage_kb):
         engine = Engine(triage_kb)
