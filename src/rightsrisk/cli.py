@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Optional
@@ -48,16 +47,13 @@ def _load_engine(args) -> Engine:
     """The run's one Engine: over the valid KB in `args.file`, configured
     by the toggle flags."""
     kb = _load_kb(args.file)
-    diagnostics = validate_kb(kb)
-    errors = [d for d in diagnostics if d.severity == "error"]
+    errors = [d for d in validate_kb(kb) if d.severity == "error"]
     if errors:
         raise CliError("\n".join(str(d) for d in errors), EXIT_SEMANTIC)
-    engine = Engine(kb, EngineConfig(
+    return Engine(kb, EngineConfig(
         derived_collision=not args.no_derived_collision,
-        monotonicity_check=not args.no_monotonicity_check,
+        monotonicity_check=not getattr(args, "no_monotonicity_check", False),
     ))
-    engine.validation = diagnostics
-    return engine
 
 
 def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
@@ -99,7 +95,7 @@ def cmd_check(args) -> int:
     kb = _load_kb(args.file)
     diags = validate_kb(kb)
     if args.json:
-        print(json.dumps([vars(d) for d in diags], indent=2))
+        sys.stdout.write(dump_json([vars(d) for d in diags]))
     else:
         for d in diags:
             print(d)
@@ -209,7 +205,7 @@ def cmd_fria(args) -> int:
         "oversight": args.oversight or "",
         "mitigation": args.mitigation or "",
     }
-    if args.fixed_time:
+    if args.fixed_time is not None:
         metadata["generated_at"] = args.fixed_time
     report = build_report(bundle, metadata)
     text = render(report, args.format)
@@ -232,12 +228,15 @@ def cmd_fria(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, json: bool = False) -> None:
-    """The two Engine toggles, plus `--json` if asked for."""
+def _add_common(parser: argparse.ArgumentParser, monotonicity: bool = False,
+                json: bool = False) -> None:
+    """The collision toggle, plus the monotonicity toggle (for the commands
+    that print monotonicity warnings) and `--json` if asked for."""
     parser.add_argument("--no-derived-collision", action="store_true",
                         help="do not derive collisions from promoted/demoted pairs")
-    parser.add_argument("--no-monotonicity-check", action="store_true",
-                        help="suppress monotonicity warnings")
+    if monotonicity:
+        parser.add_argument("--no-monotonicity-check", action="store_true",
+                            help="suppress monotonicity warnings")
     if json:
         parser.add_argument("--json", action="store_true",
                             help="emit machine-readable JSON")
@@ -261,7 +260,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     select.add_argument("--scenario")
     select.add_argument("--domain")
     select.add_argument("--purpose")
-    _add_common(p, json=True)
+    _add_common(p, monotonicity=True, json=True)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("minimize", help="find risk-minimizing subsets")
@@ -293,7 +292,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--oversight", help="Art. 27(e) oversight measures")
     p.add_argument("--mitigation", help="Art. 27(f) mitigation measures")
     p.add_argument("--fixed-time", help="pin the report timestamp (RFC 3339)")
-    _add_common(p)
+    _add_common(p, monotonicity=True)
     p.set_defaults(func=cmd_fria)
 
     return parser

@@ -135,9 +135,6 @@ class Engine:
         self._compiled = CompiledRights(kb)  # compiles each right on first use
         # the score table, filled by `scoring.scenario_breakdown`
         self.breakdowns: dict[str, DegreeBreakdown] = {}
-        # `validate_kb(kb)`'s diagnostics once a caller has run it;
-        # `report.build_bundle` validates again only while this is None
-        self.validation: Optional[list[Diagnostic]] = None
 
     # -- rule firing --------------------------------------------------------
 

@@ -172,14 +172,8 @@ class KnowledgeBase:
 
     # -- lookups ------------------------------------------------------------
 
-    def scenario(self, sid: str) -> Scenario:
-        for s in self.scenarios:
-            if s.id == sid:
-                return s
-        raise KeyError(f"unknown scenario {sid!r}")
-
     def scenarios_by_id(self) -> dict[str, Scenario]:
-        """Scenario by id; the first declaration wins, as in `scenario`."""
+        """Scenario by id; the first declaration wins."""
         by_id: dict[str, Scenario] = {}
         for s in self.scenarios:
             by_id.setdefault(s.id, s)
@@ -202,15 +196,6 @@ class KnowledgeBase:
 
     def basic_ids(self) -> set[str]:
         return {b.id for b in self.basic_rights}
-
-    def scenario_obligations(self, sid: str) -> list[Obligation]:
-        return [o for o in self.obligations if o.applies_to == sid]
-
-    def risk_annotation(self, sid: str) -> Optional[RiskAnnotation]:
-        for a in self.risk_annotations:
-            if a.scenario == sid:
-                return a
-        return None
 
     def all_rules(self) -> list[Rule]:
         """Explicit rules plus one desugared rule per assert statement.

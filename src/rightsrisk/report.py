@@ -17,9 +17,10 @@ from typing import Optional
 from .dsl import print_kb
 from .engine import Engine, ScenarioFindings
 from .minimizer import MinimizationResult, minimize_domain, minimize_purpose
-from .model import KnowledgeBase, RiskAnnotation, validate_kb
+from .model import KnowledgeBase, RiskAnnotation
 from .riskmatrix import assess_annotation
-# unused here, but `perfbench/spans.py` patches degree_scenario at this name
+# unused here, but `perfbench/spans.py` patches validate_kb and degree_scenario at these names
+from .model import validate_kb  # noqa: F401
 from .scoring import (DegreeBreakdown, degree_domain, degree_purpose,  # noqa: F401
                       degree_scenario, scenario_breakdown)
 
@@ -85,8 +86,7 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
     findings = {sid: engine.assess(sid)
                 for did in domain_ids for sid in kb.domain(did).scenarios}
     breakdowns = {sid: scenario_breakdown(engine, sid) for sid in findings}
-    validation = validate_kb(kb) if engine.validation is None else engine.validation
-    diagnostics = validation + engine.check_monotonicity()
+    diagnostics = engine.check_monotonicity()
     for f in findings.values():
         diagnostics.extend(f.diagnostics)
     return AssessmentBundle(kb, kind, selector, findings, breakdowns,
@@ -183,7 +183,9 @@ def kb_hash(kb: KnowledgeBase) -> str:
 def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> FriaReport:
     """Assemble the FRIA report. Every demoted right of every assessed
     scenario lands in the risks-of-harm section; the minimizer's canonical
-    subset is the mitigation recommendation."""
+    subset is the mitigation recommendation. `metadata` may set
+    `generated_at`, `process`, `oversight`, `mitigation` and `checklist`
+    (Art. 26 item index -> status)."""
     kb, selector = bundle.kb, bundle.selector
     metadata = metadata or {}
     generated_at = metadata.get("generated_at")
@@ -192,7 +194,7 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
 
     annotations: dict[str, RiskAnnotation] = {}
     for a in kb.risk_annotations:
-        annotations.setdefault(a.scenario, a)   # the first wins, as in risk_annotation
+        annotations.setdefault(a.scenario, a)   # the first wins
     obligations: dict[str, list[str]] = {}
     for o in kb.obligations:
         obligations.setdefault(o.applies_to, []).append(o.id)
@@ -221,7 +223,7 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
     statuses = metadata.get("checklist", {})
     checklist = []
     for i, item in enumerate(ART26_ITEMS):
-        status = statuses.get(i, statuses.get(str(i), "unaddressed"))
+        status = statuses.get(i, "unaddressed")
         if status not in CHECKLIST_STATUSES:
             raise ReportError(f"invalid checklist status {status!r}")
         checklist.append(ChecklistItem(item, status))
@@ -229,7 +231,7 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
     mini = bundle.minimization
     return FriaReport(
         meta={
-            "title": metadata.get("title", f"Fundamental rights impact assessment: {selector}"),
+            "title": f"Fundamental rights impact assessment: {selector}",
             "generated_at": generated_at,
             "kb_hash": kb_hash(kb),
             "selector": selector,

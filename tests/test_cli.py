@@ -10,6 +10,7 @@ from rightsrisk.cli import build_arg_parser, main
 from rightsrisk.report import parse_report
 from test_lexer_oracle import mutants
 from test_model import BANGS_TEXT, CHAIN_TEXT, SRC, shared_chain
+from test_report import WARNINGS, WARNINGS_TEXT
 
 
 def run(capsys, *argv):
@@ -35,6 +36,20 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(bad))
         assert code == 1
         assert "unknown" in out
+
+    def test_json_diagnostics(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rights"
+        bad.write_text("right a;\nassert promotes(unknown) in nowhere;\n"
+                       "scenario S { x }\n")
+        code, out, err = run(capsys, "check", str(bad), "--json")
+        assert (code, err) == (1, "")
+        expected = [
+            {"code": "unknown-scenario", "severity": "error",
+             "message": "assert references unknown scenario 'nowhere'"},
+            {"code": "unknown-right", "severity": "error",
+             "message": "assert in 'nowhere': unknown right 'unknown'"}]
+        assert json.loads(out) == expected
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "/does/not/exist.rights")
@@ -106,6 +121,8 @@ class TestArgumentParser:
                     ["assess", kb, "--mode", "exhaustive"],
                     ["assess", kb, "--fixed-time", "2026-01-01T00:00:00Z"],
                     ["assess", kb, "--scenario", "S_d", "--json", "--fixed-time", "T"],
+                    ["minimize", kb, "--no-monotonicity-check"],
+                    ["explain", kb, "S_d", "promotes(S_d, merit)", "--no-monotonicity-check"],
                     ["fria", kb, "--mode", "exhaustive"],
                     ["fria", triage, "--domain", "D_clinic", "--purpose", "P_triage"],
                     ["minimize", triage, "--gpai", "--domain", "D_clinic"],
@@ -254,6 +271,20 @@ class TestMinimize:
         assert data["optimal_degree"] == "3"
         assert data["maximizer_count"] == 4
 
+    def test_more_maximizers_than_shown(self, capsys, tmp_path):
+        # seven scenarios of degree 0: 2^7 - 1 non-empty subsets maximize
+        ids = [f"S{i}" for i in range(7)]
+        path = tmp_path / "zeros.rights"
+        path.write_text("right a;\n" + "".join(f"scenario {s} {{ f{s} }}\n" for s in ids)
+                        + "domain D { " + ", ".join(ids) + " }\n")
+        code, out, _ = run(capsys, "minimize", str(path))
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:3] == ["domain D: optimal degree 0 (fast-path)", "maximizers (127):",
+                             "  {" + ", ".join(ids) + "}"]
+        assert lines[-2:] == ["  ... 63 more", "canonical: {" + ", ".join(ids) + "}"]
+        assert len(lines) == 2 + 64 + 2
+
 
 class TestExplain:
     def test_pandemic_choice(self, capsys, fixtures_dir):
@@ -269,6 +300,12 @@ class TestExplain:
                            "S_d", "promotes(S_d, merit)")
         assert code == 1
         assert "not derivable" in out
+
+    @pytest.mark.parametrize("conclusion", ["promotes(merit)", "promotes(nope, merit)"])
+    def test_unknown_scenario_exits_one(self, capsys, fixtures_dir, conclusion):
+        code, out, err = run(capsys, "explain", fx(fixtures_dir, "scholarship.rights"),
+                             "nope", conclusion)
+        assert (code, out, err) == (1, "", "unknown scenario 'nope'\n")
 
     def test_malformed_conclusion(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "explain", fx(fixtures_dir, "pandemic.rights"),
@@ -373,6 +410,57 @@ class TestFria:
                 "--format", "json", "--out", str(p),
                 "--fixed-time", "2026-01-01T00:00:00Z")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_empty_fixed_time_is_pinned(self, capsys, fixtures_dir):
+        argv = ["fria", fx(fixtures_dir, "scholarship.rights"), "--format", "json",
+                "--fixed-time", ""]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second
+        assert first[0] == 0 and json.loads(first[1])["meta"]["generated_at"] == ""
+
+    def test_out_into_missing_directory_exits_two(self, capsys, fixtures_dir, tmp_path):
+        target = tmp_path / "missing" / "r.md"
+        code, out, err = run(capsys, "fria", fx(fixtures_dir, "scholarship.rights"),
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {target}: ")
+        assert not target.parent.exists()
+
+
+class TestWarnings:
+    """A KB whose domain has a monotonicity warning and two ambiguity
+    warnings, which no fixture has."""
+
+    @pytest.fixture()
+    def kb(self, tmp_path):
+        path = tmp_path / "warnings.rights"
+        path.write_text(WARNINGS_TEXT)
+        return str(path)
+
+    def test_assess_domain_prints_the_monotonicity_warning_last(self, capsys, kb):
+        code, out, _ = run(capsys, "assess", kb, "--domain", "D")
+        assert code == 0
+        assert out.endswith("domain D degree: -1 (xi=0, delta=1)\n" + WARNINGS[0] + "\n")
+
+    def test_markdown_report_lists_the_diagnostics(self, capsys, kb):
+        code, out, _ = run(capsys, "fria", kb, "--fixed-time", "T")
+        assert code == 0
+        assert out.endswith("## Diagnostics\n\n"
+                            + "".join(f"- {w}\n" for w in WARNINGS))
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--domain", "D"], ["assess", "--scenario", "Y"],
+        ["fria", "--fixed-time", "T"], ["fria", "--fixed-time", "T", "--format", "json"]],
+        ids=["assess-domain", "assess-scenario", "fria-markdown", "fria-json"])
+    def test_toggle_removes_exactly_the_monotonicity_lines(self, capsys, kb, argv):
+        code, out, _ = run(capsys, argv[0], kb, *argv[1:])
+        assert code == 0 and "monotonicity" in out
+        code, quiet, _ = run(capsys, argv[0], kb, *argv[1:], "--no-monotonicity-check")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        kept = [line for line in lines if "[monotonicity]" not in line]
+        assert len(kept) == len(lines) - 1
+        assert quiet == "".join(kept)
 
 
 class TestFuzz:

@@ -58,7 +58,7 @@ class TestFireRules:
 
 def naive_fire(kb, scenario_id):
     """Reference firing: every rule tested against the scenario, in order."""
-    features = kb.scenario(scenario_id).features
+    features = next(s.features for s in kb.scenarios if s.id == scenario_id)
     return [r for r in kb.all_rules() if satisfies(features, r.body)]
 
 

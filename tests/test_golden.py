@@ -208,6 +208,29 @@ def test_assess_json_names_the_stored_fria_call(group, assess, fria):
     assert fria in [case["argv"] for case in stored]
 
 
+def _monotonicity_toggle_calls() -> list:
+    """Each `minimize` or `explain` call that the golden set once held with
+    `--no-monotonicity-check`: a stored call without a toggle, with the
+    flag added. Each printed the same as the stored call."""
+    cases = []
+    for name in FIXTURES:
+        for case in json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")):
+            argv = case["argv"]
+            if argv[0] in ("minimize", "explain") and "--no-derived-collision" not in argv:
+                shown = " ".join(a for a in argv if a != f"fixtures/{name}.rights")
+                cases.append(pytest.param(argv + ["--no-monotonicity-check"],
+                                          id=f"{name}:{shown}"))
+    return cases
+
+
+@pytest.mark.parametrize("argv", _monotonicity_toggle_calls())
+def test_minimize_and_explain_refuse_the_monotonicity_toggle(argv):
+    result = run_cli(argv)
+    assert (result["exit"], result["stdout"]) == (2, [""])
+    assert result["stderr"][-2:] == [
+        "rightsrisk: error: unrecognized arguments: --no-monotonicity-check", ""]
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     record()

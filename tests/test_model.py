@@ -416,6 +416,27 @@ class TestValidateKb:
             "error[self-collision]: rule 'r2': collides needs two distinct rights",
             "error[unknown-right]: rule 'r3': unknown right 'ghost'"]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("scenario E { }", ["error[empty-scenario]: scenario 'E' has no features"]),
+        ("domain D2 { S, nope }",
+         ["error[unknown-scenario]: domain 'D2' references unknown scenario 'nope'"]),
+        ("purpose P { D, nope }",
+         ["error[unknown-domain]: purpose 'P' references unknown domain 'nope'"]),
+        ("risk nope { hazard: 1, response: 1, intensity: 1, sensitivity: 1, "
+         "vulnerability: 1 }",
+         ["error[unknown-scenario]: risk annotation for unknown scenario 'nope'"]),
+        ("risk S { hazard: 2, response: 3, intensity: 4, sensitivity: 5 }",
+         ["error[missing-risk-field]: risk 'S': missing field 'vulnerability'"]),
+        ("risk S { hazard: 2, response: 3, intensity: 0, sensitivity: 5, "
+         "vulnerability: 6 }",
+         ["error[risk-range]: risk 'S': intensity = 0 outside 1..5",
+          "error[risk-range]: risk 'S': vulnerability = 6 outside 1..5"]),
+    ], ids=["empty-scenario", "unknown-scenario-in-domain", "unknown-domain",
+            "unknown-scenario-in-risk", "missing-risk-field", "risk-range"])
+    def test_scenario_domain_and_risk_diagnostics(self, text, expected):
+        kb = parse_kb("right a;\nscenario S { x }\ndomain D { S }\n" + text)
+        assert [str(d) for d in validate_kb(kb)] == expected
+
     def test_polarity_conflict(self):
         kb = KnowledgeBase(scenarios=[Scenario("S", lits("consent", "!consent"))])
         diags = validate_kb(kb)

@@ -8,10 +8,30 @@ from hypothesis import given, strategies as st
 from conftest import load_fixture
 from kb_random import random_kb
 from rightsrisk import report as report_module
+from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine
 from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
 from rightsrisk.report import (ART26_ITEMS, ReportError, _json, build_bundle,
                                build_report, parse_report, render, report_to_dict)
+
+# Y refines X and promotes the `a` that X demotes; in Y both rules for `a`
+# fire at one strength, as do both rules for `b`
+WARNINGS_TEXT = """right a;
+right b;
+scenario X { x }
+scenario Y { x, y }
+domain D { X, Y }
+assert demotes(a) in X;
+assert promotes(a) in Y;
+rule r1: y => promotes(b);
+rule r2: y => demotes(b);
+"""
+WARNINGS = [
+    "warning[monotonicity]: 'Y' promotes 'a' while feature-subset scenario 'X' demotes it",
+    "warning[ambiguity]: right 'b': promote and demote conclusions tie at strength 0; "
+    "status undefined",
+    "warning[ambiguity]: right 'a': promote and demote conclusions tie at strength 0; "
+    "status undefined"]
 
 META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
         "oversight": "human review", "mitigation": "narrow the rollout"}
@@ -68,6 +88,12 @@ class TestBuildReport:
         report = build_report(bundle, meta)
         assert report.checklist[0].status == "addressed"
         assert report.checklist[5].status == "not-applicable"
+
+    def test_title_and_string_checklist_keys_are_not_read(self, scholarship_kb):
+        bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
+        report = build_report(bundle, dict(META, title="Mine", checklist={"0": "addressed"}))
+        assert report.meta["title"] == "Fundamental rights impact assessment: D_scholarship"
+        assert report.checklist[0].status == "unaddressed"
 
     def test_invalid_checklist_status(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
@@ -187,30 +213,26 @@ class TestBuildBundle:
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
         assert set(bundle.findings) == {"S_routine", "S_emergency", "S_outbreak"}
 
-    def test_validates_unless_the_engine_carries_validation(self, triage_kb,
-                                                            monkeypatch):
+    def test_does_not_validate(self, triage_kb, monkeypatch):
         triage_kb.obligations.append(Obligation("o_x", "review", "S_nowhere"))
-        validation = validate_kb(triage_kb)
-        assert validation
-        engine = Engine(triage_kb)
-        direct = build_bundle(engine, purpose_id="P_triage")
-        expected = validation + engine.check_monotonicity()
-        for f in direct.findings.values():
-            expected += f.diagnostics
-        assert direct.diagnostics == expected
+        assert validate_kb(triage_kb)
 
         def fail(kb):
-            raise AssertionError("validated twice")
+            raise AssertionError("build_bundle validated")
         monkeypatch.setattr(report_module, "validate_kb", fail)
-        engine = Engine(triage_kb)
-        engine.validation = list(validation)
-        assert build_bundle(engine, purpose_id="P_triage").diagnostics == expected
-        assert engine.validation == validation
+        assert build_bundle(Engine(triage_kb), purpose_id="P_triage").diagnostics == []
+
+    def test_diagnostics_are_monotonicity_then_ambiguity_warnings(self):
+        engine = Engine(parse_kb(WARNINGS_TEXT))
+        bundle = build_bundle(engine, domain_id="D")
+        assert [str(d) for d in bundle.diagnostics] == WARNINGS
+        assert bundle.diagnostics == engine.check_monotonicity() + \
+            engine.assess("Y").diagnostics
 
 
 class TestAnnotationsAndObligations:
-    """`build_report` indexes both once; each scenario reads what the KB's
-    own lookups give."""
+    """`build_report` indexes both once; each scenario reads what a scan
+    of the KB's lists gives (the first annotation, every obligation)."""
 
     def test_first_annotation_wins_and_obligations_keep_order(self, triage_kb):
         triage_kb.risk_annotations.insert(0, RiskAnnotation("S_routine", 5, 5, 5, 5, 5))
@@ -233,8 +255,9 @@ class TestAnnotationsAndObligations:
     @staticmethod
     def assert_matches_lookups(kb, report):
         for s in report.scenarios:
-            assert s.obligations == [o.id for o in kb.scenario_obligations(s.scenario)]
-            ann = kb.risk_annotation(s.scenario)
+            assert s.obligations == [o.id for o in kb.obligations
+                                     if o.applies_to == s.scenario]
+            ann = next((a for a in kb.risk_annotations if a.scenario == s.scenario), None)
             band = None if ann is None else report_module.assess_annotation(
                 ann.hazard, ann.response, ann.intensity, ann.sensitivity,
                 ann.vulnerability).band
