@@ -74,7 +74,7 @@ def stage_times(text: str) -> dict[str, float]:
     engine, findings = timed("assess", assess_all)
     timed("scoring", lambda: [degree_scenario(f) for f in findings])
     bundle = timed("build_bundle", build_bundle, engine, domain_id="D")
-    report = timed("build_report", build_report, bundle, {"generated_at": FIXED_TIME})
+    report = timed("build_report", build_report, bundle, generated_at=FIXED_TIME)
     timed("render", render, report, "json")
     return times
 

@@ -16,7 +16,7 @@ from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, validate_kb
 from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
-                     build_report, dump_json, frac, minimization_record, render,
+                     build_report, dump_json, minimization_record, render,
                      scenario_view)
 from .scoring import degree_scenario
 
@@ -60,11 +60,11 @@ def _select(kb: KnowledgeBase, args) -> tuple[str, str]:
     """("domain" or "purpose", id): `--purpose`/`--gpai` select a purpose,
     else a domain (the parser lets at most one selector through); the flag
     names it, or else the KB declares exactly one."""
-    if args.purpose or getattr(args, "gpai", False):
+    if args.purpose is not None or getattr(args, "gpai", False):
         kind, named, declared, lookup = "purpose", args.purpose, kb.purposes, kb.purpose
     else:
         kind, named, declared, lookup = "domain", args.domain, kb.domains, kb.domain
-    if named:
+    if named is not None:
         try:
             lookup(named)
         except KeyError as exc:
@@ -143,8 +143,8 @@ def cmd_assess(args) -> int:
     for sid, findings in bundle.findings.items():
         print(_scenario_block(scenario_view(findings, bundle.breakdowns[sid])))
     total = bundle.total
-    print(f"{bundle.kind} {bundle.selector} degree: {frac(total.degree)} "
-          f"(xi={frac(total.xi)}, delta={frac(total.delta)})")
+    print(f"{bundle.kind} {bundle.selector} degree: {total.degree} "
+          f"(xi={total.xi}, delta={total.delta})")
     for d in bundle.diagnostics:
         if d.code == "monotonicity":
             print(d)
@@ -165,12 +165,12 @@ def cmd_minimize(args) -> int:
         sys.stdout.write(dump_json({
             "selector": label,
             **minimization_record(result),
-            "per_unit_degrees": {k: frac(v)
+            "per_unit_degrees": {k: str(v)
                                  for k, v in sorted(result.per_unit_degrees.items())},
         }))
         return EXIT_OK
 
-    print(f"{label}: optimal degree {frac(result.optimal_degree)} (fast-path)")
+    print(f"{label}: optimal degree {result.optimal_degree} (fast-path)")
     shown = result.maximizers
     print(f"maximizers ({result.maximizer_count}):")
     for m in shown:
@@ -199,18 +199,11 @@ def cmd_explain(args) -> int:
 def cmd_fria(args) -> int:
     engine = _load_engine(args)
     bundle = _bundle(engine, args)
-
-    metadata = {
-        "process": args.process or "",
-        "oversight": args.oversight or "",
-        "mitigation": args.mitigation or "",
-    }
-    if args.fixed_time is not None:
-        metadata["generated_at"] = args.fixed_time
-    report = build_report(bundle, metadata)
+    report = build_report(bundle, generated_at=args.fixed_time, process=args.process,
+                          oversight=args.oversight, mitigation=args.mitigation)
     text = render(report, args.format)
 
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -288,9 +281,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     select.add_argument("--gpai", action="store_true")
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
     p.add_argument("--out")
-    p.add_argument("--process", help="Art. 27(a) process description")
-    p.add_argument("--oversight", help="Art. 27(e) oversight measures")
-    p.add_argument("--mitigation", help="Art. 27(f) mitigation measures")
+    p.add_argument("--process", default="", help="Art. 27(a) process description")
+    p.add_argument("--oversight", default="", help="Art. 27(e) oversight measures")
+    p.add_argument("--mitigation", default="", help="Art. 27(f) mitigation measures")
     p.add_argument("--fixed-time", help="pin the report timestamp (RFC 3339)")
     _add_common(p, monotonicity=True)
     p.set_defaults(func=cmd_fria)

@@ -10,7 +10,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -97,12 +96,6 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
 # Report structure
 # ---------------------------------------------------------------------------
 
-def frac(value: Fraction) -> str:
-    """An exact degree as text: "3" or "7/2"."""
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
-
-
 @dataclass
 class ScenarioView:
     """One scenario's findings and degree, in the canonical order that the
@@ -113,7 +106,7 @@ class ScenarioView:
     collisions: list[list[str]]
     adopted: list[str]                # "right<x,y>" occurrence labels
     demoted: list[str]                # "right<x,y>" occurrence labels
-    degree: str                       # exact, as `frac` writes it
+    degree: str                       # exact: str(Fraction), e.g. "7/2"
     xi: str
     delta: str
     diagnostics: list[str]
@@ -127,9 +120,9 @@ def scenario_view(findings: ScenarioFindings,
         collisions=sorted(sorted(pair) for pair in findings.collisions),
         adopted=sorted(str(o) for o in findings.adopted),
         demoted=sorted(str(o) for o in findings.demoted_occurrences),
-        degree=frac(breakdown.degree),
-        xi=frac(breakdown.xi),
-        delta=frac(breakdown.delta),
+        degree=str(breakdown.degree),
+        xi=str(breakdown.xi),
+        delta=str(breakdown.delta),
         diagnostics=[str(d) for d in findings.diagnostics],
     )
 
@@ -141,7 +134,7 @@ class ScenarioRisk:
     demoted: list[str]                # the demoted rights
     collisions: list[list[str]]
     adopted: list[str]                # "right<x,y>" occurrence labels
-    degree: str                       # exact, as `frac` writes it
+    degree: str                       # exact: str(Fraction), e.g. "7/2"
     band: Optional[str]               # qualitative, configuration-defined
     obligations: list[str]
 
@@ -168,7 +161,7 @@ class FriaReport:
 def minimization_record(result: MinimizationResult) -> dict:
     """The minimizer's answer as the report and `minimize --json` write it."""
     return {
-        "optimal_degree": frac(result.optimal_degree),
+        "optimal_degree": str(result.optimal_degree),
         "maximizers": [sorted(m) for m in result.maximizers],
         "maximizer_count": result.maximizer_count,
         "canonical": sorted(result.canonical),
@@ -180,15 +173,14 @@ def kb_hash(kb: KnowledgeBase) -> str:
     return hashlib.sha256(print_kb(kb).encode("utf-8")).hexdigest()
 
 
-def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> FriaReport:
+def build_report(bundle: AssessmentBundle, *, generated_at: Optional[str] = None,
+                 process: str = "", oversight: str = "", mitigation: str = "",
+                 checklist: Optional[dict[int, str]] = None) -> FriaReport:
     """Assemble the FRIA report. Every demoted right of every assessed
     scenario lands in the risks-of-harm section; the minimizer's canonical
-    subset is the mitigation recommendation. `metadata` may set
-    `generated_at`, `process`, `oversight`, `mitigation` and `checklist`
-    (Art. 26 item index -> status)."""
+    subset is the mitigation recommendation. `generated_at=None` stamps the
+    current time; `checklist` maps an Art. 26 item index (0..10) to a status."""
     kb, selector = bundle.kb, bundle.selector
-    metadata = metadata or {}
-    generated_at = metadata.get("generated_at")
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat()
 
@@ -205,8 +197,7 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
         view = scenario_view(findings, bundle.breakdowns[sid])
         ann = annotations.get(sid)
         band = None
-        if ann is not None and all(getattr(ann, n) is not None
-                                   for n in ann.FIELDS):
+        if ann is not None:
             band = assess_annotation(ann.hazard, ann.response, ann.intensity,
                                      ann.sensitivity, ann.vulnerability).band
         scenarios.append(ScenarioRisk(
@@ -220,13 +211,16 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
             obligations=obligations.get(sid, []),
         ))
 
-    statuses = metadata.get("checklist", {})
-    checklist = []
+    statuses = checklist or {}
+    for key in statuses:
+        if key not in range(len(ART26_ITEMS)):
+            raise ReportError(f"unknown checklist item {key!r}")
+    items = []
     for i, item in enumerate(ART26_ITEMS):
         status = statuses.get(i, "unaddressed")
         if status not in CHECKLIST_STATUSES:
             raise ReportError(f"invalid checklist status {status!r}")
-        checklist.append(ChecklistItem(item, status))
+        items.append(ChecklistItem(item, status))
 
     mini = bundle.minimization
     return FriaReport(
@@ -237,22 +231,22 @@ def build_report(bundle: AssessmentBundle, metadata: Optional[dict] = None) -> F
             "selector": selector,
             "kind": bundle.kind,
         },
-        process=metadata.get("process", ""),
+        process=process,
         scenarios=scenarios,
-        oversight=metadata.get("oversight", ""),
+        oversight=oversight,
         mitigation={
-            "text": metadata.get("mitigation", ""),
+            "text": mitigation,
             "recommended_subset": sorted(mini.canonical),
-            "optimal_degree": frac(mini.optimal_degree),
+            "optimal_degree": str(mini.optimal_degree),
         },
         degrees={
             "per_scenario": {s.scenario: s.degree for s in scenarios},
-            "xi": frac(bundle.total.xi),
-            "delta": frac(bundle.total.delta),
-            "total": frac(bundle.total.degree),
+            "xi": str(bundle.total.xi),
+            "delta": str(bundle.total.delta),
+            "total": str(bundle.total.degree),
         },
         minimization=minimization_record(mini),
-        checklist=checklist,
+        checklist=items,
         diagnostics=[str(d) for d in bundle.diagnostics],
     )
 

@@ -187,7 +187,7 @@ def test_9_report_completeness(fixtures_dir):
             kb = load_fixture(path.name)
             for domain in kb.domains:
                 bundle = build_bundle(Engine(kb), domain_id=domain.id)
-                report = build_report(bundle, meta)
+                report = build_report(bundle, **meta)
                 markdown = render(report, "markdown")
                 harm = markdown.split("Art. 27(d))")[1].split("Art. 27(e)")[0]
                 for scen in report.scenarios:

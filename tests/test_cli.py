@@ -403,6 +403,17 @@ class TestFria:
         code, out, err = run(capsys, "fria", fx(fixtures_dir, "triage.rights"), flag, "nope")
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("command", ["fria", "minimize"])
+    @pytest.mark.parametrize("flag", ["--domain", "--purpose"])
+    def test_empty_selector_is_unknown(self, capsys, fixtures_dir, command, flag):
+        code, out, err = run(capsys, command, fx(fixtures_dir, "scholarship.rights"), flag, "")
+        assert (code, out, err) == (1, "", f"unknown {flag[2:]} ''\n")
+
+    def test_empty_out_path_cannot_be_written(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "fria", fx(fixtures_dir, "scholarship.rights"),
+                             "--out", "")
+        assert (code, out) == (2, "") and err.startswith("cannot write : ")
+
     def test_fixed_time_is_deterministic(self, capsys, fixtures_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -437,6 +437,30 @@ class TestValidateKb:
         kb = parse_kb("right a;\nscenario S { x }\ndomain D { S }\n" + text)
         assert [str(d) for d in validate_kb(kb)] == expected
 
+    @pytest.mark.parametrize("kb, expected", [
+        *((parse_kb("right a;\nscenario S { x }\ndomain D { S }\n" + text),
+           f"error[duplicate-id]: {message}") for text, message in [
+            ("basic b; basic b;", "duplicate basic right 'b'"),
+            ("right a;", "duplicate right 'a'"),
+            ("scenario S { y }", "duplicate scenario 'S'"),
+            ("domain D { S }", "duplicate domain 'D'"),
+            ("purpose P { D }\npurpose P { D }", "duplicate purpose 'P'"),
+            ('obligation o "t" applies S;\nobligation o "u" applies S;',
+             "duplicate obligation 'o'"),
+            ("rule r: x => promotes(a);\nrule r: x => demotes(a);", "duplicate rule 'r'"),
+            ("domain D2 { S, S }", "duplicate scenario in domain 'D2' 'S'"),
+            ("purpose P { D, D }", "duplicate domain in purpose 'P' 'D'"),
+            ("risk S { hazard: 1, response: 1, intensity: 1, sensitivity: 1, "
+             "vulnerability: 1 }\n" * 2, "duplicate risk annotation 'S'")]),
+        # the parser cannot produce an empty id
+        (KnowledgeBase(basic_rights=[model.BasicRight("")]),
+         "error[empty-id]: basic right with empty id"),
+    ], ids=["basic-right", "right", "scenario", "domain", "purpose", "obligation",
+            "rule", "scenario-in-domain", "domain-in-purpose", "risk-annotation",
+            "empty-basic-right"])
+    def test_duplicate_and_empty_ids(self, kb, expected):
+        assert [str(d) for d in validate_kb(kb)] == [expected]
+
     def test_polarity_conflict(self):
         kb = KnowledgeBase(scenarios=[Scenario("S", lits("consent", "!consent"))])
         diags = validate_kb(kb)

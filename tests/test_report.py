@@ -11,6 +11,7 @@ from rightsrisk import report as report_module
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine
 from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
+from rightsrisk.riskmatrix import RangeError
 from rightsrisk.report import (ART26_ITEMS, ReportError, _json, build_bundle,
                                build_report, parse_report, render, report_to_dict)
 
@@ -40,7 +41,7 @@ META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
 @pytest.fixture()
 def scholarship_report(scholarship_kb):
     bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
-    return build_report(bundle, META)
+    return build_report(bundle, **META)
 
 
 class TestBuildReport:
@@ -61,7 +62,7 @@ class TestBuildReport:
 
     def test_pandemic_degree(self, pandemic_kb):
         bundle = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
-        report = build_report(bundle, META)
+        report = build_report(bundle, **META)
         (scen,) = report.scenarios
         assert scen.demoted == ["privacy"]
         assert scen.degree == "-1"     # exact text, as in the JSON form
@@ -73,7 +74,7 @@ class TestBuildReport:
             Scenario("S", frozenset({FeatureLiteral("f")})))
         privacy_kb.domains.append(DeploymentDomain("D", ("S",)))
         bundle = build_bundle(Engine(privacy_kb), domain_id="D")
-        report = build_report(bundle, META)
+        report = build_report(bundle, **META)
         assert report.scenarios[0].demoted == []
         assert len(report.checklist) == 11
 
@@ -85,27 +86,40 @@ class TestBuildReport:
     def test_checklist_statuses_from_metadata(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         meta = dict(META, checklist={0: "addressed", 5: "not-applicable"})
-        report = build_report(bundle, meta)
+        report = build_report(bundle, **meta)
         assert report.checklist[0].status == "addressed"
         assert report.checklist[5].status == "not-applicable"
 
-    def test_title_and_string_checklist_keys_are_not_read(self, scholarship_kb):
+    def test_unknown_parameter_is_refused(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
-        report = build_report(bundle, dict(META, title="Mine", checklist={"0": "addressed"}))
-        assert report.meta["title"] == "Fundamental rights impact assessment: D_scholarship"
-        assert report.checklist[0].status == "unaddressed"
+        with pytest.raises(TypeError):
+            build_report(bundle, title="Mine")
+
+    @pytest.mark.parametrize("key", ["0", -1, 11])
+    def test_unknown_checklist_item(self, scholarship_kb, key):
+        bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
+        with pytest.raises(ReportError, match=f"unknown checklist item {key!r}"):
+            build_report(bundle, checklist={key: "addressed"})
 
     def test_invalid_checklist_status(self, scholarship_kb):
         bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         with pytest.raises(ReportError):
-            build_report(bundle, {"checklist": {0: "done"}})
+            build_report(bundle, checklist={0: "done"})
 
     def test_band_from_risk_annotation(self, triage_kb):
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
-        report = build_report(bundle, META)
+        report = build_report(bundle, **META)
         by_id = {s.scenario: s for s in report.scenarios}
         assert by_id["S_outbreak"].band == "Critical"
         assert by_id["S_routine"].band is None
+
+    def test_incomplete_risk_annotation_raises(self, triage_kb):
+        # validate_kb reports it as missing-risk-field; a script that skips
+        # validation gets the risk matrix's error, not a report without a band
+        triage_kb.risk_annotations.insert(0, RiskAnnotation("S_routine", response=2))
+        bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
+        with pytest.raises(RangeError, match="hazard must be an integer in 1..5, got None"):
+            build_report(bundle, **META)
 
 
 class TestRender:
@@ -136,7 +150,7 @@ class TestRender:
     def test_deterministic(self, scholarship_kb):
         def make():
             bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
-            report = build_report(bundle, META)
+            report = build_report(bundle, **META)
             return render(report, "json"), render(report, "markdown")
         assert make() == make()
 
@@ -151,8 +165,8 @@ class TestRender:
     def test_kb_hash_tracks_input(self, scholarship_kb, pandemic_kb):
         b1 = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
         b2 = build_bundle(Engine(pandemic_kb), domain_id="D_pandemic")
-        r1 = build_report(b1, META)
-        r2 = build_report(b2, META)
+        r1 = build_report(b1, **META)
+        r2 = build_report(b2, **META)
         assert r1.meta["kb_hash"] != r2.meta["kb_hash"]
 
     def test_unknown_format(self, scholarship_report):
@@ -196,7 +210,7 @@ class TestJsonWriter:
         selections += [{"purpose_id": p.id} for p in kb.purposes]
         assert selections
         for selection in selections:
-            report = build_report(build_bundle(Engine(kb), **selection), meta)
+            report = build_report(build_bundle(Engine(kb), **selection), **meta)
             assert render(report, "json") == json.dumps(
                 report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
@@ -241,7 +255,7 @@ class TestAnnotationsAndObligations:
                                   Obligation("o_z", "z", "S_outbreak"),
                                   Obligation("o_a", "a", "S_routine")]
         bundle = build_bundle(Engine(triage_kb), purpose_id="P_triage")
-        report = build_report(bundle, META)
+        report = build_report(bundle, **META)
         by_id = {s.scenario: s for s in report.scenarios}
         assert by_id["S_routine"].obligations[-2:] == ["o_b", "o_a"]
         self.assert_matches_lookups(triage_kb, report)
@@ -250,7 +264,7 @@ class TestAnnotationsAndObligations:
         for seed in range(60):
             kb = random_kb(random.Random(seed), with_extras=True)
             bundle = build_bundle(Engine(kb), domain_id="D")
-            self.assert_matches_lookups(kb, build_report(bundle, META))
+            self.assert_matches_lookups(kb, build_report(bundle, **META))
 
     @staticmethod
     def assert_matches_lookups(kb, report):
