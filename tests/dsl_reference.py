@@ -239,14 +239,18 @@ class _Parser:
 
     def _risk_decl(self, kb: KnowledgeBase) -> None:
         sid = self.ident()
-        fields = dict(self._braced(self._risk_field))
-        kb.risk_annotations.append(RiskAnnotation(sid, **fields))
+        seen: list[str] = []
+        fields = self._braced(lambda: self._risk_field(seen))
+        kb.risk_annotations.append(RiskAnnotation(sid, **dict(fields)))
 
-    def _risk_field(self) -> tuple[str, int]:
+    def _risk_field(self, seen: list[str]) -> tuple[str, int]:
         tok = self.expect("ident", "risk field")
         if tok.value not in RiskAnnotation.FIELDS:
             raise ParseError(tok.span, f"unknown risk field {tok.value!r}",
                              expected=RiskAnnotation.FIELDS)
+        if tok.value in seen:
+            raise ParseError(tok.span, f"duplicate risk field {tok.value!r}")
+        seen.append(tok.value)
         self.expect("colon")
         return tok.value, int(self.expect("int", "integer").value)
 

@@ -156,9 +156,17 @@ class TestParse:
         assert len(parse_kb(f"basic a;\nright r := {wide};").rights) == 1
 
     def test_risk_fields(self):
-        kb = parse_kb("risk S { hazard: 3, response: -1, hazard: 4 }")
+        kb = parse_kb("risk S { response: -1, hazard: 4 }")
         ann = kb.risk_annotations[0]
         assert (ann.hazard, ann.response, ann.intensity) == (4, -1, None)
+
+    def test_repeated_risk_field(self):
+        with pytest.raises(ParseError) as exc:
+            parse_kb("risk S { hazard: 1, response: 2,\n  hazard: 5, intensity: 3 }")
+        span = exc.value.span
+        assert exc.value.message == "duplicate risk field 'hazard'"
+        assert exc.value.expected == ()
+        assert (span.start_line, span.start_col, span.end_col) == (2, 3, 9)
 
     def test_equal_literals_share_one_object(self):
         kb = parse_kb("right a;\nscenario S { x, !y }\nscenario T { !y }\n"

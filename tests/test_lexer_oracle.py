@@ -3,9 +3,18 @@
 ParseError (message, span and expected) and the same knowledge base as the
 reference lexer and parser in `dsl_reference.py`; on generated texts from
 an alphabet of the lexer's awkward characters, the same tokens and
-ParseError as the reference lexer."""
+ParseError as the reference lexer.
+
+`dsl.parse_kb` reads valid text with its declaration matcher and hands any
+other text to `tokenize` and the token parser. A spy on `dsl.tokenize`
+shows which path read a text: the tests check that both paths run, that
+valid fixtures, README examples and benchmark KBs need no fallback, and
+that hostile inputs end in linear time."""
 import random
+import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,7 +23,10 @@ import dsl_reference as reference
 from rightsrisk import dsl
 from rightsrisk.dsl import ParseError, print_kb
 
-FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.rights"))
+from kb_random import random_kb
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.rights"))
 FIXTURE_TEXTS = {p.name: p.read_text(encoding="utf-8") for p in FIXTURES}
 
 # characters that end strings, start comments, escape, break lines, are illegal,
@@ -59,23 +71,36 @@ def lexed(tokenize, text):
 
 
 def parsed(parse_kb, text):
+    """The KB `parse_kb` reads, its print, and each scenario's features in
+    iteration order; or its ParseError."""
     try:
-        return print_kb(parse_kb(text, "m.rights"))
+        kb = parse_kb(text, "m.rights")
     except ParseError as exc:
         return failure(exc)
+    return "KB", print_kb(kb), kb, [list(s.features) for s in kb.scenarios]
+
+
+def fallback_spy():
+    """A spy on `dsl.tokenize`, which `parse_kb` calls only when its
+    declaration matcher does not take the text."""
+    return mock.patch.object(dsl, "tokenize", wraps=dsl.tokenize)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
 def test_mutants_match_reference(name):
     seed = 20261018 + sorted(FIXTURE_TEXTS).index(name)
-    parses = 0
+    parses = matched = 0
+    tokenize = dsl.tokenize
     for n, text in enumerate(mutants(seed, 500, [FIXTURE_TEXTS[name]])):
-        assert lexed(dsl.tokenize, text) == lexed(reference.tokenize, text), (n, text)
-        got = parsed(dsl.parse_kb, text)
+        assert lexed(tokenize, text) == lexed(reference.tokenize, text), (n, text)
+        with fallback_spy() as spy:
+            got = parsed(dsl.parse_kb, text)
         assert got == parsed(reference.parse_kb, text), (n, text)
-        parses += isinstance(got, str)
-    # both the knowledge-base path and the error path were exercised
-    assert 50 <= parses <= 450, parses
+        parses += got[0] == "KB"
+        matched += not spy.called
+    # both the knowledge-base path and the error path were exercised, and
+    # both the matcher and its fallback read some of the mutants
+    assert 50 <= matched <= parses <= 450, (matched, parses)
 
 
 @pytest.mark.parametrize("text", [
@@ -83,10 +108,119 @@ def test_mutants_match_reference(name):
     "rule r [²]: => promotes(a);", "right r := !(a | b) & c;\n\n  §",
     'obligation o "a\\"b" applies S;', "risk S { hazard: 3, bogus: 1 }",
     "rule r: => promotes(a, b);", "rule r: => collides(a);", "scenario { }",
+    "risk S { hazard: 1, hazard: 5, response: 2, intensity: 3, sensitivity: 4, vulnerability: 5 }",
 ])
 def test_edge_inputs_match_reference(text):
     assert lexed(dsl.tokenize, text) == lexed(reference.tokenize, text)
     assert parsed(dsl.parse_kb, text) == parsed(reference.parse_kb, text)
+
+
+# every declaration kind, with a comment in every gap between two words
+EVERY_GAP = (
+    'basic a , b ; right r := ! ( a & b ) | a ; right q ; scenario S { x , ! y } '
+    'scenario E { } domain D { S , E } purpose P { D } obligation o "x//y" applies S ; '
+    'assert promotes ( r ) in S ; assert collides ( r , q ) in S ; assert r > q in S ; '
+    'rule k [ -2 ] : x & ! y => r > q ; rule u : => demotes ( r ) ; '
+    'risk S { hazard : 1 , response : 2 } ').replace(" ", " // ; } => in\n")
+
+
+@pytest.mark.parametrize("text, matched", [
+    ("assert a > bin S;", False),           # not `a > b in S;`: words end at a non-word
+    ("rulex: => a;", False),                # nor `rule x: => a;`
+    ("right in;", False),                   # a keyword is no identifier,
+    ("scenario S { x, !in }", False),       # nor a literal's atom
+    ("rule r: x & rule => a;", False),
+    ("domain D { S, domain }", False),
+    ("assert promotes > a in S;", True),    # a predicate name can head a chain
+    ("assert promotes(a, b) in S;", False),
+    ("scenario S { }", True),
+    ("rule r [ -0 ]: => a;", True),
+    ("basic a;\fright b;", False),           # \f and \v are no whitespace
+    ("basic a;\vright b;", False),
+    ("risk S { hazard: 1, hazard: 5 }", False),
+    ("right r := (a;", False),              # _rexpr rejects the definition
+    ("right r := a b;", False),             # or stops before its end
+    (EVERY_GAP, True),
+    ("basic a;\r\nright b := !a;\r\nscenario S { x }\r\n", True),
+    ('basic a,b;right r:=!(a&b)|a;scenario S{x,!y}obligation o"x"applies S;'
+     "rule k[-2]:x&!y=>r>q;assert promotes(r)in S;risk S{hazard:1}", True),
+], ids=lambda v: v if isinstance(v, bool) else repr(v[:40]))
+def test_hand_cases_take_the_expected_path(text, matched):
+    with fallback_spy() as spy:
+        got = parsed(dsl.parse_kb, text)
+    assert got == parsed(reference.parse_kb, text)
+    assert spy.called is not matched
+
+
+def benchmark_workloads():
+    """The benchmark's `run.WORKLOADS`, imported as `scripts/scaling.py` does,
+    with `perfbench/` on `sys.path`; that entry is taken out again."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from run import WORKLOADS
+        from gen import generate
+    finally:
+        sys.path[:] = saved
+    return WORKLOADS, generate
+
+
+WORKLOADS, generate = benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS) + sorted(WORKLOADS))
+def test_valid_kbs_need_no_fallback(name):
+    """Each fixture, and seed 1 of each benchmark workload's KB."""
+    text = FIXTURE_TEXTS.get(name) or generate(name, WORKLOADS[name].shape, 1,
+                                               dsl.parse_kb).text
+    with fallback_spy() as spy:
+        got = parsed(dsl.parse_kb, text)
+    assert not spy.called
+    assert got == parsed(reference.parse_kb, text)
+
+
+# whitespace and comments, each comment ending its line
+GAPS = [" ", "\t", "\n", "\r\n", "  \n\t", "// c\n", " //;}=>in//\n", "//\n//\n"]
+
+
+def raw_words(text):
+    """The words of `text` as written: strings keep their quotes and escapes."""
+    return [m.group() for m in reference._TOKEN_RE.finditer(text)
+            if m.lastgroup not in ("skip", "newline")]
+
+
+@given(st.randoms(use_true_random=False))
+def test_printed_kbs_with_any_gaps_need_no_fallback(rng):
+    kb = random_kb(rng, with_extras=True)
+    text = "".join(rng.choice(GAPS) + w for w in raw_words(print_kb(kb)))
+    with fallback_spy() as spy:
+        got = parsed(dsl.parse_kb, text)
+    assert not spy.called
+    assert got == parsed(reference.parse_kb, text)
+    assert got[2] == kb
+
+
+# about 200 KB each, where a matcher that backtracks through every split of
+# a gap or a list would not end
+HOSTILE = {
+    "gap_run_in_open_scenario": "scenario S {" + " \n\t// x // y ; }\r\n" * 11_000,
+    "scenario_ending_in_comma":
+        "scenario S { " + ", ".join(f"f{i:06d}" for i in range(20_000)) + ",}",
+    "chain_without_in": "assert " + " > ".join(f"right{i:010d}" for i in range(10_000)) + " S;",
+    "body_without_arrow": "rule r: " + " & ".join(f"!f{i:06d}" for i in range(20_000)) + " a;",
+    # a quote that does not start a string must not start a scan of its line
+    "escaped_quotes_left_open": 'basic a; // b\nobligation o "' + '\\"' * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_inputs_end_in_linear_time(name):
+    text = HOSTILE[name]
+    assert 150_000 < len(text) < 250_000
+    start = time.perf_counter()
+    got = parsed(dsl.parse_kb, text)
+    assert time.perf_counter() - start < 1
+    assert got == parsed(reference.parse_kb, text)
 
 
 def test_tokens_are_a_sequence():

@@ -1,13 +1,14 @@
-"""The README's examples stay valid: every `.rights` block parses and
-validates, the scripting example runs, and every `rightsrisk` command of
-the shell blocks exits 0."""
+"""The README's examples stay valid: every `.rights` block parses, with
+the declaration matcher alone, and validates, the scripting example runs,
+and every `rightsrisk` command of the shell blocks exits 0."""
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from rightsrisk import parse_kb, validate_kb
+from rightsrisk import dsl, parse_kb, validate_kb
 from rightsrisk.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,8 +34,10 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("block", _blocks("text"), ids=_ids("text"))
 def test_rights_block_parses_and_validates(block):
-    errors = [str(d) for d in validate_kb(parse_kb(block, file="README.md"))
-              if d.severity == "error"]
+    with mock.patch.object(dsl, "tokenize", wraps=dsl.tokenize) as fallback:
+        kb = parse_kb(block, file="README.md")
+    assert not fallback.called
+    errors = [str(d) for d in validate_kb(kb) if d.severity == "error"]
     assert errors == []
 
 
