@@ -40,10 +40,12 @@ take, or at a declaration _Parser would reject (a keyword as an
 identifier, a repeated risk field, an integer too long for int(), a right
 definition _rexpr refuses), the whole text goes to tokenize and _Parser
 instead, and only that path raises ParseError. On the seed-1 `query_mixed`
-benchmark KB (765 lines, 8,610 tokens) parse_kb takes about 40% less time
-than tokenize and _Parser (median of 200 alternated calls, Python 3.11.7,
-2-core VM); the expression is compiled at the first call, which costs
-3-8 ms.
+benchmark KB (765 lines, 8,610 tokens) the matcher takes about 40% less
+time than tokenize and _Parser (median of 200 alternated calls, Python
+3.11.7, 2-core VM). Compiling the expression costs 3-8 ms, more than that
+saves on one parse, so a process's first parse_kb leaves the matcher out:
+a program that parses one file, as each `rightsrisk` command does, pays
+nothing for it, and one that parses again pays the compile once.
 
 Tokens are stored as a kind and a value only; a token's offset and
 line:col are found on demand, for a ParseError or a Token read from
@@ -406,7 +408,7 @@ class _Parser:
 # group 1, a string or one left open to the end of its line as in _TOKEN_RE,
 # is kept whole, so that no quote inside it starts another
 _COMMENT_RE = re.compile(rf'({_STRING}|"[^\n]*)|//[^\n]*')
-_GAP_RE = re.compile(r"\s*", re.ASCII)  # [ \t\n\r\f\v]*; match_kb refuses \f and \v
+_GAP_RE = re.compile(r"[ \t\r\n]*")  # the whitespace of _TOKEN_RE
 _IDENT_RE = re.compile("[A-Za-z_][A-Za-z0-9_]*")
 _LIT_RE = re.compile(r"(!?)[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*)")
 _FIELD_RE = re.compile(r"([a-z]+)[ \t\r\n]*:[ \t\r\n]*(-?[0-9]+)")
@@ -432,9 +434,9 @@ def _head(group: str) -> str:
 
 @cache
 def _decl_re() -> re.Pattern:
-    """The declaration matcher's pattern, compiled at the first parse_kb:
-    compiling takes a few milliseconds, which a program that parses nothing
-    need not spend.
+    """The declaration matcher's pattern, compiled at the first match_kb:
+    compiling takes a few milliseconds, which a program that parses at most
+    once need not spend.
 
     A keyword is always followed by an identifier, so the gap after it cannot
     be empty. Each kind's group, whose name `lastgroup` gives, opens after the
@@ -454,11 +456,11 @@ def _decl_re() -> re.Pattern:
   | obligation\b (?P<obligation> ~ (?P<obligation_id> ID ) ~ (?P<obligation_text> STRING )
         ~ applies\b~ (?P<obligation_for> ID ) ~; )
   | assert\b (?P<assert> ~ ASSERT_HEAD ~ in\b~ (?P<assert_in> ID ) ~; )
-  | rule\b (?P<rule> ~ (?P<rule_id> ID ) ~ (?: \[~ (?P<rule_strength> INT ) ~\]~ )? :~
+  | rule\b (?P<rule> ~ (?P<rule_id> ID ) ~ (?: \[~ (?P<rule_strength> INT ) ~\]~ )? :(?!=)~
         (?: (?P<rule_body> LIT (?: ~&~ LIT )* ) ~ )? =>~ RULE_HEAD ~; )
   | risk\b (?P<risk> ~ (?P<risk_id> ID ) ~\{~
         (?P<risk_fields> FIELD (?: ~,~ FIELD )* ) ~\} )
-)""", ID=_ID, INT=r"-?[0-9]+\b", LIT=r"(?:!\s*)?" + _ID,
+)""", ID=_ID, INT=r"-?[0-9]+\b", LIT=_fill("(?:!~)?ID", ID=_ID),
         RWORD=rf"(?:[!()&|]|{_ID})", STRING=_STRING,
         FIELD=_fill(r"(?:FIELDS)~:~-?[0-9]+\b", FIELDS="|".join(RiskAnnotation.FIELDS)),
         ASSERT_HEAD=_head("assert_"), RULE_HEAD=_head("rule_")), re.VERBOSE | re.ASCII)
@@ -498,8 +500,6 @@ class _Matcher:
     def match_kb(self, text: str) -> KnowledgeBase | None:
         """The KB of `text`, or None at the first text _decl_re() does not
         take or the first declaration _Parser would reject."""
-        if "\f" in text or "\v" in text:  # whitespace to _GAP_RE, illegal to tokenize
-            return None
         if "//" in text:
             text = _COMMENT_RE.sub(r"\1", text)
         pattern = _decl_re()
@@ -578,13 +578,20 @@ class _Matcher:
         self.kb.risk_annotations.append(RiskAnnotation(_ident(m["risk_id"]), **values))
 
 
+_parsed_before = False  # whether this process has called parse_kb
+
+
 def parse_kb(text: str, file: str = "<input>") -> KnowledgeBase:
     """Parse one `.rights` specification. Raises ParseError on the first
     syntax error; semantic problems are left to validate_kb.
 
     The declaration matcher reads valid text; at the first text it does not
-    take, the whole text goes to tokenize and _Parser, which alone raise."""
-    kb = _Matcher().match_kb(text)
+    take, the whole text goes to tokenize and _Parser, which alone raise.
+    A process's first call goes to them straight away, so that a program
+    that parses once does not compile the matcher's pattern."""
+    global _parsed_before
+    kb = _Matcher().match_kb(text) if _parsed_before else None
+    _parsed_before = True
     return kb if kb is not None else _Parser(tokenize(text, file)).parse_kb()
 
 

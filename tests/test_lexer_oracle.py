@@ -6,10 +6,11 @@ an alphabet of the lexer's awkward characters, the same tokens and
 ParseError as the reference lexer.
 
 `dsl.parse_kb` reads valid text with its declaration matcher and hands any
-other text to `tokenize` and the token parser. A spy on `dsl.tokenize`
-shows which path read a text: the tests check that both paths run, that
-valid fixtures, README examples and benchmark KBs need no fallback, and
-that hostile inputs end in linear time."""
+other text to `tokenize` and the token parser; a process's first call skips
+the matcher, but here every call runs it. A spy on `dsl.tokenize` shows
+which path read a text: the tests check that both paths run, that valid
+fixtures, README examples and benchmark KBs need no fallback, and that
+hostile inputs end in linear time."""
 import random
 import sys
 import time
@@ -23,7 +24,7 @@ import dsl_reference as reference
 from rightsrisk import dsl
 from rightsrisk.dsl import ParseError, print_kb
 
-from kb_random import random_kb
+from kb_random import random_kb, with_collision_rules
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.rights"))
@@ -78,6 +79,12 @@ def parsed(parse_kb, text):
     except ParseError as exc:
         return failure(exc)
     return "KB", print_kb(kb), kb, [list(s.features) for s in kb.scenarios]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def matcher_at_every_call():
+    with mock.patch.object(dsl, "_parsed_before", True):
+        yield
 
 
 def fallback_spy():
@@ -135,6 +142,9 @@ EVERY_GAP = (
     ("assert promotes(a, b) in S;", False),
     ("scenario S { }", True),
     ("rule r [ -0 ]: => a;", True),
+    ("rule r :=> a;", False),               # `:=` then `>`, as tokenize reads it
+    ("rule r [1]:=> a;", False),
+    ("rule r :\n=> a;", True),
     ("basic a;\fright b;", False),           # \f and \v are no whitespace
     ("basic a;\vright b;", False),
     ("risk S { hazard: 1, hazard: 5 }", False),
@@ -150,6 +160,14 @@ def test_hand_cases_take_the_expected_path(text, matched):
         got = parsed(dsl.parse_kb, text)
     assert got == parsed(reference.parse_kb, text)
     assert spy.called is not matched
+
+
+def test_first_parse_in_a_process_skips_the_matcher():
+    with mock.patch.object(dsl, "_parsed_before", False), fallback_spy() as spy:
+        first = dsl.parse_kb("basic a;")
+        assert spy.call_count == 1
+        assert dsl.parse_kb("basic a;") == first
+        assert spy.call_count == 1
 
 
 def benchmark_workloads():
@@ -198,6 +216,25 @@ def test_printed_kbs_with_any_gaps_need_no_fallback(rng):
     assert not spy.called
     assert got == parsed(reference.parse_kb, text)
     assert got[2] == kb
+
+
+def word_char(c):
+    return c.isalnum() or c == "_"
+
+
+@given(st.randoms(use_true_random=False))
+def test_printed_kbs_with_tight_gaps_match_reference(rng):
+    """Gaps left empty wherever two words stay apart without one, so that
+    punctuation meets punctuation (`:` and `=>` lex as `:=` and `>`); the
+    text is read as the reference reads it, by either path."""
+    kb = with_collision_rules(random_kb(rng, with_extras=True), rng)
+    text = ""
+    for w in raw_words(print_kb(kb)):
+        gap = rng.choice(["", *GAPS])
+        if not gap and word_char(text[-1:] or " ") and (word_char(w[0]) or w[0] == "-"):
+            gap = " "
+        text += gap + w
+    assert parsed(dsl.parse_kb, text) == parsed(reference.parse_kb, text)
 
 
 # about 200 KB each, where a matcher that backtracks through every split of

@@ -34,7 +34,8 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("block", _blocks("text"), ids=_ids("text"))
 def test_rights_block_parses_and_validates(block):
-    with mock.patch.object(dsl, "tokenize", wraps=dsl.tokenize) as fallback:
+    with mock.patch.object(dsl, "_parsed_before", True), \
+            mock.patch.object(dsl, "tokenize", wraps=dsl.tokenize) as fallback:
         kb = parse_kb(block, file="README.md")
     assert not fallback.called
     errors = [str(d) for d in validate_kb(kb) if d.severity == "error"]
