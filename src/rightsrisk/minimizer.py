@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .engine import Engine
 # unused here, but `perfbench/spans.py` patches degree_scenario at this name
-from .scoring import degree_domain, degree_scenario, scenario_breakdown  # noqa: F401
+from .scoring import _exact_sum, degree_domain, degree_scenario, scenario_breakdown  # noqa: F401
 
 MAXIMIZER_CAP = 64
 
@@ -49,7 +49,7 @@ def _minimize_units(per_unit: dict[str, Fraction]) -> MinimizationResult:
     if positives or zeros:
         # every maximizer is the positives plus some zeros; within one
         # size, P | E sorts like E because P is fixed and disjoint from E
-        optimal = sum((per_unit[i] for i in positives), Fraction(0))
+        optimal = _exact_sum([per_unit[i] for i in positives])
         family = (frozenset(positives + extra)
                   for extra in _subsets(zeros, 0 if positives else 1))
         maximizers = list(itertools.islice(family, MAXIMIZER_CAP))

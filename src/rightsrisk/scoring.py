@@ -3,6 +3,9 @@
 A right at position x of a length-y chain weighs y/x. The impact degree of
 a scenario is the sum of adopted-occurrence weights minus the sum of
 demoted-occurrence weights; domains and purposes add up their parts.
+Each side is summed in integers over the lcm of its positions, so a
+breakdown carries exact xi, delta and degree and nothing per occurrence;
+its `per_occurrence` entries are built when read.
 Each Engine keeps one score table: a scenario is scored on first use and
 its breakdown is shared by every later reader.
 """
@@ -33,15 +36,30 @@ class OccurrenceWeight(NamedTuple):
 
 @dataclass
 class DegreeBreakdown:
-    """xi, delta and their entries. A breakdown from an Engine's score
-    table is shared, so no caller may mutate one."""
+    """Exact xi, delta and degree = xi - delta. A breakdown from an
+    Engine's score table is shared, so no caller may mutate one."""
     xi: Fraction = Fraction(0)
     delta: Fraction = Fraction(0)
-    per_occurrence: list[OccurrenceWeight] = field(default_factory=list)
+    # what `per_occurrence` is built from: a scenario's findings, or the
+    # breakdowns a sum added up
+    source: ScenarioFindings | tuple[DegreeBreakdown, ...] = field(
+        default=(), repr=False, compare=False)
+    degree: Fraction = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.degree = self.xi - self.delta
 
     @property
-    def degree(self) -> Fraction:
-        return self.xi - self.delta
+    def per_occurrence(self) -> list[OccurrenceWeight]:
+        """Each occurrence's weight y/x, built anew on every read. A
+        scenario lists its adopted entries, then its demoted ones, each
+        sorted by chain, position and right; a sum lists its parts' entries
+        part by part."""
+        source = self.source
+        if isinstance(source, ScenarioFindings):
+            return (_entries(source.scenario, source.adopted, "xi")
+                    + _entries(source.scenario, source.demoted_occurrences, "delta"))
+        return [e for part in source for e in part.per_occurrence]
 
     def add(self, other: "DegreeBreakdown") -> "DegreeBreakdown":
         return _sum((self, other))
@@ -61,6 +79,21 @@ def _entries(scenario: str, occs: Iterable[Occurrence], side: str) -> list[Occur
     return out
 
 
+def _side(occs: Iterable[Occurrence]) -> Fraction:
+    """The sum of y/x over the occurrences: the sum of y * (L // x) over L,
+    the lcm of the positions x, grown as the positions come."""
+    num, den = 0, 1
+    for _, _, x, y in occs:
+        if x < 1 or x > y:
+            raise ScoringError(f"invalid chain position <{x},{y}>")
+        if den % x:
+            grown = den // math.gcd(den, x) * x
+            num *= grown // den
+            den = grown
+        num += y * (den // x)
+    return Fraction(num, den)
+
+
 def _exact_sum(values: list[Fraction]) -> Fraction:
     """The sum in integers over the values' least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
@@ -68,10 +101,8 @@ def _exact_sum(values: list[Fraction]) -> Fraction:
 
 
 def degree_scenario(findings: ScenarioFindings) -> DegreeBreakdown:
-    xi = _entries(findings.scenario, findings.adopted, "xi")
-    delta = _entries(findings.scenario, findings.demoted_occurrences, "delta")
-    return DegreeBreakdown(_exact_sum([e.value for e in xi]),
-                           _exact_sum([e.value for e in delta]), xi + delta)
+    return DegreeBreakdown(_side(findings.adopted), _side(findings.demoted_occurrences),
+                           findings)
 
 
 def scenario_breakdown(engine: Engine, scenario_id: str) -> DegreeBreakdown:
@@ -85,10 +116,9 @@ def scenario_breakdown(engine: Engine, scenario_id: str) -> DegreeBreakdown:
 
 def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
     """A new breakdown; the parts are left as they were."""
-    parts = list(parts)
+    parts = tuple(parts)
     return DegreeBreakdown(_exact_sum([p.xi for p in parts]),
-                           _exact_sum([p.delta for p in parts]),
-                           [e for p in parts for e in p.per_occurrence])
+                           _exact_sum([p.delta for p in parts]), parts)
 
 
 def degree_domain(engine: Engine, domain_id: str) -> DegreeBreakdown:

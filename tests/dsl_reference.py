@@ -97,6 +97,13 @@ class _Parser:
     def ident(self) -> str:
         return self.expect("ident", "identifier").value
 
+    def integer(self) -> int:
+        tok = self.expect("int", "integer")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            raise ParseError(tok.span, "integer literal too long") from None
+
     def sep_list(self, item, sep: str) -> list:
         """`item { sep item }`"""
         items = [item()]
@@ -228,7 +235,7 @@ class _Parser:
         rid = self.ident()
         strength = 0
         if self.accept("lbracket"):
-            strength = int(self.expect("int", "integer").value)
+            strength = self.integer()
             self.expect("rbracket")
         self.expect("colon")
         body = [] if self.peek().kind == "arrow" else self.sep_list(self._lit, "amp")
@@ -252,7 +259,7 @@ class _Parser:
             raise ParseError(tok.span, f"duplicate risk field {tok.value!r}")
         seen.append(tok.value)
         self.expect("colon")
-        return tok.value, int(self.expect("int", "integer").value)
+        return tok.value, self.integer()
 
 
 def parse_kb(text: str, file: str = "<input>") -> KnowledgeBase:

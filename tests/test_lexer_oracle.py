@@ -116,6 +116,8 @@ def test_mutants_match_reference(name):
     'obligation o "a\\"b" applies S;', "risk S { hazard: 3, bogus: 1 }",
     "rule r: => promotes(a, b);", "rule r: => collides(a);", "scenario { }",
     "risk S { hazard: 1, hazard: 5, response: 2, intensity: 3, sensitivity: 4, vulnerability: 5 }",
+    # more digits than int() takes from a string by default
+    "rule r [" + "7" * 5000 + "]: => promotes(a);", "risk S { hazard: " + "7" * 5000 + " }",
 ])
 def test_edge_inputs_match_reference(text):
     assert lexed(dsl.tokenize, text) == lexed(reference.tokenize, text)

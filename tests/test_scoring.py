@@ -1,15 +1,19 @@
+import copy
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from rightsrisk.engine import Engine, EngineConfig
+from rightsrisk import cli, scoring
+from rightsrisk.engine import Engine, EngineConfig, Occurrence, ScenarioFindings
 from rightsrisk.minimizer import minimize_domain, minimize_purpose
 from rightsrisk.report import build_bundle
-from rightsrisk.scoring import (DegreeBreakdown, ScoringError, degree_domain,
-                                degree_purpose, degree_scenario, scenario_breakdown,
-                                weight)
+from rightsrisk.scoring import (DegreeBreakdown, OccurrenceWeight, ScoringError,
+                                degree_domain, degree_purpose, degree_scenario,
+                                scenario_breakdown, weight)
 
+from conftest import load_fixture
 from kb_random import random_kb
 
 
@@ -61,6 +65,36 @@ class TestDegreeScenario:
         assert all(isinstance(e.value, Fraction)
                    for e in breakdown.per_occurrence)
 
+    @pytest.mark.parametrize("side", ["adopted", "demoted_occurrences"])
+    def test_invalid_position_in_findings(self, side):
+        bad = frozenset({Occurrence("a", "c", 3, 2)})
+        sides = {"adopted": frozenset(), "demoted_occurrences": frozenset(), side: bad}
+        findings = ScenarioFindings("S", {}, frozenset(), [], **sides)
+        with pytest.raises(ScoringError, match=r"invalid chain position <3,2>"):
+            degree_scenario(findings)
+
+    def test_integer_sums_match_weights_over_random_kbs(self):
+        # each side against weight(x, y) added one Fraction at a time, and
+        # the entries built on read against the sides they list
+        scored = 0
+        for seed in range(60):
+            kb = random_kb(random.Random(seed), with_extras=True)
+            engine = Engine(kb)
+            for scen in kb.scenarios:
+                findings = engine.assess(scen.id)
+                b = degree_scenario(findings)
+                xi = sum((weight(o.position, o.length) for o in findings.adopted), Fraction(0))
+                delta = sum((weight(o.position, o.length)
+                             for o in findings.demoted_occurrences), Fraction(0))
+                assert (b.xi, b.delta, b.degree) == (xi, delta, xi - delta)
+                entries = b.per_occurrence
+                assert len(entries) == len(findings.adopted) + len(findings.demoted_occurrences)
+                for side, total in (("xi", xi), ("delta", delta)):
+                    assert sum((e.value for e in entries if e.side == side),
+                               Fraction(0)) == total
+                scored += bool(entries)
+        assert scored >= 100
+
     def test_sign_sanity(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -85,7 +119,7 @@ class TestDegreeDomain:
     def test_one_scenario_is_a_per_unit_degree(self, scholarship_kb):
         # the degree of a part of a domain is read per unit, as the minimizer does
         per_unit = minimize_domain(Engine(scholarship_kb), "D_scholarship").per_unit_degrees
-        assert per_unit["S_r"] == fresh_sum(scholarship_kb, EngineConfig(), ["S_r"]).degree == 0
+        assert per_unit["S_r"] == fresh_sum(scholarship_kb, EngineConfig(), ["S_r"])[0].degree == 0
 
 
 class TestDegreePurpose:
@@ -107,25 +141,30 @@ class TestDegreePurpose:
         assert total.per_occurrence == parts[0].per_occurrence + parts[1].per_occurrence
         assert (total.xi, total.delta) == (parts[0].xi + parts[1].xi,
                                            parts[0].delta + parts[1].delta)
-        assert parts[0].add(parts[1]) == total
-        assert parts[0] == degree_domain(engine, "D_clinic")
+        assert with_entries(parts[0].add(parts[1])) == with_entries(total)
+        assert with_entries(parts[0]) == with_entries(degree_domain(engine, "D_clinic"))
 
 
 class TestAdditivity:
     def test_disjoint_union(self, scholarship_kb):
         whole = degree_domain(Engine(scholarship_kb), "D_scholarship").degree
-        a = fresh_sum(scholarship_kb, EngineConfig(), ["S_d"]).degree
-        b = fresh_sum(scholarship_kb, EngineConfig(), ["S_r", "S_e"]).degree
+        a = fresh_sum(scholarship_kb, EngineConfig(), ["S_d"])[0].degree
+        b = fresh_sum(scholarship_kb, EngineConfig(), ["S_r", "S_e"])[0].degree
         assert whole == a + b
 
 
-def fresh_sum(kb, config, scenario_ids) -> DegreeBreakdown:
+def fresh_sum(kb, config, scenario_ids) -> tuple[DegreeBreakdown, list[OccurrenceWeight]]:
     """The scenarios' summed breakdown, each scored by a new Engine and
-    added up one Fraction at a time."""
+    added up one Fraction at a time, and their entries in order."""
     parts = [degree_scenario(Engine(kb, config).assess(sid)) for sid in scenario_ids]
-    return DegreeBreakdown(sum((p.xi for p in parts), Fraction(0)),
-                           sum((p.delta for p in parts), Fraction(0)),
-                           [e for p in parts for e in p.per_occurrence])
+    return (DegreeBreakdown(sum((p.xi for p in parts), Fraction(0)),
+                            sum((p.delta for p in parts), Fraction(0))),
+            [e for p in parts for e in p.per_occurrence])
+
+
+def with_entries(breakdown: DegreeBreakdown) -> tuple[DegreeBreakdown, list[OccurrenceWeight]]:
+    """A breakdown with its entries, which `==` on the breakdown leaves out."""
+    return breakdown, breakdown.per_occurrence
 
 
 class TestScoreTable:
@@ -141,12 +180,12 @@ class TestScoreTable:
                 engine = Engine(kb, config)
                 bundle = build_bundle(engine, domain_id=domain.id)
                 for sid in domain.scenarios:
-                    assert bundle.breakdowns[sid] == fresh_sum(kb, config, [sid])
+                    assert with_entries(bundle.breakdowns[sid]) == fresh_sum(kb, config, [sid])
                     assert scenario_breakdown(engine, sid) is bundle.breakdowns[sid]
-                assert bundle.total == fresh_sum(kb, config, domain.scenarios)
-                assert degree_domain(engine, domain.id) == bundle.total
+                assert with_entries(bundle.total) == fresh_sum(kb, config, domain.scenarios)
+                assert with_entries(degree_domain(engine, domain.id)) == with_entries(bundle.total)
                 assert bundle.minimization.per_unit_degrees == {
-                    sid: fresh_sum(kb, config, [sid]).degree for sid in domain.scenarios}
+                    sid: fresh_sum(kb, config, [sid])[0].degree for sid in domain.scenarios}
                 assert minimize_domain(engine, domain.id) == bundle.minimization
             for purpose in kb.purposes:
                 purposes += 1
@@ -154,12 +193,12 @@ class TestScoreTable:
                 engine = Engine(kb, config)
                 bundle = build_bundle(engine, purpose_id=purpose.id)
                 for sid in bundle.findings:
-                    assert bundle.breakdowns[sid] == fresh_sum(kb, config, [sid])
-                assert bundle.total == fresh_sum(
+                    assert with_entries(bundle.breakdowns[sid]) == fresh_sum(kb, config, [sid])
+                assert with_entries(bundle.total) == fresh_sum(
                     kb, config, [sid for did in purpose.domains for sid in members[did]])
-                assert degree_purpose(engine, purpose.id) == bundle.total
+                assert with_entries(degree_purpose(engine, purpose.id)) == with_entries(bundle.total)
                 assert bundle.minimization.per_unit_degrees == {
-                    did: fresh_sum(kb, config, sids).degree for did, sids in members.items()}
+                    did: fresh_sum(kb, config, sids)[0].degree for did, sids in members.items()}
                 assert minimize_purpose(engine, purpose.id) == bundle.minimization
         assert purposes >= 10
 
@@ -167,11 +206,10 @@ class TestScoreTable:
         engine = Engine(triage_kb)
         before = {sid: scenario_breakdown(engine, sid) for sid in
                   ("S_routine", "S_emergency", "S_outbreak")}
-        copies = {sid: DegreeBreakdown(b.xi, b.delta, list(b.per_occurrence))
-                  for sid, b in before.items()}
+        copies = {sid: (copy.copy(b), b.per_occurrence) for sid, b in before.items()}
         degree_purpose(engine, "P_triage")
         degree_domain(engine, "D_clinic").add(degree_domain(engine, "D_population"))
-        assert before == copies
+        assert {sid: with_entries(b) for sid, b in before.items()} == copies
         assert engine.breakdowns == before
 
     def test_weight_is_cached_and_still_checked(self):
@@ -179,3 +217,26 @@ class TestScoreTable:
         for _ in range(2):
             with pytest.raises(ScoringError):
                 weight(4, 3)
+
+
+class TestEntriesOnRead:
+    """Scoring builds no per-occurrence record or weight until something
+    reads `per_occurrence`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fria", "scholarship.rights", "--format", "json", "--fixed-time", "2026-01-01T00:00:00Z"],
+        ["fria", "triage.rights", "--gpai", "--fixed-time", "2026-01-01T00:00:00Z"],
+        ["assess", "triage.rights", "--purpose", "P_triage"],
+        ["minimize", "scholarship.rights"],
+    ], ids=["fria-json", "fria-gpai", "assess-purpose", "minimize"])
+    def test_commands_build_no_entries(self, capsys, fixtures_dir, argv):
+        argv = [str(fixtures_dir / a) if a.endswith(".rights") else a for a in argv]
+        with mock.patch.object(scoring, "_entries", wraps=scoring._entries) as entries, \
+                mock.patch.object(scoring, "weight", wraps=scoring.weight) as weights:
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out
+            assert not entries.called and not weights.called
+            # the spies are the ones a read goes through
+            engine = Engine(load_fixture("scholarship.rights"))
+            assert degree_domain(engine, "D_scholarship").per_occurrence
+            assert entries.called and weights.called
