@@ -5,8 +5,9 @@ Usage: python scripts/scaling.py [--sizes 150 600 2400] [--out BENCH.json]
 
 Each knowledge base comes from `perfbench/gen.py` with the benchmark's
 `fria_wide` shape, except `refine=0.2`, at seed 1 and S scenarios. For each
-S the record holds the best of 3 in-process `fria --format json` calls, and
-the best of 3 runs of the stages that call is made of, timed one by one:
+S the record holds the median of 5 in-process `fria --format json` calls,
+and the median of 5 runs of each stage that call is made of, timed one by
+one:
 
   parse_kb      text to knowledge base
   validate_kb   one validation
@@ -16,9 +17,10 @@ the best of 3 runs of the stages that call is made of, timed one by one:
   build_report  the report from the bundle
   render        the report as JSON
 
-The sizes sit outside the benchmark's gated workloads, so nothing here is
-a pass or fail bound. A Markdown table goes to stdout; `--out` also writes
-the record as JSON.
+A median is taken, not a best: on a shared machine the best of a few
+calls still swings by half from run to run. The sizes sit outside the
+benchmark's gated workloads, so nothing here is a pass or fail bound. A
+Markdown table goes to stdout; `--out` also writes the record as JSON.
 """
 import argparse
 import contextlib
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -47,7 +50,7 @@ from rightsrisk.scoring import degree_scenario             # noqa: E402
 
 SEED = 1
 REFINE = 0.2
-REPEATS = 3
+REPEATS = 5
 FIXED_TIME = "2026-01-01T00:00:00+00:00"
 STAGES = ("parse_kb", "validate_kb", "assess", "scoring", "build_bundle",
           "build_report", "render")
@@ -98,10 +101,10 @@ def measure(scenarios: int, workdir: str) -> dict:
     path = os.path.join(workdir, f"fria_wide-{scenarios}.rights")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    fria = min(fria_seconds(path) for _ in range(REPEATS))
+    fria = statistics.median(fria_seconds(path) for _ in range(REPEATS))
     runs = [stage_times(text) for _ in range(REPEATS)]
     return {"scenarios": scenarios, "fria_s": fria,
-            "stages_s": {s: min(r[s] for r in runs) for s in STAGES}}
+            "stages_s": {s: statistics.median(r[s] for r in runs) for s in STAGES}}
 
 
 def table(rows: list[dict]) -> str:
@@ -123,7 +126,7 @@ def main() -> int:
     record = {"shape": f"fria_wide, refine={REFINE}, seed {SEED}",
               "python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)),
-              "repeats": REPEATS, "unit": "s, best of repeats", "sizes": rows}
+              "repeats": REPEATS, "unit": "s, median of repeats", "sizes": rows}
     print(table(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

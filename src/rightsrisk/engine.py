@@ -4,6 +4,12 @@ Fires every rule whose body the scenario's features satisfy, resolves
 promotion/demotion conflicts by rule strength with ambiguity blocking,
 derives contextual and logical collisions, and walks each fired chain
 rule's priority sequence with the generalized adoption rule.
+
+A unary conclusion (`promotes`, `demotes`, `not_demotes`) is keyed by its
+right id, a `collides`/`not_collides` one by its unordered pair. Only the
+in-scope rights that have links in the atom index are paired for logical
+collisions, and adoption tests a pair only when the scenario has
+collisions.
 """
 from __future__ import annotations
 
@@ -28,6 +34,11 @@ class Status(Enum):
     PROMOTED = "Promoted"
     DEMOTED = "Demoted"
     UNDEFINED = "Undefined"
+
+
+# the members under plain names: each `Status.X` is a lookup through the
+# enum class, several times dearer than a global one
+PROMOTED, DEMOTED, UNDEFINED = Status.PROMOTED, Status.DEMOTED, Status.UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -101,20 +112,29 @@ def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
     return contained
 
 
-def _strongest(fired: list[Rule], kinds: tuple[str, ...]) -> dict[tuple[str, frozenset[str]], int]:
+def _key(head) -> str | frozenset[str]:
+    """A conclusion's key within its kind: a unary conclusion's right id, or
+    the unordered pair of a `collides`/`not_collides` one."""
+    return frozenset(head.rights) if head.kind in BINARY_PREDS else head.rights[0]
+
+
+def _strongest(fired: list[Rule], kinds: tuple[str, ...]) -> dict[tuple[str, str | frozenset[str]], int]:
     """The strongest strength of each fired conclusion of the given kinds,
-    keyed by (kind, rights), in first-fired order."""
-    best: dict[tuple[str, frozenset[str]], int] = {}
+    keyed by (kind, `_key`), in first-fired order."""
+    best: dict[tuple[str, str | frozenset[str]], int] = {}
     for f in fired:
-        if f.head.kind in kinds:
-            key = (f.head.kind, frozenset(f.head.rights))
-            best[key] = max(best.get(key, f.strength), f.strength)
+        kind = f.head.kind
+        if kind in kinds:
+            key = (kind, _key(f.head))
+            strength = best.get(key)
+            if strength is None or f.strength > strength:
+                best[key] = f.strength
     return best
 
 
-def _concluding(rules: list[Rule], kind: str, rights: frozenset[str]) -> list[Rule]:
-    """The rules concluding `kind` over exactly these rights, in order."""
-    return [r for r in rules if r.head.kind == kind and frozenset(r.head.rights) == rights]
+def _concluding(rules: list[Rule], kind: str, key: str | frozenset[str]) -> list[Rule]:
+    """The rules concluding `kind` over the right or pair `key`, in order."""
+    return [r for r in rules if r.head.kind == kind and _key(r.head) == key]
 
 
 class Engine:
@@ -182,24 +202,25 @@ class Engine:
         best = _strongest(fired, UNARY_PREDS)
         statuses: dict[str, Status] = {}
         diags: list[Diagnostic] = []
-        for key in dict.fromkeys(rights for _, rights in best):
-            pmax = best.get(("promotes", key))
-            dmax = best.get(("demotes", key))
-            bar = best.get(("not_demotes", key))
+        for _, right in best:
+            if right in statuses:
+                continue
+            pmax = best.get(("promotes", right))
+            dmax = best.get(("demotes", right))
+            bar = best.get(("not_demotes", right))
             if bar is not None and dmax is not None and dmax <= bar:
                 dmax = None
-            (right,) = key
-            statuses[right] = Status.UNDEFINED
             if pmax == dmax:
+                statuses[right] = UNDEFINED
                 if pmax is not None:
                     diags.append(Diagnostic(
                         "warning", "ambiguity",
                         f"right {right!r}: promote and demote conclusions tie "
                         f"at strength {pmax}; status undefined"))
             elif dmax is None or (pmax is not None and pmax > dmax):
-                statuses[right] = Status.PROMOTED
+                statuses[right] = PROMOTED
             else:
-                statuses[right] = Status.DEMOTED
+                statuses[right] = DEMOTED
         return statuses, diags
 
     # -- collisions ---------------------------------------------------------
@@ -233,16 +254,28 @@ class Engine:
                           fired: list[Rule]) -> frozenset[frozenset[str]]:
         best = _strongest(fired, BINARY_PREDS)
         candidates = {pair: s for (kind, pair), s in best.items() if kind == "collides"}
-        rights = sorted(statuses)
-        for r in rights:
-            if r not in self._linked:
+        linked = self._linked
+        for r in statuses:
+            if r not in linked:
                 self._link(r)
-        pairs = [frozenset((r, o)) for r in rights for o in self._linked[r]
+        # linking a right may give links to one linked before it
+        pairs = [frozenset((r, o)) for r in sorted(r for r in statuses if linked[r])
+                 for o in linked[r]
                  if r < o and o in statuses and self._pair_incompatible(r, o)]
         if self.config.derived_collision:
-            promoted, demoted = ([r for r in rights if statuses[r] is status]
-                                 for status in (Status.PROMOTED, Status.DEMOTED))
-            pairs += [frozenset((p, d)) for p in promoted for d in demoted]
+            promoted: list[str] = []
+            demoted: list[str] = []
+            for r, status in statuses.items():
+                if status is PROMOTED:
+                    promoted.append(r)
+                elif status is DEMOTED:
+                    demoted.append(r)
+            if promoted and demoted:
+                promoted.sort()
+                demoted.sort()
+                pairs += [frozenset((p, d)) for p in promoted for d in demoted]
+        if not best:  # no collides or not_collides fired
+            return frozenset(pairs)
         for pair in pairs:
             candidates[pair] = max(candidates.get(pair, 0), 0)
         # a not_collides of equal or greater strength removes the pair
@@ -260,11 +293,16 @@ class Engine:
         length = len(rights)
         adopted: list[Occurrence] = []
         for x, right in enumerate(rights, start=1):
-            if statuses.get(right) == Status.DEMOTED:
+            if statuses.get(right) is DEMOTED:
                 continue
-            if any(frozenset((right, prev.right)) in collisions for prev in adopted):
-                continue
-            adopted.append(Occurrence(right, chain_id, x, length))
+            if collisions:  # else no pair can block
+                for prev in adopted:
+                    if frozenset((right, prev.right)) in collisions:
+                        break
+                else:
+                    adopted.append(Occurrence(right, chain_id, x, length))
+            else:
+                adopted.append(Occurrence(right, chain_id, x, length))
         return adopted
 
     # -- scenario assessment ------------------------------------------------
@@ -277,13 +315,15 @@ class Engine:
 
         # rights in scope: everything the fired conclusions mention (an
         # assert's rule always fires in its own scenario)
+        fired_chains: list[Rule] = []
         for f in fired:
+            if f.head.kind == "chain":
+                fired_chains.append(f)
             for right in f.head.rights:
-                statuses.setdefault(right, Status.UNDEFINED)
+                if right not in statuses:
+                    statuses[right] = UNDEFINED
 
         collisions = self.derive_collisions(statuses, fired)
-
-        fired_chains = [f for f in fired if f.head.kind == "chain"]
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []
@@ -291,17 +331,18 @@ class Engine:
         for chain in fired_chains:
             rights = chain.head.rights
             chained_rights.update(rights)
-            adopted.extend(self.adopt(chain.id, rights, statuses, collisions))
+            adopted += self.adopt(chain.id, rights, statuses, collisions)
             for x, right in enumerate(rights, start=1):
-                if statuses.get(right) == Status.DEMOTED:
+                if statuses[right] is DEMOTED:
                     demoted.append(Occurrence(right, chain.id, x, len(rights)))
 
         # singleton convention: chainless rights count as length-1 chains
-        for right in sorted(statuses.keys() - chained_rights):
-            if statuses[right] == Status.PROMOTED:
-                adopted.append(Occurrence(right, SINGLETON, 1, 1))
-            elif statuses[right] == Status.DEMOTED:
-                demoted.append(Occurrence(right, SINGLETON, 1, 1))
+        singles = [r for r, status in statuses.items()
+                   if status is not UNDEFINED and r not in chained_rights]
+        singles.sort()
+        for right in singles:
+            side = adopted if statuses[right] is PROMOTED else demoted
+            side.append(Occurrence(right, SINGLETON, 1, 1))
 
         findings = ScenarioFindings(
             scenario=scenario_id,
@@ -398,13 +439,12 @@ class Engine:
         return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
-        rights = frozenset((right,))
-        hits = _concluding(self._firings(scenario_id), kind, rights)
+        hits = _concluding(self._firings(scenario_id), kind, right)
         if hits:
             best = max(hits, key=lambda f: f.strength)
             return Explanation(True, self._pred_trace(scenario_id, best))
         return Explanation(False, blocked=self._nearest_blocked(
-            scenario_id, kind, rights, f"{kind}({right})"))
+            scenario_id, kind, right, f"{kind}({right})"))
 
     def _explain_collision(self, scenario_id: str, kind: str,
                            pair: frozenset[str]) -> Explanation:
@@ -435,7 +475,7 @@ class Engine:
                     if o.right == right), None)
         if occ is None:
             status = findings.statuses.get(right)
-            if status == Status.DEMOTED:
+            if status is DEMOTED:
                 blocked = f"{right!r} is demoted in {scenario_id}"
             elif status is None:
                 blocked = f"{right!r} is not in scope of {scenario_id}"
@@ -454,7 +494,7 @@ class Engine:
         premises = [DerivationTrace(f"chain {chain.head} fired", chain.id)]
         predecessors_demoted = True
         for prev in chain.head.rights[:occ.position - 1]:
-            if findings.statuses.get(prev) == Status.DEMOTED:
+            if findings.statuses.get(prev) is DEMOTED:
                 sub = self._explain_pred(scenario_id, "demotes", prev)
                 if sub.trace:
                     premises.append(sub.trace)
@@ -469,10 +509,10 @@ class Engine:
         return Explanation(True, DerivationTrace(
             f"choice({scenario_id}, {right})", rule, tuple(premises)))
 
-    def _nearest_blocked(self, scenario_id: str, kind: str, rights: frozenset[str],
+    def _nearest_blocked(self, scenario_id: str, kind: str, key: str | frozenset[str],
                          label: str) -> str:
         scen = self._scenario(scenario_id)
-        candidates = _concluding(self._rules, kind, rights)
+        candidates = _concluding(self._rules, kind, key)
         if not candidates:
             return f"not derivable: no rule concludes {label}"
         best = min(candidates,

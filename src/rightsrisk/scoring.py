@@ -3,9 +3,11 @@
 A right at position x of a length-y chain weighs y/x. The impact degree of
 a scenario is the sum of adopted-occurrence weights minus the sum of
 demoted-occurrence weights; domains and purposes add up their parts.
-Each side is summed in integers over the lcm of its positions, so a
-breakdown carries exact xi, delta and degree and nothing per occurrence;
-its `per_occurrence` entries are built when read.
+Each side is summed in integers over the lcm of its positions, and a
+scenario's xi, delta and degree are each one `Fraction` made from those
+integer sums (an empty side is a shared zero), so a breakdown carries
+exact numbers and nothing per occurrence; its `per_occurrence` entries
+are built when read.
 Each Engine keeps one score table: a scenario is scored on first use and
 its breakdown is shared by every later reader.
 """
@@ -24,6 +26,9 @@ class ScoringError(ValueError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
 class OccurrenceWeight(NamedTuple):
     scenario: str
     right: str
@@ -38,16 +43,17 @@ class OccurrenceWeight(NamedTuple):
 class DegreeBreakdown:
     """Exact xi, delta and degree = xi - delta. A breakdown from an
     Engine's score table is shared, so no caller may mutate one."""
-    xi: Fraction = Fraction(0)
-    delta: Fraction = Fraction(0)
+    xi: Fraction = _ZERO
+    delta: Fraction = _ZERO
     # what `per_occurrence` is built from: a scenario's findings, or the
     # breakdowns a sum added up
     source: ScenarioFindings | tuple[DegreeBreakdown, ...] = field(
         default=(), repr=False, compare=False)
-    degree: Fraction = field(init=False)
+    degree: Fraction | None = None  # xi - delta, worked out here when not given
 
     def __post_init__(self) -> None:
-        self.degree = self.xi - self.delta
+        if self.degree is None:
+            self.degree = self.xi - self.delta
 
     @property
     def per_occurrence(self) -> list[OccurrenceWeight]:
@@ -79,9 +85,10 @@ def _entries(scenario: str, occs: Iterable[Occurrence], side: str) -> list[Occur
     return out
 
 
-def _side(occs: Iterable[Occurrence]) -> Fraction:
-    """The sum of y/x over the occurrences: the sum of y * (L // x) over L,
-    the lcm of the positions x, grown as the positions come."""
+def _side(occs: Iterable[Occurrence]) -> tuple[int, int]:
+    """The sum of y/x over the occurrences as (numerator, L): the sum of
+    y * (L // x) over L, the lcm of the positions x, grown as the positions
+    come."""
     num, den = 0, 1
     for _, _, x, y in occs:
         if x < 1 or x > y:
@@ -91,7 +98,7 @@ def _side(occs: Iterable[Occurrence]) -> Fraction:
             num *= grown // den
             den = grown
         num += y * (den // x)
-    return Fraction(num, den)
+    return num, den
 
 
 def _exact_sum(values: list[Fraction]) -> Fraction:
@@ -101,8 +108,13 @@ def _exact_sum(values: list[Fraction]) -> Fraction:
 
 
 def degree_scenario(findings: ScenarioFindings) -> DegreeBreakdown:
-    return DegreeBreakdown(_side(findings.adopted), _side(findings.demoted_occurrences),
-                           findings)
+    xn, xd = _side(findings.adopted)
+    dn, dd = _side(findings.demoted_occurrences)
+    xi = Fraction(xn, xd) if xn else _ZERO
+    if not dn:
+        return DegreeBreakdown(xi, _ZERO, findings, xi)
+    return DegreeBreakdown(xi, Fraction(dn, dd), findings,
+                           Fraction(xn * dd - dn * xd, xd * dd))
 
 
 def scenario_breakdown(engine: Engine, scenario_id: str) -> DegreeBreakdown:

@@ -8,7 +8,8 @@ import pytest
 from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb, print_kb
-from rightsrisk.engine import Engine, EngineConfig, Occurrence, Status
+from rightsrisk.engine import (Engine, EngineConfig, Occurrence, ScenarioFindings,
+                               Status)
 from rightsrisk.minimizer import minimize_domain
 from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
                               Diagnostic, FeatureLiteral, ModelError, PredHead,
@@ -330,6 +331,41 @@ def naive_collisions(self, statuses, fired):
     return frozenset(result)
 
 
+def naive_assess(engine, scenario_id):
+    """Reference findings, as `Engine.assess` once built them: the statuses
+    and collisions above over the Engine's firing, scope widened in fired
+    order, each fired chain walked with a `frozenset` test per (right,
+    adopted right) pair, then the singleton convention for the rights in no
+    fired chain."""
+    fired = engine.fire_rules(scenario_id)
+    statuses, diags = naive_statuses(fired)
+    for f in fired:
+        for right in f.head.rights:
+            statuses.setdefault(right, Status.UNDEFINED)
+    collisions = naive_collisions(engine, statuses, fired)
+    chains = [f for f in fired if isinstance(f.head, ChainHead)]
+    adopted, demoted, chained = set(), set(), set()
+    for chain in chains:
+        rights = chain.head.rights
+        chained.update(rights)
+        taken = []
+        for x, right in enumerate(rights, start=1):
+            occurrence = Occurrence(right, chain.id, x, len(rights))
+            if statuses[right] == Status.DEMOTED:
+                demoted.add(occurrence)
+            elif all(frozenset((right, prev)) not in collisions for prev in taken):
+                taken.append(right)
+                adopted.add(occurrence)
+    for right in statuses.keys() - chained:
+        single = Occurrence(right, "singleton", 1, 1)
+        if statuses[right] == Status.PROMOTED:
+            adopted.add(single)
+        elif statuses[right] == Status.DEMOTED:
+            demoted.add(single)
+    return ScenarioFindings(scenario_id, statuses, collisions, chains,
+                            frozenset(adopted), frozenset(demoted), diags)
+
+
 def collision_kb(seed):
     """A refinement KB with extra collides, not_collides and unary rules at
     strengths -3..3."""
@@ -343,8 +379,8 @@ TOGGLES = [EngineConfig(derived, monotonicity)
 
 
 class TestStatusCollisionOracle:
-    """`resolve_statuses` and `derive_collisions` against the reference
-    versions kept above."""
+    """`resolve_statuses`, `derive_collisions` and the whole of `assess`
+    against the reference versions kept above."""
 
     @pytest.mark.parametrize("seed", range(150))
     def test_random_kbs(self, seed):
@@ -360,6 +396,20 @@ class TestStatusCollisionOracle:
                 findings = engine.assess(scen.id)
                 assert findings.collisions == naive_collisions(
                     engine, findings.statuses, fired), scen.id
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_assess_matches_reference(self, seed):
+        kb = collision_kb(seed)
+        for config in TOGGLES:
+            engine = Engine(kb, config)
+            for scen in kb.scenarios:
+                got, expected = engine.assess(scen.id), naive_assess(engine, scen.id)
+                assert list(got.statuses.items()) == list(expected.statuses.items()), scen.id
+                assert got.collisions == expected.collisions, scen.id
+                assert got.fired_chains == expected.fired_chains, scen.id
+                assert got.adopted == expected.adopted, scen.id
+                assert got.demoted_occurrences == expected.demoted_occurrences, scen.id
+                assert got.diagnostics == expected.diagnostics, scen.id
 
     def test_kbs_tie_block_and_collide_below_zero(self):
         """The seeds above tie statuses, block collisions with not_collides
@@ -703,6 +753,27 @@ class TestAdopt:
         collisions = frozenset({frozenset({"B", "C"})})
         adopted = Engine.adopt("c", ("A", "B", "C"), statuses, collisions)
         assert [(o.right, o.position) for o in adopted] == [("B", 2)]
+
+    def test_collision_with_a_skipped_right_does_not_block(self):
+        """C collides only with B, which a collision with A skipped."""
+        statuses = {r: Status.UNDEFINED for r in "ABC"}
+        collisions = frozenset({frozenset("AB"), frozenset("BC")})
+        adopted = Engine.adopt("c", ("A", "B", "C"), statuses, collisions)
+        assert [(o.right, o.position) for o in adopted] == [("A", 1), ("C", 3)]
+
+    def test_collision_with_a_demoted_right_does_not_block(self):
+        statuses = {"A": Status.DEMOTED, "B": Status.PROMOTED}
+        collisions = frozenset({frozenset("AB")})
+        adopted = Engine.adopt("c", ("A", "B"), statuses, collisions)
+        assert [(o.right, o.position) for o in adopted] == [("B", 2)]
+
+    def test_collisions_outside_the_chain_change_nothing(self):
+        statuses = {r: Status.PROMOTED for r in "ABCXY"}
+        rights = ("A", "B", "C")
+        collisions = frozenset({frozenset("XY"), frozenset("AX")})
+        adopted = Engine.adopt("c", rights, statuses, collisions)
+        assert adopted == Engine.adopt("c", rights, statuses, frozenset())
+        assert [o.right for o in adopted] == ["A", "B", "C"]
 
     def test_first_survivor_property(self):
         rights = ("A", "B", "C", "D")

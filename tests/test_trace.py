@@ -1,7 +1,7 @@
 """The benchmark's span tracer (`perfbench/spans.py`) patches the program
 where its callers look functions up. One traced `fria` checks that every
-such lookup site still exists, and that a run validates once and scores
-each scenario once."""
+such lookup site still exists, that a run validates once and scores
+each scenario once, and that each assessment's stages are traced."""
 import contextlib
 import importlib.util
 import io
@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import load_fixture
 from rightsrisk import cli, dsl, engine, minimizer, report, scoring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,3 +83,11 @@ def test_one_traced_fria(selector, scenarios):
     calls = Counter(span[0] for span in tracer.spans)
     assert calls["model.validate"] == 1
     assert calls["report.build_bundle"] == 1
+    # each stage of an assessment gets its own span, so none of the
+    # per-stage metrics reads 0 while its work runs inside `engine.assess`
+    computed = tracer.counts[0]["engine.assess_computed"]
+    assert computed == len(scenarios)
+    assert calls["engine.resolve"] == calls["engine.collisions"] == computed
+    fresh = engine.Engine(load_fixture("triage.rights"))
+    assert calls["engine.adopt"] == sum(len(fresh.assess(sid).fired_chains)
+                                        for sid in scenarios) > 0
