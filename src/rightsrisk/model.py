@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 
@@ -201,20 +202,16 @@ class KnowledgeBase:
         """Explicit rules plus one desugared rule per assert statement.
 
         An assert's rule body is exactly the named scenario's feature
-        conjunction, in sorted order so the expansion is deterministic.
+        conjunction, in sorted order so the expansion is deterministic; the
+        asserts of one scenario share one body tuple. An assert over an
+        unknown scenario is skipped (validate_kb reports it), but still
+        counts in the `assert#i` ids.
         """
         scenarios = self.scenarios_by_id()
-        bodies: dict[str, tuple[FeatureLiteral, ...]] = {}
-        rules = list(self.rules)
-        for i, a in enumerate(self.assertions):
-            body = bodies.get(a.scenario)
-            if body is None:
-                scen = scenarios.get(a.scenario)
-                if scen is None:
-                    continue  # reported by validate_kb
-                body = bodies[a.scenario] = tuple(sorted(scen.features))
-            rules.append(Rule(f"assert#{i}@{a.scenario}", body, a.head))
-        return rules
+        bodies = {sid: tuple(sorted(scenarios[sid].features))
+                  for sid in {a.scenario for a in self.assertions} if sid in scenarios}
+        return list(self.rules) + [Rule(f"assert#{i}@{a.scenario}", bodies[a.scenario], a.head)
+                                   for i, a in enumerate(self.assertions) if a.scenario in bodies]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +496,8 @@ def logically_incompatible(rights: CompiledRights, r1: str, r2: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def _dup_diags(kind: str, ids: list[str]) -> list[Diagnostic]:
+    if len(set(ids)) == len(ids):
+        return []
     seen: set[str] = set()
     out = []
     for i in ids:
@@ -507,6 +506,9 @@ def _dup_diags(kind: str, ids: list[str]) -> list[Diagnostic]:
                                   f"duplicate {kind} {i!r}"))
         seen.add(i)
     return out
+
+
+_atom = itemgetter(0)  # FeatureLiteral.atom, read in C
 
 
 def _polarity_diags(where: str, lits: Iterable[FeatureLiteral]) -> list[Diagnostic]:
@@ -518,11 +520,27 @@ def _polarity_diags(where: str, lits: Iterable[FeatureLiteral]) -> list[Diagnost
             for a, pols in sorted(atoms.items()) if len(pols) == 2]
 
 
+def _head_diags(where: str, head: Head, declared_rights: set[str]) -> list[Diagnostic]:
+    chain = head.kind == "chain"
+    in_chain = " in chain" if chain else ""
+    out = [Diagnostic("error", "unknown-right", f"{where}: unknown right {rid!r}{in_chain}")
+           for rid in head.rights if rid not in declared_rights]
+    if len(set(head.rights)) != len(head.rights):
+        code, text = (("duplicate-chain-right", "chain repeats a right") if chain
+                      else ("self-collision", f"{head.kind} needs two distinct rights"))
+        out.append(Diagnostic("error", code, f"{where}: {text}"))
+    return out
+
+
 def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     """All referential, duplicate, polarity, and range violations.
 
     Returns an empty list iff the knowledge base is well-formed. Never
-    raises: diagnostics are the output.
+    raises: diagnostics are the output. Each id list, scenario, rule body
+    and head is first screened by a cheap exact test, which passes iff its
+    detailed check would find nothing. Only a record that fails its screen
+    gets its location text built and its detailed check run, so a valid
+    scenario, rule or assert costs no string.
     """
     diags: list[Diagnostic] = []
     diags += _dup_diags("basic right", [b.id for b in kb.basic_rights])
@@ -547,21 +565,29 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     for r in kb.rights:
         if r.definition is None:
             continue
-        for atom in sorted(expr_atoms(r.definition)):
-            if atom not in declared_rights:
-                diags.append(Diagnostic(
-                    "error", "unknown-right",
-                    f"right {r.id!r}: definition references undeclared right {atom!r}"))
+        atoms = expr_atoms(r.definition)
+        if not declared_rights.issuperset(atoms):
+            for atom in sorted(atoms):
+                if atom not in declared_rights:
+                    diags.append(Diagnostic(
+                        "error", "unknown-right",
+                        f"right {r.id!r}: definition references undeclared right {atom!r}"))
         try:
             expand(r.id)
         except ModelError as exc:
             diags.append(Diagnostic("error", "recursive-definition", str(exc)))
 
+    # The literals of a feature set are distinct, so it has fewer atoms than
+    # literals iff some atom comes with both polarities. A body may repeat a
+    # literal (`x & x`); the screen then fails and the detailed check finds
+    # nothing, as it should.
     for s in kb.scenarios:
-        if not s.features:
+        features = s.features
+        if not features:
             diags.append(Diagnostic("error", "empty-scenario",
                                     f"scenario {s.id!r} has no features"))
-        diags += _polarity_diags(f"scenario {s.id!r}", s.features)
+        elif len(set(map(_atom, features))) < len(features):
+            diags += _polarity_diags(f"scenario {s.id!r}", features)
 
     for d in kb.domains:
         for sid in d.scenarios:
@@ -582,27 +608,22 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             diags.append(Diagnostic("error", "unknown-scenario",
                                     f"obligation {o.id!r} applies to unknown scenario {o.applies_to!r}"))
 
-    def check_head(where: str, head: Head) -> None:
-        chain = head.kind == "chain"
-        in_chain = " in chain" if chain else ""
-        for rid in head.rights:
-            if rid not in declared_rights:
-                diags.append(Diagnostic("error", "unknown-right",
-                                        f"{where}: unknown right {rid!r}{in_chain}"))
-        if len(set(head.rights)) != len(head.rights):
-            code, text = (("duplicate-chain-right", "chain repeats a right") if chain
-                          else ("self-collision", f"{head.kind} needs two distinct rights"))
-            diags.append(Diagnostic("error", code, f"{where}: {text}"))
-
+    # A head passes when it names only declared rights, none twice.
     for a in kb.assertions:
         if a.scenario not in scen_ids:
             diags.append(Diagnostic("error", "unknown-scenario",
                                     f"assert references unknown scenario {a.scenario!r}"))
-        check_head(f"assert in {a.scenario!r}", a.head)
+        named = a.head.rights
+        if not declared_rights.issuperset(named) or len(named) > 1 and len(set(named)) < len(named):
+            diags += _head_diags(f"assert in {a.scenario!r}", a.head, declared_rights)
 
     for rule in kb.rules:
-        diags += _polarity_diags(f"rule {rule.id!r} body", rule.body)
-        check_head(f"rule {rule.id!r}", rule.head)
+        body = rule.body
+        if len(set(map(_atom, body))) < len(body):
+            diags += _polarity_diags(f"rule {rule.id!r} body", body)
+        named = rule.head.rights
+        if not declared_rights.issuperset(named) or len(named) > 1 and len(set(named)) < len(named):
+            diags += _head_diags(f"rule {rule.id!r}", rule.head, declared_rights)
 
     for ann in kb.risk_annotations:
         if ann.scenario not in scen_ids:
@@ -613,6 +634,9 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             if value is None:
                 diags.append(Diagnostic("error", "missing-risk-field",
                                         f"risk {ann.scenario!r}: missing field {name!r}"))
+            elif not isinstance(value, int):
+                diags.append(Diagnostic("error", "risk-range",
+                                        f"risk {ann.scenario!r}: {name} = {value!r} is not an integer"))
             elif not 1 <= value <= 5:
                 diags.append(Diagnostic("error", "risk-range",
                                         f"risk {ann.scenario!r}: {name} = {value} outside 1..5"))

@@ -2,24 +2,29 @@ import functools
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, load_fixture
+from kb_random import random_kb
 from rightsrisk import model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, Occurrence
 from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledRights,
-                              FeatureLiteral, KnowledgeBase, FundamentalRight,
-                              ModelError, OrExpr, PredHead,
-                              RightRef, Rule, Scenario, TRUTH_TABLE_ATOMS,
-                              expand_right, expr_atoms, jointly_satisfiable,
-                              logically_incompatible, satisfies, validate_kb,
-                              NotExpr)
+                              DeploymentDomain, Diagnostic, FeatureLiteral,
+                              Head, KnowledgeBase, FundamentalRight, ModelError,
+                              Obligation, OrExpr, PredHead, Purpose, RightRef,
+                              RiskAnnotation, Rule, Scenario, TRUTH_TABLE_ATOMS,
+                              _expander, expand_right, expr_atoms,
+                              jointly_satisfiable, logically_incompatible,
+                              satisfies, validate_kb, NotExpr)
 from rightsrisk.scoring import OccurrenceWeight, degree_scenario
 
 
@@ -75,6 +80,22 @@ class TestAllRules:
         assert rules[0].body == rules[2].body == (lit("b"), lit("!x"), lit("y"))
         assert rules[1].body == ()
         assert [r.head for r in rules] == [kb.assertions[i].head for i in (0, 2, 3)]
+
+    def test_skipped_assert_still_counts_in_ids(self):
+        head = PredHead("promotes", ("a",))
+        kb = KnowledgeBase(scenarios=[Scenario("S", lits("x"))],
+                           assertions=[AssertStmt("Nowhere", head), AssertStmt("S", head),
+                                       AssertStmt("Gone", head), AssertStmt("S", head)])
+        assert [r.id for r in kb.all_rules()] == ["assert#1@S", "assert#3@S"]
+
+    def test_duplicate_scenario_body_comes_from_first_declaration(self):
+        kb = KnowledgeBase(scenarios=[Scenario("T", lits("z")), Scenario("S", lits("y", "!x")),
+                                      Scenario("S", lits("w"))],
+                           assertions=[AssertStmt("S", PredHead("promotes", ("a",))),
+                                       AssertStmt("S", PredHead("demotes", ("a",)))])
+        first, second = kb.all_rules()
+        assert first.body == (lit("!x"), lit("y"))
+        assert second.body is first.body  # the Engine's rule index files it once
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -476,3 +497,307 @@ class TestValidateKb:
     def test_idempotent(self, scholarship_kb):
         first = validate_kb(scholarship_kb)
         assert validate_kb(scholarship_kb) == first
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for validation: the screened `validate_kb` against the
+# unscreened version, kept here as it was, with its two helpers.
+# ---------------------------------------------------------------------------
+
+def naive_dup_diags(kind: str, ids: list[str]) -> list[Diagnostic]:
+    seen: set[str] = set()
+    out = []
+    for i in ids:
+        if i in seen:
+            out.append(Diagnostic("error", "duplicate-id",
+                                  f"duplicate {kind} {i!r}"))
+        seen.add(i)
+    return out
+
+
+def naive_polarity_diags(where: str, lits: Iterable[FeatureLiteral]) -> list[Diagnostic]:
+    atoms: dict[str, set[bool]] = {}
+    for lit in lits:
+        atoms.setdefault(lit.atom, set()).add(lit.positive)
+    return [Diagnostic("error", "polarity-conflict",
+                       f"{where}: atom {a!r} appears with both polarities")
+            for a, pols in sorted(atoms.items()) if len(pols) == 2]
+
+
+def naive_validate(kb: KnowledgeBase) -> list[Diagnostic]:
+    """`validate_kb` without its screens: every record gets its location
+    text and its detailed checks. The reference for the screened version."""
+    diags: list[Diagnostic] = []
+    diags += naive_dup_diags("basic right", [b.id for b in kb.basic_rights])
+    diags += naive_dup_diags("right", [r.id for r in kb.rights])
+    diags += naive_dup_diags("scenario", [s.id for s in kb.scenarios])
+    diags += naive_dup_diags("domain", [d.id for d in kb.domains])
+    diags += naive_dup_diags("purpose", [p.id for p in kb.purposes])
+    diags += naive_dup_diags("obligation", [o.id for o in kb.obligations])
+    diags += naive_dup_diags("rule", [r.id for r in kb.rules])
+
+    basics = kb.basic_ids()
+    rights = kb.right_ids()
+    declared_rights = basics | rights
+    scen_ids = {s.id for s in kb.scenarios}
+    dom_ids = {d.id for d in kb.domains}
+
+    for b in kb.basic_rights:
+        if not b.id:
+            diags.append(Diagnostic("error", "empty-id", "basic right with empty id"))
+
+    expand = _expander(kb)
+    for r in kb.rights:
+        if r.definition is None:
+            continue
+        for atom in sorted(expr_atoms(r.definition)):
+            if atom not in declared_rights:
+                diags.append(Diagnostic(
+                    "error", "unknown-right",
+                    f"right {r.id!r}: definition references undeclared right {atom!r}"))
+        try:
+            expand(r.id)
+        except ModelError as exc:
+            diags.append(Diagnostic("error", "recursive-definition", str(exc)))
+
+    for s in kb.scenarios:
+        if not s.features:
+            diags.append(Diagnostic("error", "empty-scenario",
+                                    f"scenario {s.id!r} has no features"))
+        diags += naive_polarity_diags(f"scenario {s.id!r}", s.features)
+
+    for d in kb.domains:
+        for sid in d.scenarios:
+            if sid not in scen_ids:
+                diags.append(Diagnostic("error", "unknown-scenario",
+                                        f"domain {d.id!r} references unknown scenario {sid!r}"))
+        diags += naive_dup_diags(f"scenario in domain {d.id!r}", list(d.scenarios))
+
+    for p in kb.purposes:
+        for did in p.domains:
+            if did not in dom_ids:
+                diags.append(Diagnostic("error", "unknown-domain",
+                                        f"purpose {p.id!r} references unknown domain {did!r}"))
+        diags += naive_dup_diags(f"domain in purpose {p.id!r}", list(p.domains))
+
+    for o in kb.obligations:
+        if o.applies_to not in scen_ids:
+            diags.append(Diagnostic("error", "unknown-scenario",
+                                    f"obligation {o.id!r} applies to unknown scenario {o.applies_to!r}"))
+
+    def check_head(where: str, head: Head) -> None:
+        chain = head.kind == "chain"
+        in_chain = " in chain" if chain else ""
+        for rid in head.rights:
+            if rid not in declared_rights:
+                diags.append(Diagnostic("error", "unknown-right",
+                                        f"{where}: unknown right {rid!r}{in_chain}"))
+        if len(set(head.rights)) != len(head.rights):
+            code, text = (("duplicate-chain-right", "chain repeats a right") if chain
+                          else ("self-collision", f"{head.kind} needs two distinct rights"))
+            diags.append(Diagnostic("error", code, f"{where}: {text}"))
+
+    for a in kb.assertions:
+        if a.scenario not in scen_ids:
+            diags.append(Diagnostic("error", "unknown-scenario",
+                                    f"assert references unknown scenario {a.scenario!r}"))
+        check_head(f"assert in {a.scenario!r}", a.head)
+
+    for rule in kb.rules:
+        diags += naive_polarity_diags(f"rule {rule.id!r} body", rule.body)
+        check_head(f"rule {rule.id!r}", rule.head)
+
+    for ann in kb.risk_annotations:
+        if ann.scenario not in scen_ids:
+            diags.append(Diagnostic("error", "unknown-scenario",
+                                    f"risk annotation for unknown scenario {ann.scenario!r}"))
+        for name in RiskAnnotation.FIELDS:
+            value = getattr(ann, name)
+            if value is None:
+                diags.append(Diagnostic("error", "missing-risk-field",
+                                        f"risk {ann.scenario!r}: missing field {name!r}"))
+            elif not 1 <= value <= 5:
+                diags.append(Diagnostic("error", "risk-range",
+                                        f"risk {ann.scenario!r}: {name} = {value} outside 1..5"))
+    diags += naive_dup_diags("risk annotation", [a.scenario for a in kb.risk_annotations])
+
+    return diags
+
+
+def _insert(items: list, rng: random.Random, item) -> None:
+    items.insert(rng.randint(0, len(items)), item)
+
+
+def _head_record(kb: KnowledgeBase, rng: random.Random, head) -> None:
+    """`head` in a new assert or rule, at a random place."""
+    scenario = rng.choice(kb.scenarios)
+    if rng.random() < 0.5:
+        _insert(kb.assertions, rng, AssertStmt(scenario.id, head))
+    else:
+        _insert(kb.rules, rng, Rule(f"faulty{len(kb.rules)}",
+                                    tuple(sorted(scenario.features)), head))
+
+
+def _opposite_literal(kb, rng):
+    i = rng.randrange(len(kb.scenarios))
+    s = kb.scenarios[i]
+    atom, positive = rng.choice(sorted(s.features))
+    kb.scenarios[i] = Scenario(s.id, s.features | {FeatureLiteral(atom, not positive)})
+
+
+def _body(kb, rng, *literals):
+    _insert(kb.rules, rng, Rule(f"body{len(kb.rules)}", literals,
+                                PredHead("promotes", (kb.rights[0].id,))))
+
+
+def _chain_with(kb, rng, extra):
+    rights = rng.sample([r.id for r in kb.rights], 2)
+    rights.insert(rng.randint(0, 2), extra)
+    _head_record(kb, rng, ChainHead(tuple(rights)))
+
+
+def _copy_of(kb, rng, name):
+    """A copy of a random record of `kb.<name>`, at a random place."""
+    items = getattr(kb, name)
+    if items:
+        _insert(items, rng, rng.choice(items))
+
+
+def _repeat_member(kb, rng, name, field):
+    items = getattr(kb, name)
+    if items:
+        i = rng.randrange(len(items))
+        members = getattr(items[i], field)
+        if members:
+            items[i] = replace(items[i], **{field: members + (rng.choice(members),)})
+
+
+def _unknown_scenario(kb, rng):
+    where = rng.choice(["assert", "obligation", "risk", "domain"])
+    if where == "assert":
+        _insert(kb.assertions, rng, AssertStmt("Nowhere", PredHead("demotes", (kb.rights[0].id,))))
+    elif where == "obligation":
+        _insert(kb.obligations, rng, Obligation(f"o_nowhere{len(kb.obligations)}", "t", "Nowhere"))
+    elif where == "risk":
+        _insert(kb.risk_annotations, rng, RiskAnnotation("Nowhere", 1, 2, 3, 4, 5))
+    else:
+        _insert(kb.domains, rng, DeploymentDomain("D_nowhere", ("Nowhere", kb.scenarios[0].id)))
+
+
+def _bad_risk(kb, rng, value):
+    values = [rng.randint(1, 5) for _ in RiskAnnotation.FIELDS]
+    for i in rng.sample(range(len(values)), rng.randint(1, 2)):
+        values[i] = value(rng)
+    _insert(kb.risk_annotations, rng, RiskAnnotation(rng.choice(kb.scenarios).id, *values))
+
+
+# One seeded fault each; `inject_faults` applies each with probability 0.3.
+FAULTS = {
+    "scenario literal of the opposite polarity": _opposite_literal,
+    "empty scenario": lambda kb, rng: _insert(kb.scenarios, rng, Scenario("E", frozenset())),
+    "body x & !x": lambda kb, rng: _body(kb, rng, FeatureLiteral("f0"), FeatureLiteral("f0", False)),
+    "body x & x": lambda kb, rng: _body(kb, rng, FeatureLiteral("f1"), FeatureLiteral("f1")),
+    "undeclared unary head": lambda kb, rng: _head_record(
+        kb, rng, PredHead(rng.choice(["promotes", "demotes", "not_demotes"]), ("ghost",))),
+    "undeclared right in a chain": lambda kb, rng: _chain_with(kb, rng, "ghost"),
+    "chain repeating a right": lambda kb, rng: _chain_with(kb, rng, rng.choice(kb.rights).id),
+    "collides(a, a)": lambda kb, rng: _head_record(
+        kb, rng, PredHead(rng.choice(["collides", "not_collides"]), (kb.rights[0].id,) * 2)),
+    "undeclared collides": lambda kb, rng: _head_record(
+        kb, rng, PredHead("collides", ("ghost", "ghost"))),
+    **{f"duplicate {name}": functools.partial(_copy_of, name=name)
+       for name in ("basic_rights", "rights", "scenarios", "domains", "purposes",
+                    "obligations", "rules", "risk_annotations")},
+    "duplicate scenario in a domain": functools.partial(
+        _repeat_member, name="domains", field="scenarios"),
+    "duplicate domain in a purpose": functools.partial(
+        _repeat_member, name="purposes", field="domains"),
+    "unknown scenario": _unknown_scenario,
+    "unknown domain": lambda kb, rng: _insert(kb.purposes, rng, Purpose("Q", ("Nowhere", "D"))),
+    "missing risk field": lambda kb, rng: _bad_risk(kb, rng, lambda rng: None),
+    "risk field out of range": lambda kb, rng: _bad_risk(kb, rng, lambda rng: rng.choice([0, 6, -1])),
+    "undeclared right in a definition": lambda kb, rng: _insert(
+        kb.rights, rng, FundamentalRight("bad", AndExpr((RightRef("ghost"), RightRef("r0"))))),
+    "recursive definition": lambda kb, rng: kb.rights.extend(
+        [FundamentalRight("c1", RightRef("c2")), FundamentalRight("c2", RightRef("c1"))]),
+    "empty basic right id": lambda kb, rng: _insert(kb.basic_rights, rng, model.BasicRight("")),
+}
+
+
+def inject_faults(kb: KnowledgeBase, rng: random.Random) -> None:
+    for fault in FAULTS.values():
+        if rng.random() < 0.3:
+            fault(kb, rng)
+
+
+class TestValidationOracle:
+    """The screened `validate_kb` returns exactly `naive_validate`'s list,
+    in order, on clean and on faulted KBs."""
+
+    def test_random_kbs_with_seeded_faults(self):
+        codes = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            kb = random_kb(rng, with_extras=True)
+            assert validate_kb(kb) == naive_validate(kb) == [], seed
+            inject_faults(kb, rng)
+            diags = validate_kb(kb)
+            assert diags == naive_validate(kb), seed
+            codes |= {d.code for d in diags}
+        assert codes == {"polarity-conflict", "empty-scenario", "unknown-right",
+                         "duplicate-chain-right", "self-collision", "duplicate-id",
+                         "unknown-scenario", "unknown-domain", "missing-risk-field",
+                         "risk-range", "recursive-definition", "empty-id"}
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_each_fault_alone(self, name):
+        reported = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            kb = random_kb(rng, with_extras=True)
+            FAULTS[name](kb, rng)
+            diags = validate_kb(kb)
+            assert diags == naive_validate(kb), seed
+            reported += bool(diags)
+        assert reported == 0 if name == "body x & x" else reported > 0
+
+    @pytest.mark.parametrize("text, expected", [
+        ("rule r: x & x => promotes(a);", []),
+        ("rule r: x & !x & x => promotes(a);",
+         ["error[polarity-conflict]: rule 'r' body: atom 'x' appears with both polarities"]),
+        ("rule r: x => a > b > a;",
+         ["error[unknown-right]: rule 'r': unknown right 'b' in chain",
+          "error[duplicate-chain-right]: rule 'r': chain repeats a right"]),
+        ("assert a > b > a in S;",
+         ["error[unknown-right]: assert in 'S': unknown right 'b' in chain",
+          "error[duplicate-chain-right]: assert in 'S': chain repeats a right"]),
+        ("assert collides(b, b) in S;",
+         ["error[unknown-right]: assert in 'S': unknown right 'b'",
+          "error[unknown-right]: assert in 'S': unknown right 'b'",
+          "error[self-collision]: assert in 'S': collides needs two distinct rights"]),
+    ], ids=["repeated-literal", "repeated-and-opposite-literal", "rule-chain",
+            "assert-chain", "undeclared-self-collision"])
+    def test_screen_edges(self, text, expected):
+        kb = parse_kb("right a;\nscenario S { x }\n" + text)
+        assert [str(d) for d in validate_kb(kb)] == expected
+        assert validate_kb(kb) == naive_validate(kb)
+
+    def test_valid_kb_takes_no_detailed_check(self, monkeypatch):
+        def detailed(*args):
+            raise AssertionError("a valid record failed its screen")
+
+        monkeypatch.setattr(model, "_polarity_diags", detailed)
+        monkeypatch.setattr(model, "_head_diags", detailed)
+        kbs = [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.rights"))]
+        kbs += [random_kb(random.Random(seed), with_extras=True) for seed in range(100)]
+        for kb in kbs:
+            assert validate_kb(kb) == []
+
+    @pytest.mark.parametrize("value", ["3", 3.0])
+    def test_non_integer_risk_value_is_a_range_error(self, value):
+        # the parser reads integers only; a script can build any value
+        kb = KnowledgeBase(scenarios=[Scenario("S", lits("x"))],
+                           risk_annotations=[RiskAnnotation("S", value, 1, 1, 1, 6)])
+        assert [str(d) for d in validate_kb(kb)] == [
+            f"error[risk-range]: risk 'S': hazard = {value!r} is not an integer",
+            "error[risk-range]: risk 'S': vulnerability = 6 outside 1..5"]
