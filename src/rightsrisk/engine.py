@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .model import (BINARY_PREDS, UNARY_PREDS, CompiledRights, Diagnostic,
+from .model import (BINARY_PREDS, UNARY_PREDS, CompiledKB, Diagnostic,
                     FeatureLiteral, KnowledgeBase, Rule, Scenario,
                     logically_incompatible)
 
@@ -138,29 +138,27 @@ def _concluding(rules: list[Rule], kind: str, key: str | frozenset[str]) -> list
 
 
 class Engine:
-    """Reasoner over an immutable knowledge base that keeps what it works
-    out: each scenario's firings and findings, each right pair's check, the
-    compiled rights and their atom index, the score table, the rule index."""
+    """Reasoner over an immutable knowledge base, compiled once into a
+    `CompiledKB`, that keeps what it works out: each scenario's firings and
+    findings, each right pair's check, the compiled rights and their atom
+    index, the score table, the rule index."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
         self.config = config
-        self._rules = kb.all_rules()
+        self._compiled = compiled = CompiledKB(kb)  # compiles each right on first use
+        self._rules = compiled.rules
+        self._scenarios = compiled.scenarios
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, list[Rule]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
         self._linked: dict[str, set[str]] = {}  # the atom index of `_link`
         self._by_atom: dict[str, set[str]] = {}
         self._unsat: set[str] = set()
-        self._compiled = CompiledRights(kb)  # compiles each right on first use
         # the score table, filled by `scoring.scenario_breakdown`
         self.breakdowns: dict[str, DegreeBreakdown] = {}
 
     # -- rule firing --------------------------------------------------------
-
-    @cached_property
-    def _scenarios(self) -> dict[str, Scenario]:
-        return self.kb.scenarios_by_id()
 
     def _scenario(self, scenario_id: str) -> Scenario:
         try:
@@ -180,7 +178,8 @@ class Engine:
         return _containment(list(groups)), list(groups.values())
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
-        """The rules whose bodies hold in the scenario, in `all_rules` order."""
+        """The rules whose bodies hold in the scenario, in `CompiledKB.rules`
+        order."""
         features = self._scenario(scenario_id).features
         contained, groups = self._rule_index
         positions = [i for body in contained(features) for i in groups[body]]
@@ -393,7 +392,7 @@ class Engine:
     def explain(self, scenario_id: str, conclusion: str) -> Explanation:
         """Derivation trace for a conclusion, or a structured answer naming
         the closest blocked step."""
-        known = self.kb.right_ids() | self.kb.basic_ids()
+        known = self._compiled.known
         kind, args = self._parse_conclusion(scenario_id, conclusion, known)
         self._scenario(scenario_id)  # KeyError for unknown scenario
         for right in args:

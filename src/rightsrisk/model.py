@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 
 class ModelError(Exception):
@@ -173,13 +173,6 @@ class KnowledgeBase:
 
     # -- lookups ------------------------------------------------------------
 
-    def scenarios_by_id(self) -> dict[str, Scenario]:
-        """Scenario by id; the first declaration wins."""
-        by_id: dict[str, Scenario] = {}
-        for s in self.scenarios:
-            by_id.setdefault(s.id, s)
-        return by_id
-
     def domain(self, did: str) -> DeploymentDomain:
         for d in self.domains:
             if d.id == did:
@@ -191,27 +184,6 @@ class KnowledgeBase:
             if p.id == pid:
                 return p
         raise KeyError(f"unknown purpose {pid!r}")
-
-    def right_ids(self) -> set[str]:
-        return {r.id for r in self.rights}
-
-    def basic_ids(self) -> set[str]:
-        return {b.id for b in self.basic_rights}
-
-    def all_rules(self) -> list[Rule]:
-        """Explicit rules plus one desugared rule per assert statement.
-
-        An assert's rule body is exactly the named scenario's feature
-        conjunction, in sorted order so the expansion is deterministic; the
-        asserts of one scenario share one body tuple. An assert over an
-        unknown scenario is skipped (validate_kb reports it), but still
-        counts in the `assert#i` ids.
-        """
-        scenarios = self.scenarios_by_id()
-        bodies = {sid: tuple(sorted(scenarios[sid].features))
-                  for sid in {a.scenario for a in self.assertions} if sid in scenarios}
-        return list(self.rules) + [Rule(f"assert#{i}@{a.scenario}", bodies[a.scenario], a.head)
-                                   for i, a in enumerate(self.assertions) if a.scenario in bodies]
 
 
 # ---------------------------------------------------------------------------
@@ -275,78 +247,6 @@ def _steps(expr: RightExpr) -> list[Step]:
         at[id(node)] = len(steps)
         steps.append(step)
     return steps
-
-
-def _expander(kb: KnowledgeBase) -> Callable[[str], RightExpr]:
-    """`expand_right` over `kb`, keeping each defined name's expansion across
-    calls. A kept name reaches no cycle, so skipping it changes no cycle
-    message."""
-    defs = {r.id: r.definition for r in kb.rights}
-    basics = kb.basic_ids()
-    done: dict[str, RightExpr] = {}
-    compiled: dict[str, tuple[list[Step], list[str]]] = {}
-
-    def open_name(name: str) -> tuple[list[Step], Iterator[str]]:
-        """The steps of `name`'s definition, and the defined names it
-        refers to, left to right."""
-        if name not in compiled:
-            steps = _steps(defs[name])
-            compiled[name] = steps, [arg for kind, arg in steps
-                                     if kind == "atom" and arg not in basics]
-        steps, refs = compiled[name]
-        return steps, iter(refs)
-
-    def substitute(steps: list[Step]) -> RightExpr:
-        built: list[RightExpr] = []
-        for kind, arg in steps:
-            if kind == "atom":
-                node = done[arg] if arg in done and arg not in basics else RightRef(arg)
-            elif kind == "not":
-                node = NotExpr(built[arg])
-            elif kind == "and":
-                node = AndExpr(tuple(built[i] for i in arg))
-            else:
-                node = OrExpr(tuple(built[i] for i in arg))
-            built.append(node)
-        return built[-1]
-
-    def expand(right_id: str) -> RightExpr:
-        if right_id not in defs and right_id not in basics:
-            raise KeyError(f"unknown right {right_id!r}")
-        if defs.get(right_id) is None:
-            return RightRef(right_id)
-        # depth first over names: the open ones on `path`, their steps and
-        # unvisited references on `stack`
-        path = [right_id]
-        on_path = {right_id}
-        stack = [open_name(right_id)]
-        while stack:
-            ref = next(stack[-1][1], None)
-            if ref is None:
-                name = path.pop()
-                on_path.discard(name)
-                done[name] = substitute(stack.pop()[0])
-            elif ref not in done and defs.get(ref) is not None:
-                if ref in on_path:
-                    cycle = " -> ".join(path + [ref])
-                    raise ModelError(f"recursive right definition: {cycle}")
-                path.append(ref)
-                on_path.add(ref)
-                stack.append(open_name(ref))
-        return done[right_id]
-
-    return expand
-
-
-def expand_right(kb: KnowledgeBase, right_id: str) -> RightExpr:
-    """Definitional expansion of a fundamental right down to basic-right
-    leaves. Atomic rights (no definition) expand to a single self leaf. A
-    name used more than once is expanded once, and its uses share the result."""
-    return _expander(kb)(right_id)
-
-
-def expr_atoms(expr: RightExpr) -> set[str]:
-    return {arg for kind, arg in _steps(expr) if kind == "atom"}
 
 
 def _value(steps: list[Step], fixed: dict[str, bool]) -> Optional[bool]:
@@ -460,34 +360,125 @@ def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
     return _jointly_satisfiable(_compile(e1), _compile(e2))
 
 
-class CompiledRights:
-    """The rights of one knowledge base, each expanded and compiled the first
-    time it is asked for and then kept, all through one expander. A right
-    that does not expand (unknown, or defined through a cycle) is kept as
-    None."""
+class CompiledKB:
+    """What a knowledge base compiles to: its scenarios by id (the first
+    declaration wins), its rules with the asserts desugared, its declared
+    right ids, and each defined right's steps, expansion and program, each
+    worked out the first time it is asked for and then kept.
+
+    Built afresh by each `validate_kb` and each Engine, never kept on the
+    KnowledgeBase: a script may change a KB between two runs, and a kept
+    compile would then answer for the old one."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
+        self.scenarios: dict[str, Scenario] = {}
+        for s in kb.scenarios:
+            self.scenarios.setdefault(s.id, s)
+        self.basics = {b.id for b in kb.basic_rights}
+        self.defs = {r.id: r.definition for r in kb.rights}  # the last one wins
+        self.known = self.basics.union(self.defs)
+        self._opened: dict[str, tuple[list[Step], list[str]]] = {}
+        self._expanded: dict[str, RightExpr] = {}
         self._programs: dict[str, Optional[Program]] = {}
 
     @cached_property
-    def _expand(self) -> Callable[[str], RightExpr]:
-        return _expander(self.kb)
+    def rules(self) -> list[Rule]:
+        """Explicit rules plus one desugared rule per assert statement.
+
+        An assert's rule body is exactly the named scenario's feature
+        conjunction, in sorted order so the expansion is deterministic; the
+        asserts of one scenario share one body tuple. An assert over an
+        unknown scenario is skipped (validate_kb reports it), but still
+        counts in the `assert#i` ids.
+        """
+        kb, scenarios = self.kb, self.scenarios
+        bodies = {sid: tuple(sorted(scenarios[sid].features))
+                  for sid in {a.scenario for a in kb.assertions} if sid in scenarios}
+        return list(kb.rules) + [Rule(f"assert#{i}@{a.scenario}", bodies[a.scenario], a.head)
+                                 for i, a in enumerate(kb.assertions) if a.scenario in bodies]
+
+    def open(self, expr: RightExpr) -> tuple[list[Step], list[str]]:
+        """The steps of `expr`, and the names in it that are not basic
+        rights, left to right."""
+        steps = _steps(expr)
+        return steps, [arg for kind, arg in steps if kind == "atom" and arg not in self.basics]
+
+    def definition(self, right_id: str) -> tuple[list[Step], list[str]]:
+        """`open` over the definition of the defined right `right_id`, on
+        first ask; then kept."""
+        if right_id not in self._opened:
+            self._opened[right_id] = self.open(self.defs[right_id])
+        return self._opened[right_id]
+
+    def _substitute(self, steps: list[Step]) -> RightExpr:
+        done, basics = self._expanded, self.basics
+        built: list[RightExpr] = []
+        for kind, arg in steps:
+            if kind == "atom":
+                node = done[arg] if arg in done and arg not in basics else RightRef(arg)
+            elif kind == "not":
+                node = NotExpr(built[arg])
+            elif kind == "and":
+                node = AndExpr(tuple(built[i] for i in arg))
+            else:
+                node = OrExpr(tuple(built[i] for i in arg))
+            built.append(node)
+        return built[-1]
+
+    def expand(self, right_id: str) -> RightExpr:
+        """Definitional expansion of a right down to basic-right leaves.
+        Atomic rights (no definition) expand to a single self leaf. A name
+        used more than once is expanded once, and its uses share the
+        result. A kept name reaches no cycle, so skipping it changes no
+        cycle message."""
+        defs, done = self.defs, self._expanded
+        if right_id not in self.known:
+            raise KeyError(f"unknown right {right_id!r}")
+        if defs.get(right_id) is None:
+            return RightRef(right_id)
+        # depth first over names: the open ones on `path`, an iterator over
+        # the references each has left unvisited on `stack`
+        path = [right_id]
+        on_path = {right_id}
+        stack = [iter(self.definition(right_id)[1])]
+        while stack:
+            ref = next(stack[-1], None)
+            if ref is None:
+                stack.pop()
+                name = path.pop()
+                on_path.discard(name)
+                done[name] = self._substitute(self.definition(name)[0])
+            elif ref not in done and defs.get(ref) is not None:
+                if ref in on_path:
+                    cycle = " -> ".join(path + [ref])
+                    raise ModelError(f"recursive right definition: {cycle}")
+                path.append(ref)
+                on_path.add(ref)
+                stack.append(iter(self.definition(ref)[1]))
+        return done[right_id]
 
     def program(self, right_id: str) -> Optional[Program]:
+        """`right_id` expanded and compiled, or None for a right that does
+        not expand (unknown, or defined through a cycle)."""
         if right_id not in self._programs:
             try:
-                self._programs[right_id] = _compile(self._expand(right_id))
+                self._programs[right_id] = _compile(self.expand(right_id))
             except (KeyError, ModelError):
                 self._programs[right_id] = None
         return self._programs[right_id]
 
 
-def logically_incompatible(rights: CompiledRights, r1: str, r2: str) -> bool:
+def expand_right(kb: KnowledgeBase, right_id: str) -> RightExpr:
+    """`CompiledKB.expand` over a fresh compile of `kb`."""
+    return CompiledKB(kb).expand(right_id)
+
+
+def logically_incompatible(compiled: CompiledKB, r1: str, r2: str) -> bool:
     """True iff the expanded definitions of r1 and r2 can never hold
     together (see `jointly_satisfiable`). A right that does not expand is
-    compatible with every right; `rights` keeps what this call compiles."""
-    p1, p2 = rights.program(r1), rights.program(r2)
+    compatible with every right; `compiled` keeps what this call compiles."""
+    p1, p2 = compiled.program(r1), compiled.program(r2)
     return p1 is not None and p2 is not None and not _jointly_satisfiable(p1, p2)
 
 
@@ -551,29 +542,29 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     diags += _dup_diags("obligation", [o.id for o in kb.obligations])
     diags += _dup_diags("rule", [r.id for r in kb.rules])
 
-    basics = kb.basic_ids()
-    rights = kb.right_ids()
-    declared_rights = basics | rights
-    scen_ids = {s.id for s in kb.scenarios}
+    compiled = CompiledKB(kb)
+    declared_rights = compiled.known
+    scen_ids = compiled.scenarios
     dom_ids = {d.id for d in kb.domains}
 
     for b in kb.basic_rights:
         if not b.id:
             diags.append(Diagnostic("error", "empty-id", "basic right with empty id"))
 
-    expand = _expander(kb)
+    # A repeated right id keeps its last definition in `compiled`; each
+    # earlier one is opened here on its own.
     for r in kb.rights:
         if r.definition is None:
             continue
-        atoms = expr_atoms(r.definition)
-        if not declared_rights.issuperset(atoms):
-            for atom in sorted(atoms):
-                if atom not in declared_rights:
-                    diags.append(Diagnostic(
-                        "error", "unknown-right",
-                        f"right {r.id!r}: definition references undeclared right {atom!r}"))
+        _, refs = (compiled.definition(r.id) if compiled.defs[r.id] is r.definition
+                   else compiled.open(r.definition))
+        if not declared_rights.issuperset(refs):
+            for atom in sorted({ref for ref in refs if ref not in declared_rights}):
+                diags.append(Diagnostic(
+                    "error", "unknown-right",
+                    f"right {r.id!r}: definition references undeclared right {atom!r}"))
         try:
-            expand(r.id)
+            compiled.expand(r.id)
         except ModelError as exc:
             diags.append(Diagnostic("error", "recursive-definition", str(exc)))
 

@@ -11,7 +11,7 @@ from rightsrisk.dsl import parse_kb, print_kb
 from rightsrisk.engine import (Engine, EngineConfig, Occurrence, ScenarioFindings,
                                Status)
 from rightsrisk.minimizer import minimize_domain
-from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledRights,
+from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledKB,
                               Diagnostic, FeatureLiteral, ModelError, PredHead,
                               Rule, expand_right, logically_incompatible,
                               satisfies, validate_kb)
@@ -60,7 +60,7 @@ class TestFireRules:
 def naive_fire(kb, scenario_id):
     """Reference firing: every rule tested against the scenario, in order."""
     features = next(s.features for s in kb.scenarios if s.id == scenario_id)
-    return [r for r in kb.all_rules() if satisfies(features, r.body)]
+    return [r for r in CompiledKB(kb).rules if satisfies(features, r.body)]
 
 
 def naive_monotonicity(engine):
@@ -606,11 +606,11 @@ class TestIncompatibilityOracle:
         for seed in range(100):
             kb = random_kb(random.Random(seed), with_extras=True)
             engine = Engine(kb)
-            for r1, r2 in itertools.combinations(sorted(kb.right_ids() | kb.basic_ids()), 2):
+            for r1, r2 in itertools.combinations(sorted(CompiledKB(kb).known), 2):
                 expected = not truth_table_satisfiable(expand_right(kb, r1),
                                                        expand_right(kb, r2))
                 assert engine._pair_incompatible(r1, r2) == expected, (seed, r1, r2)
-                fresh = logically_incompatible(CompiledRights(kb), r1, r2)
+                fresh = logically_incompatible(CompiledKB(kb), r1, r2)
                 assert fresh == expected, (seed, r1, r2)
                 answers.add(expected)
         assert answers == {False, True}
@@ -980,7 +980,7 @@ class TestDefeasibleProperties:
         engine = Engine(kb)
         for scen in kb.scenarios:
             adopted = {o.right for o in engine.assess(scen.id).adopted}
-            for right in sorted(kb.right_ids() | kb.basic_ids()):
+            for right in sorted(CompiledKB(kb).known):
                 expl = engine.explain(scen.id, f"choice({scen.id}, {right})")
                 assert expl.derivable == (right in adopted), (scen.id, right)
 

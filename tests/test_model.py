@@ -17,14 +17,13 @@ from kb_random import random_kb
 from rightsrisk import model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, Occurrence
-from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledRights,
+from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledKB,
                               DeploymentDomain, Diagnostic, FeatureLiteral,
                               Head, KnowledgeBase, FundamentalRight, ModelError,
                               Obligation, OrExpr, PredHead, Purpose, RightRef,
                               RiskAnnotation, Rule, Scenario, TRUTH_TABLE_ATOMS,
-                              _expander, expand_right, expr_atoms,
-                              jointly_satisfiable, logically_incompatible,
-                              satisfies, validate_kb, NotExpr)
+                              expand_right, jointly_satisfiable,
+                              logically_incompatible, satisfies, validate_kb, NotExpr)
 from rightsrisk.scoring import OccurrenceWeight, degree_scenario
 
 
@@ -34,6 +33,11 @@ def lit(s: str) -> FeatureLiteral:
 
 def lits(*specs: str) -> frozenset:
     return frozenset(lit(s) for s in specs)
+
+
+def expr_atoms(expr) -> set[str]:
+    """The right names at the leaves of `expr`."""
+    return set(model._compile(expr).atoms)
 
 
 class TestSatisfies:
@@ -66,7 +70,7 @@ class TestAllRules:
         kb = parse_kb("right a;\nscenario S { y, !x }\nscenario S { z }\n"
                       "rule r: y => promotes(a);\n"
                       "assert promotes(a) in Nowhere;\nassert demotes(a) in S;\n")
-        rules = kb.all_rules()
+        rules = CompiledKB(kb).rules
         assert [r.id for r in rules] == ["r", "assert#1@S"]
         assert rules[1].body == (lit("!x"), lit("y"))  # first S, sorted
         assert rules[1].head == kb.assertions[1].head
@@ -75,7 +79,7 @@ class TestAllRules:
         kb = parse_kb("right a;\nscenario S { y, !x, b }\nscenario T { }\n"
                       "assert promotes(a) in S;\nassert demotes(a) in Nowhere;\n"
                       "assert demotes(a) in T;\nassert not_demotes(a) in S;\n")
-        rules = kb.all_rules()
+        rules = CompiledKB(kb).rules
         assert [r.id for r in rules] == ["assert#0@S", "assert#2@T", "assert#3@S"]
         assert rules[0].body == rules[2].body == (lit("b"), lit("!x"), lit("y"))
         assert rules[1].body == ()
@@ -86,14 +90,14 @@ class TestAllRules:
         kb = KnowledgeBase(scenarios=[Scenario("S", lits("x"))],
                            assertions=[AssertStmt("Nowhere", head), AssertStmt("S", head),
                                        AssertStmt("Gone", head), AssertStmt("S", head)])
-        assert [r.id for r in kb.all_rules()] == ["assert#1@S", "assert#3@S"]
+        assert [r.id for r in CompiledKB(kb).rules] == ["assert#1@S", "assert#3@S"]
 
     def test_duplicate_scenario_body_comes_from_first_declaration(self):
         kb = KnowledgeBase(scenarios=[Scenario("T", lits("z")), Scenario("S", lits("y", "!x")),
                                       Scenario("S", lits("w"))],
                            assertions=[AssertStmt("S", PredHead("promotes", ("a",))),
                                        AssertStmt("S", PredHead("demotes", ("a",)))])
-        first, second = kb.all_rules()
+        first, second = CompiledKB(kb).rules
         assert first.body == (lit("!x"), lit("y"))
         assert second.body is first.body  # the Engine's rule index files it once
 
@@ -148,7 +152,7 @@ def triage_records() -> list:
     kb = load_fixture("triage.rights")
     records = [*kb.scenarios, *kb.rules, *kb.assertions]
     records += [lit for s in kb.scenarios for lit in s.features]
-    records += [r.head for r in kb.all_rules()]
+    records += [r.head for r in CompiledKB(kb).rules]
     engine = Engine(kb)
     for s in kb.scenarios:
         findings = engine.assess(s.id)
@@ -239,7 +243,7 @@ class TestExpandRight:
         kb = parse_kb(CHAIN_TEXT)
         assert validate_kb(kb) == []
         assert expand_right(kb, "r0") == RightRef("x")
-        assert logically_incompatible(CompiledRights(kb), "r0", "y")
+        assert logically_incompatible(CompiledKB(kb), "r0", "y")
 
     def test_chained_deep_negations(self):
         kb = parse_kb(BANGS_TEXT)
@@ -249,7 +253,7 @@ class TestExpandRight:
             expanded = expanded.operand
         assert expanded == RightRef("x")
         assert expr_atoms(expand_right(kb, "d11")) == {"x"}
-        assert logically_incompatible(CompiledRights(kb), "d11", "y")
+        assert logically_incompatible(CompiledKB(kb), "d11", "y")
 
     def test_deep_cycle_diagnostic(self):
         kb = parse_kb("".join(f"right r{i} := r{i + 1};\n" for i in range(1100))
@@ -271,8 +275,8 @@ class TestIncompatibility:
         kb = parse_kb(shared_chain(60))
         start = time.perf_counter()
         assert expr_atoms(expand_right(kb, "r0")) == {"x"}
-        assert logically_incompatible(CompiledRights(kb), "r0", "y")
-        assert not logically_incompatible(CompiledRights(kb), "r0", "r5")
+        assert logically_incompatible(CompiledKB(kb), "r0", "y")
+        assert not logically_incompatible(CompiledKB(kb), "r0", "r5")
         assert time.perf_counter() - start < 1
 
     def test_negated_definitions_collide(self):
@@ -280,17 +284,17 @@ class TestIncompatibility:
             FundamentalRight("A", RightRef("x")),
             FundamentalRight("B", NotExpr(RightRef("x"))),
         ])
-        assert logically_incompatible(CompiledRights(kb), "A", "B")
+        assert logically_incompatible(CompiledKB(kb), "A", "B")
 
     def test_distinct_atomics_compatible(self, pandemic_kb):
-        assert not logically_incompatible(CompiledRights(pandemic_kb),
+        assert not logically_incompatible(CompiledKB(pandemic_kb),
                                           "privacy", "public_health")
 
     def test_no_atom_cap(self, split_widths):
         atoms = [f"b{i}" for i in range(21)]
         kb = parse_kb("".join(f"basic {a};\n" for a in atoms)
                       + f"right big := {' & '.join(atoms)};\nright nb := !b0;\n")
-        assert logically_incompatible(CompiledRights(kb), "big", "nb")
+        assert logically_incompatible(CompiledKB(kb), "big", "nb")
         assert split_widths == [21]
 
     def test_thousand_atoms(self, split_widths):
@@ -498,6 +502,24 @@ class TestValidateKb:
         first = validate_kb(scholarship_kb)
         assert validate_kb(scholarship_kb) == first
 
+    @pytest.mark.parametrize("definitions", [("ghost & x", "x"), ("x", "ghost & x")],
+                             ids=["undeclared-first", "undeclared-last"])
+    def test_repeated_right_checks_each_definition(self, definitions):
+        kb = parse_kb("basic x;\n" + "".join(f"right r := {d};\n" for d in definitions))
+        assert [str(d) for d in validate_kb(kb)] == [
+            "error[duplicate-id]: duplicate right 'r'",
+            "error[unknown-right]: right 'r': definition references undeclared right 'ghost'"]
+
+    @pytest.mark.parametrize("text", [shared_chain(30), BANGS_TEXT, CHAIN_TEXT],
+                             ids=["shared-chain", "negations", "1200-link-chain"])
+    def test_each_definition_compiled_once(self, monkeypatch, text):
+        kb = parse_kb(text)
+        calls = []
+        steps = model._steps
+        monkeypatch.setattr(model, "_steps", lambda expr: calls.append(expr) or steps(expr))
+        assert validate_kb(kb) == []
+        assert len(calls) == sum(r.definition is not None for r in kb.rights)
+
 
 # ---------------------------------------------------------------------------
 # Differential oracle for validation: the screened `validate_kb` against the
@@ -536,9 +558,7 @@ def naive_validate(kb: KnowledgeBase) -> list[Diagnostic]:
     diags += naive_dup_diags("obligation", [o.id for o in kb.obligations])
     diags += naive_dup_diags("rule", [r.id for r in kb.rules])
 
-    basics = kb.basic_ids()
-    rights = kb.right_ids()
-    declared_rights = basics | rights
+    declared_rights = CompiledKB(kb).known
     scen_ids = {s.id for s in kb.scenarios}
     dom_ids = {d.id for d in kb.domains}
 
@@ -546,7 +566,7 @@ def naive_validate(kb: KnowledgeBase) -> list[Diagnostic]:
         if not b.id:
             diags.append(Diagnostic("error", "empty-id", "basic right with empty id"))
 
-    expand = _expander(kb)
+    expand = CompiledKB(kb).expand
     for r in kb.rights:
         if r.definition is None:
             continue
