@@ -1,9 +1,9 @@
 """Defeasible forward-chaining over one deployment scenario.
 
-Fires every rule whose body the scenario's features satisfy, resolves
-promotion/demotion conflicts by rule strength with ambiguity blocking,
-derives contextual and logical collisions, and walks each fired chain
-rule's priority sequence with the generalized adoption rule.
+Fires every rule whose body the scenario's features satisfy, each assert
+through its own scenario; resolves promotion/demotion conflicts by rule
+strength with ambiguity blocking; derives contextual and logical collisions;
+and walks each fired chain's priority sequence with generalized adoption.
 
 A unary conclusion (`promotes`, `demotes`, `not_demotes`) is keyed by its
 right id, a `collides`/`not_collides` one by its unordered pair. Only the
@@ -90,7 +90,7 @@ class Explanation:
     blocked: Optional[str] = None
 
 
-def _containment(bodies: list) -> Callable[[frozenset], list[int]]:
+def _containment_search(bodies: list) -> Callable[[frozenset], list[int]]:
     """A search giving the positions of the literal sets in `bodies` that a
     feature set contains, each once, in no set order. Each body is filed
     under its rarest literal, counted over all bodies, so a feature set's
@@ -141,13 +141,12 @@ class Engine:
     """Reasoner over an immutable knowledge base, compiled once into a
     `CompiledKB`, that keeps what it works out: each scenario's firings and
     findings, each right pair's check, the compiled rights and their atom
-    index, the score table, the rule index."""
+    index, the score table, one containment index for firing and monotonicity."""
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
         self.kb = kb
         self.config = config
         self._compiled = compiled = CompiledKB(kb)  # compiles each right on first use
-        self._rules = compiled.rules
         self._scenarios = compiled.scenarios
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, list[Rule]] = {}
@@ -167,24 +166,36 @@ class Engine:
             raise KeyError(f"unknown scenario {scenario_id!r}") from None
 
     @cached_property
-    def _rule_index(self) -> tuple[Callable[[frozenset], list[int]], list[list[int]]]:
-        """A containment search over each distinct rule body, filed once,
-        with the positions of the rules that share each body. The asserts
-        of a scenario all share one body tuple, so a KB has far fewer
-        distinct bodies than rules."""
+    def _containment(self) -> tuple[Callable, dict[int, str], list[list[int]]]:
+        """A search over each scenario's features, by `kb.scenarios` position, then each
+        explicit body; each asserted id by its first position; each body's rule positions."""
+        first = {s.id: p for p, s in reversed(list(enumerate(self.kb.scenarios)))}
+        owners = {first[sid]: sid for sid in self._compiled.asserted}
         groups: dict[tuple[FeatureLiteral, ...], list[int]] = {}
-        for i, rule in enumerate(self._rules):
+        for i, rule in enumerate(self.kb.rules):
             groups.setdefault(rule.body, []).append(i)
-        return _containment(list(groups)), list(groups.values())
+        bodies = [s.features for s in self.kb.scenarios] + list(groups)
+        return _containment_search(bodies), owners, list(groups.values())
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         """The rules whose bodies hold in the scenario, in `CompiledKB.rules`
-        order."""
+        order: explicit rules, then the contained scenarios' asserts by number."""
         features = self._scenario(scenario_id).features
-        contained, groups = self._rule_index
-        positions = [i for body in contained(features) for i in groups[body]]
+        contained, owners, groups = self._containment
+        n, compiled, rules = len(self.kb.scenarios), self._compiled, self.kb.rules
+        positions: list[int] = []
+        sids: list[str] = []
+        for p in contained(features):
+            if p >= n:
+                positions += groups[p - n]
+            elif p in owners:
+                sids.append(owners[p])
         positions.sort()
-        return [self._rules[i] for i in positions]
+        fired = [rules[i] for i in positions]
+        if len(sids) == 1:  # the common case: no merge by number
+            return fired + compiled.asserts(sids[0])
+        return fired + [r for _, r in sorted([pair for sid in sids for pair in
+                                              zip(compiled.asserted[sid], compiled.asserts(sid))])]
 
     def _firings(self, scenario_id: str) -> list[Rule]:
         """`fire_rules`, computed once per scenario and then kept."""
@@ -365,10 +376,9 @@ class Engine:
         if not self.config.monotonicity_check:
             return []
         # (X, Y) by position: features(X) <= features(Y), X the weaker one
-        scenarios = self.kb.scenarios
-        subsets = _containment([s.features for s in scenarios])
-        pairs = sorted((x, y) for y, sup in enumerate(scenarios)
-                       for x in subsets(sup.features) if scenarios[x].id != sup.id)
+        scenarios, contained, n = self.kb.scenarios, self._containment[0], len(self.kb.scenarios)
+        pairs = sorted((x, y) for y, sup in enumerate(scenarios) for x in contained(sup.features)
+                       if x < n and scenarios[x].id != sup.id)
         paired = dict.fromkeys(scenarios[i].id for pair in pairs for i in pair)
         raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
                             if f.head.kind == kind}
@@ -511,7 +521,9 @@ class Engine:
     def _nearest_blocked(self, scenario_id: str, kind: str, key: str | frozenset[str],
                          label: str) -> str:
         scen = self._scenario(scenario_id)
-        candidates = _concluding(self._rules, kind, key)
+        candidates = _concluding(self.kb.rules, kind, key) + [
+            self._compiled.desugar(a.scenario, (i,))[0] for i, a in enumerate(self.kb.assertions)
+            if a.head.kind == kind and a.scenario in self._scenarios and _key(a.head) == key]
         if not candidates:
             return f"not derivable: no rule concludes {label}"
         best = min(candidates,

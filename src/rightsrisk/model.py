@@ -362,9 +362,9 @@ def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
 
 class CompiledKB:
     """What a knowledge base compiles to: its scenarios by id (the first
-    declaration wins), its rules with the asserts desugared, its declared
-    right ids, and each defined right's steps, expansion and program, each
-    worked out the first time it is asked for and then kept.
+    declaration wins), each known scenario's asserts desugared into rules,
+    its declared right ids, and each defined right's steps, expansion and
+    program, each worked out the first time it is asked for and then kept.
 
     Built afresh by each `validate_kb` and each Engine, never kept on the
     KnowledgeBase: a script may change a KB between two runs, and a kept
@@ -378,25 +378,38 @@ class CompiledKB:
         self.basics = {b.id for b in kb.basic_rights}
         self.defs = {r.id: r.definition for r in kb.rights}  # the last one wins
         self.known = self.basics.union(self.defs)
+        self._asserts: dict[str, list[Rule]] = {}
         self._opened: dict[str, tuple[list[Step], list[str]]] = {}
         self._expanded: dict[str, RightExpr] = {}
         self._programs: dict[str, Optional[Program]] = {}
 
     @cached_property
-    def rules(self) -> list[Rule]:
-        """Explicit rules plus one desugared rule per assert statement.
+    def asserted(self) -> dict[str, list[int]]:
+        """Each known scenario's asserts' positions in `kb.assertions`. An assert
+        over an unknown scenario is skipped (validate_kb reports it), but keeps its number."""
+        asserted: dict[str, list[int]] = {}
+        for i, a in enumerate(self.kb.assertions):
+            if a.scenario in self.scenarios:
+                asserted.setdefault(a.scenario, []).append(i)
+        return asserted
 
-        An assert's rule body is exactly the named scenario's feature
-        conjunction, in sorted order so the expansion is deterministic; the
-        asserts of one scenario share one body tuple. An assert over an
-        unknown scenario is skipped (validate_kb reports it), but still
-        counts in the `assert#i` ids.
-        """
-        kb, scenarios = self.kb, self.scenarios
-        bodies = {sid: tuple(sorted(scenarios[sid].features))
-                  for sid in {a.scenario for a in kb.assertions} if sid in scenarios}
-        return list(kb.rules) + [Rule(f"assert#{i}@{a.scenario}", bodies[a.scenario], a.head)
-                                 for i, a in enumerate(kb.assertions) if a.scenario in bodies]
+    def desugar(self, sid: str, positions: Iterable[int]) -> list[Rule]:
+        """The asserts at `positions`, all over `sid`, as rules sharing its sorted features."""
+        body = tuple(sorted(self.scenarios[sid].features))
+        assertions = self.kb.assertions
+        return [Rule(f"assert#{i}@{sid}", body, assertions[i].head) for i in positions]
+
+    def asserts(self, sid: str) -> list[Rule]:
+        """`desugar` over each assert of the known scenario `sid`; then kept."""
+        if sid not in self._asserts:
+            self._asserts[sid] = self.desugar(sid, self.asserted.get(sid, ()))
+        return self._asserts[sid]
+
+    @cached_property
+    def rules(self) -> list[Rule]:
+        """The explicit rules, then the `asserts` in declaration order."""
+        return list(self.kb.rules) + [r for _, r in sorted(
+            pair for sid in self.asserted for pair in zip(self.asserted[sid], self.asserts(sid)))]
 
     def open(self, expr: RightExpr) -> tuple[list[Step], list[str]]:
         """The steps of `expr`, and the names in it that are not basic

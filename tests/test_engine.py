@@ -13,7 +13,7 @@ from rightsrisk.engine import (Engine, EngineConfig, Occurrence, ScenarioFinding
 from rightsrisk.minimizer import minimize_domain
 from rightsrisk.model import (UNARY_PREDS, AssertStmt, ChainHead, CompiledKB,
                               Diagnostic, FeatureLiteral, ModelError, PredHead,
-                              Rule, expand_right, logically_incompatible,
+                              Rule, Scenario, expand_right, logically_incompatible,
                               satisfies, validate_kb)
 from rightsrisk.scoring import degree_scenario
 from test_model import leaf_names, truth_table_satisfiable
@@ -61,6 +61,36 @@ def naive_fire(kb, scenario_id):
     """Reference firing: every rule tested against the scenario, in order."""
     features = next(s.features for s in kb.scenarios if s.id == scenario_id)
     return [r for r in CompiledKB(kb).rules if satisfies(features, r.body)]
+
+
+def naive_blocked(kb, scenario_id, kind, key, label):
+    """Reference answer for a conclusion that does not hold: the first rule
+    of `CompiledKB.rules` concluding it with the fewest missing literals."""
+    features = next(s.features for s in kb.scenarios if s.id == scenario_id)
+    best = None
+    for r in CompiledKB(kb).rules:
+        rights = r.head.rights
+        if r.head.kind == kind and (rights[0] if isinstance(key, str) else frozenset(rights)) == key:
+            missing = [str(lit) for lit in r.body if lit not in features]
+            if best is None or len(missing) < len(best[1]):
+                best = r, missing
+    if best is None:
+        return f"not derivable: no rule concludes {label}"
+    return (f"not derivable: rule {best[0].id!r} concludes {label} but requires "
+            f"{{{', '.join(best[1])}}} not present in {scenario_id}")
+
+
+def with_strays(kb, rng):
+    """`kb` plus an assert over an unknown scenario, at a random place, and
+    a later declaration of a scenario id whose features another scenario
+    contains: neither may fire, and the first still counts in `assert#i`."""
+    heads = [a.head for a in kb.assertions] or [PredHead("promotes", (kb.rights[0].id,))]
+    kb.assertions.insert(rng.randint(0, len(kb.assertions)),
+                         AssertStmt("Nowhere", rng.choice(heads)))
+    again, within = rng.choice(kb.scenarios), rng.choice(kb.scenarios)
+    part = rng.sample(sorted(within.features), rng.randint(0, len(within.features)))
+    kb.scenarios.append(Scenario(again.id, frozenset(part)))
+    return kb
 
 
 def naive_monotonicity(engine):
@@ -111,6 +141,15 @@ class TestFiringOracle:
         assert engine.check_monotonicity() == reference.check_monotonicity()
         assert engine.check_monotonicity() == naive_monotonicity(engine)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_kbs_with_strays(self, seed):
+        rng = random.Random(seed)
+        kb = with_strays(with_refinements(random_kb(rng, with_extras=seed % 2 == 1), rng), rng)
+        engine = Engine(kb)
+        for scen in kb.scenarios:
+            assert engine.fire_rules(scen.id) == naive_fire(kb, scen.id)
+        assert engine.check_monotonicity() == naive_monotonicity(engine)
+
     def fired_ids(self, text, scenario="S"):
         kb = parse_kb(text)
         fired = Engine(kb).fire_rules(scenario)
@@ -149,6 +188,15 @@ class TestFiringOracle:
                 "rule r1: x => promotes(a);\nrule r2: y => demotes(a);")
         assert self.fired_ids(text) == ["r1", "assert#0@S"]
 
+    def test_later_declaration_contained_fires_nothing(self):
+        # the second S lies within T, the first does not; the assert over
+        # Nowhere is skipped but keeps its number
+        text = ("right a;\nscenario T { x, y }\nscenario S { z }\nscenario S { x }\n"
+                "assert demotes(a) in Nowhere;\nassert promotes(a) in S;\n"
+                "assert demotes(a) in T;\nrule r: x => promotes(a);")
+        assert self.fired_ids(text, "T") == ["r", "assert#2@T"]
+        assert self.fired_ids(text, "S") == ["assert#1@S"]
+
     def test_shared_body_fires_every_rule_in_order(self):
         # both asserts of S share one body tuple; r2 lists the same literals
         # in another order and r4 in the asserts' sorted order
@@ -161,20 +209,71 @@ class TestFiringOracle:
         assert self.fired_ids(text, "S") == ["r1", "r2", "r3", "r4",
                                              "assert#0@S", "assert#1@S"]
         assert self.fired_ids(text, "T") == ["r1", "r3"]
+        # the scenarios' feature sets first, at their positions, then the
+        # distinct explicit bodies; the asserts fire through their scenario
         engine = Engine(parse_kb(text))
-        _, groups = engine._rule_index
-        assert groups == [[0], [1], [2], [3, 5, 6], [4]]
+        contained, owners, groups = engine._containment
+        assert owners == {0: "S"}
+        assert groups == [[0], [1], [2], [3], [4]]
+        assert sorted(contained(engine._scenario("S").features)) == [0, 1, 2, 3, 4, 5]
+        assert sorted(contained(engine._scenario("T").features)) == [1, 2, 4]
 
     def test_unknown_scenario(self, pandemic_kb):
         with pytest.raises(KeyError) as exc:
             Engine(pandemic_kb).fire_rules("X")
         assert exc.value.args == ("unknown scenario 'X'",)
 
-    def test_index_built_on_first_firing(self, pandemic_kb):
+    def test_containment_built_on_first_firing(self, pandemic_kb):
         engine = Engine(pandemic_kb)
-        assert "_rule_index" not in vars(engine)
+        assert "_containment" not in vars(engine)
         engine.fire_rules("S")
-        assert "_rule_index" in vars(engine)
+        index = engine._containment
+        engine.check_monotonicity()
+        assert engine._containment is index  # one index for both
+
+
+class TestLazyAsserts:
+    """An assert's rule is built when its scenario fires, or when a
+    conclusion that does not hold names it as a candidate; never up front."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+
+        def rule(*args):
+            built.append(args[0])
+            return Rule(*args)
+        monkeypatch.setattr(model, "Rule", rule)
+        return built
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_kbs(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        kb = with_strays(with_refinements(random_kb(rng, with_extras=seed % 2 == 1), rng), rng)
+        asserts = [r for r in CompiledKB(kb).rules if r.id.startswith("assert#")]
+        built = self.counting(monkeypatch)
+        for scen in kb.scenarios:
+            engine = Engine(kb)
+            assert built == []
+            engine.assess(scen.id)
+            features = engine._scenario(scen.id).features
+            assert sorted(built) == sorted(r.id for r in asserts if features.issuperset(r.body))
+            for right in sorted(CompiledKB(kb).known):
+                for kind in ("promotes", "demotes"):
+                    built.clear()
+                    if not engine.explain(scen.id, f"{kind}({right})").derivable:
+                        assert built == [r.id for r in asserts
+                                         if r.head.kind == kind and r.head.rights == (right,)]
+            built.clear()
+
+    def test_scholarship_explain(self, scholarship_kb, monkeypatch):
+        built = self.counting(monkeypatch)
+        engine = Engine(scholarship_kb)
+        assert built == [] and "rules" not in vars(engine._compiled)
+        expl = engine.explain("S_d", "promotes(merit)")
+        fired = [r.id for r in engine.fire_rules("S_d") if r.id.startswith("assert#")]
+        assert expl.blocked.startswith("not derivable: rule 'assert#4@S_e'")
+        assert sorted(built) == sorted(fired + ["assert#4@S_e"])
 
 
 class TestResolveStatuses:
@@ -948,6 +1047,43 @@ class TestExplain:
     def test_malformed_conclusion(self, pandemic_kb):
         with pytest.raises(ValueError):
             Engine(pandemic_kb).explain("S", "choice[")
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_blocked_matches_naive_scan(self, seed):
+        rng = random.Random(seed)
+        kb = random_kb(rng, with_extras=seed % 2 == 1)
+        kb = with_strays(with_collision_rules(with_refinements(kb, rng), rng), rng)
+        engine = Engine(kb)
+        rights = sorted(CompiledKB(kb).known)
+        for scen in kb.scenarios:
+            for right in rights:
+                for kind in ("promotes", "demotes", "not_demotes"):
+                    expl = engine.explain(scen.id, f"{kind}({right})")
+                    if not expl.derivable:
+                        assert expl.blocked == naive_blocked(
+                            kb, scen.id, kind, right, f"{kind}({right})")
+            for pair in itertools.combinations(rights, 2):
+                expl = engine.explain(scen.id, f"collides({', '.join(pair)})")
+                if not expl.derivable:
+                    assert expl.blocked == naive_blocked(
+                        kb, scen.id, "collides", frozenset(pair), f"collides({list(pair)})")
+
+    @pytest.mark.parametrize("conclusion, named", [
+        # r and the assert over U miss one literal each: the explicit rule
+        # comes first in `CompiledKB.rules`, though declared later
+        ("promotes(a)", "r"),
+        # the asserts over U and T miss one literal each: the lower number
+        # wins, though T is declared after U
+        ("demotes(a)", "assert#2@T"),
+    ])
+    def test_blocked_ties_name_the_first_rule(self, conclusion, named):
+        kb = parse_kb("right a;\nscenario S { x }\nscenario U { x, u }\nscenario T { x, t }\n"
+                      "assert promotes(a) in U;\nassert demotes(a) in Nowhere;\n"
+                      "assert demotes(a) in T;\nassert demotes(a) in U;\n"
+                      "rule r: x & y => promotes(a);")
+        blocked = Engine(kb).explain("S", conclusion).blocked
+        assert blocked.startswith(f"not derivable: rule {named!r}")
+        assert blocked == naive_blocked(kb, "S", conclusion[:-3], "a", conclusion)
 
     def test_conclusion_naming_another_scenario(self, scholarship_kb):
         with pytest.raises(ValueError, match=r"^conclusion 'demotes\(S_r, privacy\)' "

@@ -99,7 +99,7 @@ class TestAllRules:
                                        AssertStmt("S", PredHead("demotes", ("a",)))])
         first, second = CompiledKB(kb).rules
         assert first.body == (lit("!x"), lit("y"))
-        assert second.body is first.body  # the Engine's rule index files it once
+        assert second.body is first.body  # one body tuple per scenario
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
