@@ -14,7 +14,7 @@ from typing import Optional
 from .dsl import ParseError, parse_kb
 from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
-from .model import KnowledgeBase, validate_kb
+from .model import CompiledKB, KnowledgeBase, validate_kb
 from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
                      build_report, dump_json, minimization_record, render,
                      scenario_view)
@@ -45,12 +45,12 @@ def _load_kb(path: str) -> KnowledgeBase:
 
 def _load_engine(args) -> Engine:
     """The run's one Engine: over the valid KB in `args.file`, configured
-    by the toggle flags."""
-    kb = _load_kb(args.file)
-    errors = [d for d in validate_kb(kb) if d.severity == "error"]
+    by the toggle flags. Validation and the Engine share one compile."""
+    compiled = CompiledKB(_load_kb(args.file))
+    errors = [d for d in validate_kb(compiled) if d.severity == "error"]
     if errors:
         raise CliError("\n".join(str(d) for d in errors), EXIT_SEMANTIC)
-    return Engine(kb, EngineConfig(
+    return Engine(compiled, EngineConfig(
         derived_collision=not args.no_derived_collision,
         monotonicity_check=not getattr(args, "no_monotonicity_check", False),
     ))

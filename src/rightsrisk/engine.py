@@ -139,14 +139,16 @@ def _concluding(rules: list[Rule], kind: str, key: str | frozenset[str]) -> list
 
 class Engine:
     """Reasoner over an immutable knowledge base, compiled once into a
-    `CompiledKB`, that keeps what it works out: each scenario's firings and
-    findings, each right pair's check, the compiled rights and their atom
-    index, the score table, one containment index for firing and monotonicity."""
+    `CompiledKB` (the one given, or its own over a plain KB), that keeps what
+    it works out: each scenario's firings and findings, each right pair's
+    check, the compiled rights and their atom index, the score table, one
+    containment index for firing and monotonicity."""
 
-    def __init__(self, kb: KnowledgeBase, config: EngineConfig = EngineConfig()):
-        self.kb = kb
+    def __init__(self, kb: KnowledgeBase | CompiledKB, config: EngineConfig = EngineConfig()):
+        # compiles each right on first use
+        self._compiled = compiled = kb if isinstance(kb, CompiledKB) else CompiledKB(kb)
+        self.kb = compiled.kb
         self.config = config
-        self._compiled = compiled = CompiledKB(kb)  # compiles each right on first use
         self._scenarios = compiled.scenarios
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, list[Rule]] = {}

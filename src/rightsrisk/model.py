@@ -276,20 +276,26 @@ def _value(steps: list[Step], fixed: dict[str, bool]) -> Optional[bool]:
     return value
 
 
-# Pairs over at most this many atoms are decided by a truth table of 2**16
-# bits, 8 KB per value; wider pairs take the split search.
+# A right over at most this many atoms keeps its truth table, at most 2**16
+# bits (8 KB); a pair with a wider side takes the split search.
 TRUTH_TABLE_ATOMS = 16
 
 
 class Program(NamedTuple):
-    """A right expression compiled once: its `_steps` and its atoms, sorted."""
+    """A right expression compiled once: its `_steps`, its atoms, sorted,
+    and its truth table over them, or None over more than TRUTH_TABLE_ATOMS."""
     steps: list[Step]
     atoms: tuple[str, ...]
+    table: Optional[int]
 
 
 def _compile(expr: RightExpr) -> Program:
     steps = _steps(expr)
-    return Program(steps, tuple(sorted({arg for kind, arg in steps if kind == "atom"})))
+    atoms = tuple(sorted({arg for kind, arg in steps if kind == "atom"}))
+    if len(atoms) > TRUTH_TABLE_ATOMS:
+        return Program(steps, atoms, None)
+    full = (1 << (1 << len(atoms))) - 1
+    return Program(steps, atoms, _table(steps, dict(zip(atoms, _columns(len(atoms)))), full))
 
 
 @lru_cache(maxsize=None)
@@ -345,18 +351,39 @@ def _split_search(programs: tuple[Program, ...], atoms: list[str]) -> bool:
 
 
 def _jointly_satisfiable(p1: Program, p2: Program) -> bool:
-    atoms = sorted(set(p1.atoms).union(p2.atoms))
-    if len(atoms) > TRUTH_TABLE_ATOMS:
-        return _split_search((p1, p2), atoms)
-    full = (1 << (1 << len(atoms))) - 1
-    column = dict(zip(atoms, _columns(len(atoms))))
-    return _table(p1.steps, column, full) & _table(p2.steps, column, full) != 0
+    t1, t2 = p1.table, p2.table
+    if t1 is None or t2 is None:
+        return _split_search((p1, p2), sorted(set(p1.atoms).union(p2.atoms)))
+    if not (t1 and t2):
+        return False
+    a1, a2 = p1.atoms, p2.atoms
+    if a1 == a2:  # the same columns
+        return t1 & t2 != 0
+    # r1 & r2 holds iff some assignment to the shared atoms leaves each
+    # satisfiable: split on those alone, restricting both tables to the
+    # branch, and drop a branch once either table is 0
+    c1, c2 = _columns(len(a1)), _columns(len(a2))
+    shared = [(c1[i], c2[a2.index(atom)]) for i, atom in enumerate(a1) if atom in a2]
+    pending = [(0, t1, t2)]
+    while pending:
+        depth, t1, t2 = pending.pop()
+        if depth == len(shared):
+            return True
+        k1, k2 = shared[depth]
+        u1, u2 = t1 & k1, t2 & k2  # the atom true
+        if u1 and u2:
+            pending.append((depth + 1, u1, u2))
+        u1, u2 = t1 ^ u1, t2 ^ u2  # the atom false
+        if u1 and u2:
+            pending.append((depth + 1, u1, u2))
+    return False
 
 
 def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
-    """Can both expressions hold at once? Exact either way: over at most
-    TRUTH_TABLE_ATOMS joint atoms the two truth tables are ANDed, over more
-    a split search runs over the atoms in sorted order, with no atom cap."""
+    """Can both expressions hold at once? Exact either way: when each is
+    over at most TRUTH_TABLE_ATOMS atoms, their own truth tables are split
+    on the atoms they share; else a split search runs over the joint atoms
+    in sorted order, with no atom cap."""
     return _jointly_satisfiable(_compile(e1), _compile(e2))
 
 
@@ -366,9 +393,10 @@ class CompiledKB:
     its declared right ids, and each defined right's steps, expansion and
     program, each worked out the first time it is asked for and then kept.
 
-    Built afresh by each `validate_kb` and each Engine, never kept on the
-    KnowledgeBase: a script may change a KB between two runs, and a kept
-    compile would then answer for the old one."""
+    A console call builds one and hands it to both `validate_kb` and its
+    Engine; given a plain KnowledgeBase, each builds its own. It is never
+    kept on the KnowledgeBase: a script may change a KB between two runs,
+    and a kept compile would then answer for the old one."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
@@ -446,6 +474,8 @@ class CompiledKB:
         result. A kept name reaches no cycle, so skipping it changes no
         cycle message."""
         defs, done = self.defs, self._expanded
+        if right_id in done:
+            return done[right_id]
         if right_id not in self.known:
             raise KeyError(f"unknown right {right_id!r}")
         if defs.get(right_id) is None:
@@ -536,7 +566,7 @@ def _head_diags(where: str, head: Head, declared_rights: set[str]) -> list[Diagn
     return out
 
 
-def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
+def validate_kb(kb: KnowledgeBase | CompiledKB) -> list[Diagnostic]:
     """All referential, duplicate, polarity, and range violations.
 
     Returns an empty list iff the knowledge base is well-formed. Never
@@ -544,8 +574,11 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     and head is first screened by a cheap exact test, which passes iff its
     detailed check would find nothing. Only a record that fails its screen
     gets its location text built and its detailed check run, so a valid
-    scenario, rule or assert costs no string.
+    scenario, rule or assert costs no string. Given a `CompiledKB`, the
+    expansions its cycle check builds stay in it for an Engine to reuse.
     """
+    compiled = kb if isinstance(kb, CompiledKB) else CompiledKB(kb)
+    kb = compiled.kb
     diags: list[Diagnostic] = []
     diags += _dup_diags("basic right", [b.id for b in kb.basic_rights])
     diags += _dup_diags("right", [r.id for r in kb.rights])
@@ -555,7 +588,6 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     diags += _dup_diags("obligation", [o.id for o in kb.obligations])
     diags += _dup_diags("rule", [r.id for r in kb.rules])
 
-    compiled = CompiledKB(kb)
     declared_rights = compiled.known
     scen_ids = compiled.scenarios
     dom_ids = {d.id for d in kb.domains}

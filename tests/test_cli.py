@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
+from rightsrisk import model
 from rightsrisk.cli import build_arg_parser, main
 from rightsrisk.report import parse_report
 from test_lexer_oracle import mutants
@@ -102,6 +104,48 @@ def promoted_in_s(text, right):
     """`text` plus one scenario S that promotes `right` and `y` (`!x`)."""
     return (text + "scenario S { f }\ndomain D { S }\n"
             f"assert promotes({right}) in S;\nassert promotes(y) in S;\n")
+
+
+class TestOneCompile:
+    """A console call compiles its KB once: validation and the Engine read
+    the same `CompiledKB`, so each defined right is expanded once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"compiles": 0, "expanded": Counter()}
+        init, substitute = model.CompiledKB.__init__, model.CompiledKB._substitute
+
+        def counted_init(self, kb):
+            counts["compiles"] += 1
+            init(self, kb)
+
+        def counted_substitute(self, steps):
+            name = next(n for n, (s, _) in self._opened.items() if s is steps)
+            counts["expanded"][name] += 1
+            return substitute(self, steps)
+        monkeypatch.setattr(model.CompiledKB, "__init__", counted_init)
+        monkeypatch.setattr(model.CompiledKB, "_substitute", counted_substitute)
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ("fria", "triage.rights", "--gpai", "--fixed-time", "2026-01-01T00:00:00Z"),
+        ("assess", "triage.rights", "--purpose", "P_triage"),
+        ("explain", "triage.rights", "S_emergency", "choice(S_emergency, privacy)"),
+        ("check", "triage.rights"),
+    ], ids=["fria", "assess", "explain", "check"])
+    def test_fixture_calls(self, capsys, fixtures_dir, counts, argv):
+        code, _, err = run(capsys, argv[0], fx(fixtures_dir, argv[1]), *argv[2:])
+        assert (code, err) == (0, "")
+        assert counts["compiles"] == 1
+        assert set(counts["expanded"].values()) == {1}
+
+    def test_shared_chain(self, capsys, tmp_path, counts):
+        path = tmp_path / "shared.rights"
+        path.write_text(promoted_in_s(shared_chain(30), "r0"))
+        code, out, _ = run(capsys, "assess", str(path), "--scenario", "S")
+        assert code == 0 and "collisions: (r0, y)" in out
+        assert counts["compiles"] == 1
+        assert counts["expanded"] == Counter({f"r{i}": 1 for i in range(31)} | {"y": 1})
 
 
 class TestArgumentParser:

@@ -325,6 +325,71 @@ class TestIncompatibility:
         assert truth_table_satisfiable(e1, e2) == (
             truth_table_satisfiable(e1, e1) and truth_table_satisfiable(e2, e2))
 
+    @pytest.mark.parametrize("width, shared", [(4, 0), (4, 1), (4, 4), (9, 1)],
+                             ids=["disjoint", "one-shared", "all-shared", "17-joint"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_kb_pairs_match_truth_table(self, width, shared, data):
+        """`logically_incompatible` over a KB's compiled rights against a
+        table built from the expression trees. r1 spans b0..b<width-1>, r2
+        the next `width` atoms from b<width-shared>; a tautology conjunct
+        over each side's atoms makes it span all of them. Either side may
+        be made unsatisfiable."""
+        sides = []
+        for first in (0, width - shared):
+            e = data.draw(exprs_over(width, first=first))
+            sides.append(AndExpr((e, *tautologies(range(first, first + width)))))
+        unsat = data.draw(st.sampled_from([None, 0, 1]))
+        if unsat is not None:
+            sides[unsat] = AndExpr((sides[unsat], NotExpr(sides[unsat])))
+        e1, e2 = sides
+        kb = KnowledgeBase(basic_rights=[model.BasicRight(f"b{i}") for i in range(2 * width)],
+                           rights=[FundamentalRight("r1", e1), FundamentalRight("r2", e2)])
+        compiled = CompiledKB(kb)
+        p1, p2 = compiled.program("r1"), compiled.program("r2")
+        assert len(set(p1.atoms) & set(p2.atoms)) == shared
+        joint = 2 * width - shared
+        assert logically_incompatible(compiled, "r1", "r2") == (
+            not wide_table_satisfiable(e1, e2, joint))
+
+    @pytest.mark.parametrize("pad", [False, True], ids=["17-joint", "31-joint"])
+    def test_narrow_sides_take_no_split_search(self, split_widths, pad):
+        """`z & (b00 | !b00) & ... & (b14 | !b14)`, 16 atoms, against `!z & w`
+        (17 joint atoms), or against `!z` padded the same way over c00..c14
+        (31): each side is narrow, so the pair splits on `z` alone and
+        decides at once, where a search over the joint atoms in sorted
+        order would reach `z` only after every assignment of the padding."""
+        def padded(prefix):
+            return " & ".join(f"({prefix}{i:02d} | !{prefix}{i:02d})" for i in range(15))
+        other = padded("c") if pad else "w"
+        kb = parse_kb("basic w, z, " + ", ".join(f"{p}{i:02d}" for p in "bc" for i in range(15))
+                      + f";\nright r1 := z & {padded('b')};\nright r2 := !z & {other};\n"
+                      + f"right r3 := z & {other};\n")
+        compiled = CompiledKB(kb)
+        start = time.perf_counter()
+        assert logically_incompatible(compiled, "r1", "r2")
+        assert not logically_incompatible(compiled, "r1", "r3")
+        assert time.perf_counter() - start < 1
+        assert len(set(compiled.program("r1").atoms).union(compiled.program("r2").atoms)) > 16
+        assert split_widths == []
+
+    def test_tables_built_once_per_right(self, monkeypatch):
+        """Each right's truth table is built when it is compiled, over its own
+        atoms; deciding its pairs builds none."""
+        kb = parse_kb("basic a, b, c, d;\nright p := a & !b;\nright q := b | c;\n"
+                      "right r := !a & d;\nright s := c & d;\n")
+        compiled = CompiledKB(kb)
+        widths = []
+        table = model._table
+        monkeypatch.setattr(model, "_table", lambda steps, column, full:
+                            widths.append(len(column)) or table(steps, column, full))
+        names = ["p", "q", "r", "s"]
+        answers = {(x, y): logically_incompatible(compiled, x, y)
+                   for x in names for y in names}
+        assert widths == [2, 2, 2, 2]
+        assert [pair for pair, incompatible in answers.items() if incompatible] == [
+            ("p", "r"), ("r", "p")]
+
     @pytest.mark.parametrize("width", [TRUTH_TABLE_ATOMS, TRUTH_TABLE_ATOMS + 1])
     # a 17-atom split search refuted only by its last atom walks 2**16
     # branches, about 0.3 s
@@ -365,6 +430,11 @@ def exprs_over(n, max_leaves=12, first=0):
         st.lists(sub, min_size=1, max_size=4).map(lambda es: AndExpr(tuple(es))),
         st.lists(sub, min_size=1, max_size=4).map(lambda es: OrExpr(tuple(es)))),
         max_leaves=max_leaves)
+
+
+def tautologies(indices):
+    """`b<i> | !b<i>` for each index: true, yet naming the atom."""
+    return tuple(OrExpr((RightRef(f"b{i}"), NotExpr(RightRef(f"b{i}")))) for i in indices)
 
 
 def leaf_names(expr):
