@@ -33,7 +33,7 @@ class CliError(Exception):
 
 def _load_kb(path: str) -> KnowledgeBase:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE)

@@ -37,15 +37,20 @@ parse_kb reads a KB one declaration per match of one regular expression,
 after taking out the comments, and builds each declaration's records from
 the parts the match captured. At the first text that expression does not
 take, or at a declaration _Parser would reject (a keyword as an
-identifier, a repeated risk field, an integer too long for int(), a right
-definition _rexpr refuses), the whole text goes to tokenize and _Parser
-instead, and only that path raises ParseError. On the seed-1 `query_mixed`
-benchmark KB (765 lines, 8,610 tokens) the matcher takes about 40% less
-time than tokenize and _Parser (median of 200 alternated calls, Python
-3.11.7, 2-core VM). Compiling the expression costs 3-8 ms, more than that
-saves on one parse, so a process's first parse_kb leaves the matcher out:
-a program that parses one file, as each `rightsrisk` command does, pays
-nothing for it, and one that parses again pays the compile once.
+identifier, a repeated or unknown risk field, an integer too long for
+int(), a right definition _rexpr refuses), the whole text goes to
+tokenize and _Parser instead, and only that path raises ParseError. On
+the seed-1 `query_mixed` benchmark KB (765 lines, 8,610 tokens) the
+matcher takes about 40% less time than tokenize and _Parser (median of
+200 alternated calls, Python 3.11.7, 2-core VM). Compiling the
+expression takes 4-9 ms in a fresh process, more than that saves on a
+first parse: compile included, the matcher is 6-9 ms slower than
+tokenize and _Parser on each fixture, and at best 1 ms faster on a 28 KB
+benchmark KB (medians of 10 fresh processes). So a process's first
+parse_kb leaves the matcher out, and the matcher serves only in-process
+callers that parse again: a program that parses one file, as each
+`rightsrisk` command does, never compiles it, and one that parses many
+pays the compile once.
 
 Tokens are stored as a kind and a value only; a token's offset and
 line:col are found on demand, for a ParseError or a Token read from
@@ -422,16 +427,6 @@ def _fill(template: str, **parts: str) -> str:
     return re.sub("|".join(parts), lambda m: parts[m[0]], template)
 
 
-_HEAD_GROUPS = ("pred", "first", "second", "chain")
-
-
-def _head(group: str) -> str:
-    """A rule or assert head; `group` prefixes the names of _HEAD_GROUPS."""
-    return _fill(rf"""(?:
-        (?P<{group}pred> PRED ) ~\(~ (?P<{group}first> ID ) (?: ~,~ (?P<{group}second> ID ) )? ~\)
-      | (?P<{group}chain> ID (?: ~>~ ID )* ) )""", PRED="|".join(PRED_KINDS), ID=_ID)
-
-
 @cache
 def _decl_re() -> re.Pattern:
     """The declaration matcher's pattern, compiled at the first match_kb:
@@ -439,31 +434,34 @@ def _decl_re() -> re.Pattern:
     once need not spend.
 
     A keyword is always followed by an identifier, so the gap after it cannot
-    be empty. Each kind's group, whose name `lastgroup` gives, opens after the
-    keyword, so an alternative that fails fails on its first character. A
+    be empty. Each alternative starts with its keyword, so one that fails
+    fails on its first character, and ends with its kind's group, whose name
+    `lastgroup` gives. `domain` and `purpose` share one alternative, and
+    `assert` and `rule` one head, after which only an assert has `in`. A
     right definition is matched as a run of its words and then read by
-    _rexpr."""
+    _rexpr, and a risk field's name is checked when its record is built."""
     return re.compile(_fill(r"""~ (?:
     basic\b (?P<basic> ~ (?P<basic_ids> ID (?: ~,~ ID )* ) ~; )
   | right\b (?P<right> ~ (?P<right_id> ID ) ~
         (?: :=~ (?P<right_def> RWORD (?: ~RWORD )* ) ~ )? ; )
   | scenario\b (?P<scenario> ~ (?P<scenario_id> ID ) ~\{~
         (?: (?P<scenario_lits> LIT (?: ~,~ LIT )* ) ~ )? \} )
-  | domain\b (?P<domain> ~ (?P<domain_id> ID ) ~\{~
-        (?P<domain_ids> ID (?: ~,~ ID )* ) ~\} )
-  | purpose\b (?P<purpose> ~ (?P<purpose_id> ID ) ~\{~
-        (?P<purpose_ids> ID (?: ~,~ ID )* ) ~\} )
+  | (?P<grouping_kw> domain | purpose )\b (?P<grouping> ~ (?P<grouping_id> ID ) ~\{~
+        (?P<grouping_ids> ID (?: ~,~ ID )* ) ~\} )
   | obligation\b (?P<obligation> ~ (?P<obligation_id> ID ) ~ (?P<obligation_text> STRING )
         ~ applies\b~ (?P<obligation_for> ID ) ~; )
-  | assert\b (?P<assert> ~ ASSERT_HEAD ~ in\b~ (?P<assert_in> ID ) ~; )
-  | rule\b (?P<rule> ~ (?P<rule_id> ID ) ~ (?: \[~ (?P<rule_strength> INT ) ~\]~ )? :(?!=)~
-        (?: (?P<rule_body> LIT (?: ~&~ LIT )* ) ~ )? =>~ RULE_HEAD ~; )
+  | (?: (?P<assert_kw> assert )\b
+      | rule\b ~ (?P<rule_id> ID ) ~ (?: \[~ (?P<rule_strength> INT ) ~\]~ )? :(?!=)~
+        (?: (?P<rule_body> LIT (?: ~&~ LIT )* ) ~ )? => )
+    (?P<stmt> ~ (?:
+        (?P<head_pred> PRED ) ~\(~ (?P<head_first> ID ) (?: ~,~ (?P<head_second> ID ) )? ~\)
+      | (?P<head_chain> ID (?: ~>~ ID )* ) )
+        ~ (?(assert_kw) in\b~ (?P<assert_in> ID ) ~ ) ; )
   | risk\b (?P<risk> ~ (?P<risk_id> ID ) ~\{~
         (?P<risk_fields> FIELD (?: ~,~ FIELD )* ) ~\} )
 )""", ID=_ID, INT=r"-?[0-9]+\b", LIT=_fill("(?:!~)?ID", ID=_ID),
-        RWORD=rf"(?:[!()&|]|{_ID})", STRING=_STRING,
-        FIELD=_fill(r"(?:FIELDS)~:~-?[0-9]+\b", FIELDS="|".join(RiskAnnotation.FIELDS)),
-        ASSERT_HEAD=_head("assert_"), RULE_HEAD=_head("rule_")), re.VERBOSE | re.ASCII)
+        RWORD=rf"(?:[!()&|]|{_ID})", STRING=_STRING, PRED="|".join(PRED_KINDS),
+        FIELD=_fill(r"[a-z]+~:~-?[0-9]+\b")), re.VERBOSE | re.ASCII)
 
 
 def _ident(name: str) -> str:
@@ -478,15 +476,6 @@ def _idents(text: str) -> list[str]:
     if not KEYWORDS.isdisjoint(names):
         raise ValueError("a keyword as an identifier")
     return names
-
-
-def _head_of(pred: str | None, first: str | None, second: str | None,
-             chain: str | None) -> Head:
-    if pred is None:
-        return ChainHead(tuple(_idents(chain)))
-    if (second is None) == (pred in BINARY_PREDS):
-        raise ValueError(f"{pred} with the wrong number of rights")  # _Parser names it
-    return PredHead(pred, (_ident(first),) if second is None else (_ident(first), _ident(second)))
 
 
 class _Matcher:
@@ -544,37 +533,39 @@ class _Matcher:
         sid, lits = m.group("scenario_id", "scenario_lits")
         self.kb.scenarios.append(Scenario(_ident(sid), frozenset(self._lits(lits))))
 
-    def _domain(self, m: re.Match) -> None:
-        did, ids = m.group("domain_id", "domain_ids")
-        self.kb.domains.append(DeploymentDomain(_ident(did), tuple(_idents(ids))))
-
-    def _purpose(self, m: re.Match) -> None:
-        pid, ids = m.group("purpose_id", "purpose_ids")
-        self.kb.purposes.append(Purpose(_ident(pid), tuple(_idents(ids))))
+    def _grouping(self, m: re.Match) -> None:
+        keyword, gid, ids = m.group("grouping_kw", "grouping_id", "grouping_ids")
+        records, kind = ((self.kb.domains, DeploymentDomain) if keyword == "domain"
+                         else (self.kb.purposes, Purpose))
+        records.append(kind(_ident(gid), tuple(_idents(ids))))
 
     def _obligation(self, m: re.Match) -> None:
         oid, text, sid = m.group("obligation_id", "obligation_text", "obligation_for")
         text = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1])
         self.kb.obligations.append(Obligation(_ident(oid), text, _ident(sid)))
 
-    _ASSERT_GROUPS = tuple("assert_" + g for g in _HEAD_GROUPS)
-    _RULE_GROUPS = tuple("rule_" + g for g in _HEAD_GROUPS)
-
-    def _assert(self, m: re.Match) -> None:
-        head = _head_of(*m.group(*self._ASSERT_GROUPS))
-        self.kb.assertions.append(AssertStmt(_ident(m["assert_in"]), head))
-
-    def _rule(self, m: re.Match) -> None:
+    def _stmt(self, m: re.Match) -> None:
+        pred, first, second, chain = m.group("head_pred", "head_first", "head_second",
+                                             "head_chain")
+        if pred is None:
+            head = ChainHead(tuple(_idents(chain)))
+        elif (second is None) == (pred in BINARY_PREDS):
+            raise ValueError(f"{pred} with the wrong number of rights")  # _Parser names it
+        else:
+            head = PredHead(pred, (_ident(first),) if second is None
+                            else (_ident(first), _ident(second)))
+        if m["assert_kw"]:
+            self.kb.assertions.append(AssertStmt(_ident(m["assert_in"]), head))
+            return
         rid, strength, body = m.group("rule_id", "rule_strength", "rule_body")
-        self.kb.rules.append(Rule(_ident(rid), tuple(self._lits(body)),
-                                  _head_of(*m.group(*self._RULE_GROUPS)),
+        self.kb.rules.append(Rule(_ident(rid), tuple(self._lits(body)), head,
                                   0 if strength is None else int(strength)))
 
     def _risk(self, m: re.Match) -> None:
         fields = _FIELD_RE.findall(m["risk_fields"])
         values = {name: int(value) for name, value in fields}
-        if len(values) < len(fields):
-            raise ValueError("a repeated risk field")  # _Parser names it
+        if len(values) < len(fields) or values.keys() - RiskAnnotation.FIELDS:
+            raise ValueError("a repeated or unknown risk field")  # _Parser names it
         self.kb.risk_annotations.append(RiskAnnotation(_ident(m["risk_id"]), **values))
 
 

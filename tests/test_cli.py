@@ -71,6 +71,16 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("argv", [["check"], ["assess", "--scenario", "S_emergency"]],
+                             ids=["check", "assess"])
+    def test_byte_order_mark_is_skipped(self, capsys, fixtures_dir, tmp_path, argv):
+        original = fixtures_dir / "triage.rights"
+        bom = tmp_path / "triage.rights"
+        bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        want = run(capsys, argv[0], str(original), *argv[1:])
+        assert want[0] == 0
+        assert run(capsys, argv[0], str(bom), *argv[1:]) == want
+
     @pytest.mark.parametrize("text, col", [
         ("rule r [{}]: f => promotes(a);", 9),
         ("risk S {{ hazard: {} }}", 18)], ids=["strength", "risk_field"])

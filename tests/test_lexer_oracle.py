@@ -9,9 +9,12 @@ ParseError as the reference lexer.
 other text to `tokenize` and the token parser; a process's first call skips
 the matcher, but here every call runs it. A spy on `dsl.tokenize` shows
 which path read a text: the tests check that both paths run, that valid
-fixtures, README examples and benchmark KBs need no fallback, and that
-hostile inputs end in linear time."""
+fixtures, README examples and benchmark KBs need no fallback, that a
+console call never compiles the matcher, and that hostile inputs end in
+linear time."""
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -150,6 +153,12 @@ EVERY_GAP = (
     ("basic a;\fright b;", False),           # \f and \v are no whitespace
     ("basic a;\vright b;", False),
     ("risk S { hazard: 1, hazard: 5 }", False),
+    ("risk S { Hazard: 1 }", False),        # a field name is one of RiskAnnotation.FIELDS,
+    ("risk S { hazards: 1 }", False),       # checked when the record is built
+    ("assert promotes(a);", False),         # an assert ends in `in`,
+    ("assert a > b;", False),
+    ("rule r: x => promotes(a) in S;", False),  # and a rule does not
+    ("domain D { S } purpose P { D, E }", True),
     ("right r := (a;", False),              # _rexpr rejects the definition
     ("right r := a b;", False),             # or stops before its end
     (EVERY_GAP, True),
@@ -172,6 +181,27 @@ def test_first_parse_in_a_process_skips_the_matcher():
         assert spy.call_count == 1
 
 
+# one console call in a fresh interpreter, after which the matcher's pattern
+# must still be uncompiled
+CONSOLE_CALL = """
+import sys
+from rightsrisk import cli, dsl
+code = cli.main(sys.argv[1:])
+assert dsl._decl_re.cache_info().currsize == 0
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["check"], ["fria", "--gpai"]], ids=["check", "fria"])
+def test_a_console_call_never_compiles_the_matcher(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CONSOLE_CALL, argv[0],
+                           str(ROOT / "fixtures" / "triage.rights"), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def benchmark_workloads():
     """The benchmark's `run.WORKLOADS`, imported as `scripts/scaling.py` does,
     with `perfbench/` on `sys.path`; that entry is taken out again."""
@@ -190,13 +220,15 @@ WORKLOADS, generate = benchmark_workloads()
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS) + sorted(WORKLOADS))
 def test_valid_kbs_need_no_fallback(name):
-    """Each fixture, and seed 1 of each benchmark workload's KB."""
-    text = FIXTURE_TEXTS.get(name) or generate(name, WORKLOADS[name].shape, 1,
-                                               dsl.parse_kb).text
-    with fallback_spy() as spy:
-        got = parsed(dsl.parse_kb, text)
-    assert not spy.called
-    assert got == parsed(reference.parse_kb, text)
+    """Each fixture, and seeds 1-5 of each benchmark workload's KB."""
+    texts = [FIXTURE_TEXTS[name]] if name in FIXTURE_TEXTS else [
+        generate(name, WORKLOADS[name].shape, seed, dsl.parse_kb).text
+        for seed in range(1, 6)]
+    for text in texts:
+        with fallback_spy() as spy:
+            got = parsed(dsl.parse_kb, text)
+        assert not spy.called
+        assert got == parsed(reference.parse_kb, text)
 
 
 # whitespace and comments, each comment ending its line
