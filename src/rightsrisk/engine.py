@@ -14,11 +14,10 @@ collisions.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, CompiledKB, Diagnostic,
                     FeatureLiteral, KnowledgeBase, Rule, Scenario,
@@ -90,28 +89,6 @@ class Explanation:
     blocked: Optional[str] = None
 
 
-def _containment_search(bodies: list) -> Callable[[frozenset], list[int]]:
-    """A search giving the positions of the literal sets in `bodies` that a
-    feature set contains, each once, in no set order. Each body is filed
-    under its rarest literal, counted over all bodies, so a feature set's
-    candidates are its literals' buckets plus the empty bodies."""
-    counts = Counter(lit for body in bodies for lit in body)
-    buckets: dict[FeatureLiteral, list[int]] = {}
-    always: list[int] = []
-    for i, body in enumerate(bodies):
-        if body:
-            buckets.setdefault(min(body, key=counts.__getitem__), []).append(i)
-        else:
-            always.append(i)
-
-    def contained(features: frozenset[FeatureLiteral]) -> list[int]:
-        candidates = list(always)
-        for lit in features:
-            candidates += buckets.get(lit, ())
-        return [i for i in candidates if features.issuperset(bodies[i])]
-    return contained
-
-
 def _key(head) -> str | frozenset[str]:
     """A conclusion's key within its kind: a unary conclusion's right id, or
     the unordered pair of a `collides`/`not_collides` one."""
@@ -141,8 +118,9 @@ class Engine:
     """Reasoner over an immutable knowledge base, compiled once into a
     `CompiledKB` (the one given, or its own over a plain KB), that keeps what
     it works out: each scenario's firings and findings, each right pair's
-    check, the compiled rights and their atom index, the score table, one
-    containment index for firing and monotonicity."""
+    check, the compiled rights and their atom index, the scenario and domain
+    score tables, and one containment table, built on the first firing,
+    that firing and monotonicity both read."""
 
     def __init__(self, kb: KnowledgeBase | CompiledKB, config: EngineConfig = EngineConfig()):
         # compiles each right on first use
@@ -156,8 +134,9 @@ class Engine:
         self._linked: dict[str, set[str]] = {}  # the atom index of `_link`
         self._by_atom: dict[str, set[str]] = {}
         self._unsat: set[str] = set()
-        # the score table, filled by `scoring.scenario_breakdown`
+        # the score tables, filled by `scoring.scenario_breakdown` and `degree_domain`
         self.breakdowns: dict[str, DegreeBreakdown] = {}
+        self.domain_breakdowns: dict[str, DegreeBreakdown] = {}
 
     # -- rule firing --------------------------------------------------------
 
@@ -168,32 +147,56 @@ class Engine:
             raise KeyError(f"unknown scenario {scenario_id!r}") from None
 
     @cached_property
-    def _containment(self) -> tuple[Callable, dict[int, str], list[list[int]]]:
-        """A search over each scenario's features, by `kb.scenarios` position, then each
-        explicit body; each asserted id by its first position; each body's rule positions."""
-        first = {s.id: p for p, s in reversed(list(enumerate(self.kb.scenarios)))}
-        owners = {first[sid]: sid for sid in self._compiled.asserted}
+    def _containment(self) -> tuple[list[list[int]], list[list[int]], dict[str, int], dict[int, str]]:
+        """The containment table, by `kb.scenarios` position j: `rules_in[j]`,
+        the `kb.rules` positions whose bodies j's features contain, and
+        `within[j]`, the scenario positions whose features j's contain, j
+        among them, each ascending; then each id's first position, and each
+        asserted id by its first position. A literal set's mask, the AND of
+        its literals' `holders`, has bit j set when scenario j contains it."""
+        scenarios = self.kb.scenarios
+        holders: dict[FeatureLiteral, int] = {}
+        for j, s in enumerate(scenarios):
+            bit = 1 << j
+            for lit in s.features:
+                holders[lit] = holders.get(lit, 0) | bit
+        everyone = (1 << len(scenarios)) - 1  # an empty body's mask
         groups: dict[tuple[FeatureLiteral, ...], list[int]] = {}
         for i, rule in enumerate(self.kb.rules):
             groups.setdefault(rule.body, []).append(i)
-        bodies = [s.features for s in self.kb.scenarios] + list(groups)
-        return _containment_search(bodies), owners, list(groups.values())
+        rules_in: list[list[int]] = [[] for _ in scenarios]
+        for body, group in groups.items():  # each body's bits once, for all its rules
+            mask = everyone
+            for lit in body:
+                mask &= holders.get(lit, 0)
+            while mask:
+                j = mask.bit_length() - 1
+                rules_in[j] += group
+                mask ^= 1 << j
+        for positions in rules_in:
+            positions.sort()
+        within: list[list[int]] = [[] for _ in scenarios]
+        for x, s in enumerate(scenarios):  # in order, so each list grows ascending
+            mask = everyone
+            for lit in s.features:
+                mask &= holders[lit]
+            while mask:
+                j = mask.bit_length() - 1
+                within[j].append(x)
+                mask ^= 1 << j
+        first = {s.id: p for p, s in reversed(list(enumerate(scenarios)))}
+        owners = {first[sid]: sid for sid in self._compiled.asserted}
+        return rules_in, within, first, owners
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         """The rules whose bodies hold in the scenario, in `CompiledKB.rules`
-        order: explicit rules, then the contained scenarios' asserts by number."""
-        features = self._scenario(scenario_id).features
-        contained, owners, groups = self._containment
-        n, compiled, rules = len(self.kb.scenarios), self._compiled, self.kb.rules
-        positions: list[int] = []
-        sids: list[str] = []
-        for p in contained(features):
-            if p >= n:
-                positions += groups[p - n]
-            elif p in owners:
-                sids.append(owners[p])
-        positions.sort()
-        fired = [rules[i] for i in positions]
+        order: explicit rules, then the contained scenarios' asserts by
+        number, read from the containment table at the id's first position."""
+        self._scenario(scenario_id)  # KeyError for an unknown id
+        rules_in, within, first, owners = self._containment
+        j, compiled, rules = first[scenario_id], self._compiled, self.kb.rules
+        fired = [rules[i] for i in rules_in[j]]
+        sids = [owners[p] for p in within[j] if p in owners]
         if len(sids) == 1:  # the common case: no merge by number
             return fired + compiled.asserts(sids[0])
         return fired + [r for _, r in sorted([pair for sid in sids for pair in
@@ -373,14 +376,15 @@ class Engine:
     def check_monotonicity(self) -> list[Diagnostic]:
         """Warn when a scenario promotes a right that a feature-subset
         scenario demotes (or vice versa). Warnings only; disabled entirely
-        when the toggle is off. The feature-subset pairs are found first, so
-        only the scenarios in some pair are fired."""
+        when the toggle is off. The feature-subset pairs come from the
+        containment table, so only the scenarios in some pair are fired."""
         if not self.config.monotonicity_check:
             return []
-        # (X, Y) by position: features(X) <= features(Y), X the weaker one
-        scenarios, contained, n = self.kb.scenarios, self._containment[0], len(self.kb.scenarios)
-        pairs = sorted((x, y) for y, sup in enumerate(scenarios) for x in contained(sup.features)
-                       if x < n and scenarios[x].id != sup.id)
+        # (X, Y) by position: features(X) <= features(Y), X the weaker one;
+        # the table lists them by Y, the warnings go by X
+        scenarios = self.kb.scenarios
+        pairs = sorted((x, y) for y, xs in enumerate(self._containment[1]) for x in xs
+                       if scenarios[x].id != scenarios[y].id)
         paired = dict.fromkeys(scenarios[i].id for pair in pairs for i in pair)
         raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
                             if f.head.kind == kind}

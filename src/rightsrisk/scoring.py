@@ -8,8 +8,8 @@ scenario's xi, delta and degree are each one `Fraction` made from those
 integer sums (an empty side is a shared zero), so a breakdown carries
 exact numbers and nothing per occurrence; its `per_occurrence` entries
 are built when read.
-Each Engine keeps one score table: a scenario is scored on first use and
-its breakdown is shared by every later reader.
+Each Engine keeps two score tables: a scenario is scored, and a domain
+summed, on first use, and the breakdown is shared by every later reader.
 """
 from __future__ import annotations
 
@@ -134,9 +134,13 @@ def _sum(parts: Iterable[DegreeBreakdown]) -> DegreeBreakdown:
 
 
 def degree_domain(engine: Engine, domain_id: str) -> DegreeBreakdown:
-    """Sum of scenario degrees over the domain."""
-    return _sum(scenario_breakdown(engine, sid)
-                for sid in engine.kb.domain(domain_id).scenarios)
+    """Sum of scenario degrees over the domain, from the Engine's domain
+    table, summed on first use."""
+    table = engine.domain_breakdowns
+    if domain_id not in table:
+        table[domain_id] = _sum(scenario_breakdown(engine, sid)
+                                for sid in engine.kb.domain(domain_id).scenarios)
+    return table[domain_id]
 
 
 def degree_purpose(engine: Engine, purpose_id: str) -> DegreeBreakdown:

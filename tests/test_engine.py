@@ -209,14 +209,27 @@ class TestFiringOracle:
         assert self.fired_ids(text, "S") == ["r1", "r2", "r3", "r4",
                                              "assert#0@S", "assert#1@S"]
         assert self.fired_ids(text, "T") == ["r1", "r3"]
-        # the scenarios' feature sets first, at their positions, then the
-        # distinct explicit bodies; the asserts fire through their scenario
+        # each scenario's explicit rules and contained scenarios, by
+        # position; the asserts fire through their scenario
         engine = Engine(parse_kb(text))
-        contained, owners, groups = engine._containment
+        rules_in, within, first, owners = engine._containment
+        assert rules_in == [[0, 1, 2, 3], [0, 2]]
+        assert within == [[0, 1], [1]]
+        assert first == {"S": 0, "T": 1}
         assert owners == {0: "S"}
-        assert groups == [[0], [1], [2], [3], [4]]
-        assert sorted(contained(engine._scenario("S").features)) == [0, 1, 2, 3, 4, 5]
-        assert sorted(contained(engine._scenario("T").features)) == [1, 2, 4]
+
+    def test_dense_kb_fires_every_scenario(self):
+        # 2,000 scenarios share one feature and 50 rules test only it, so
+        # one body's mask has every bit set
+        kb = dense_kb()
+        engine = Engine(kb)
+        for scen in kb.scenarios:
+            assert [r.id for r in engine.fire_rules(scen.id)] == \
+                [f"r{i}" for i in range(50)] + [f"assert#{scen.id[1:]}@{scen.id}"]
+        rules_in, within, _, _ = engine._containment
+        assert rules_in == [list(range(50))] * 2000
+        assert within == [[j] for j in range(2000)]
+        assert engine.check_monotonicity() == []
 
     def test_unknown_scenario(self, pandemic_kb):
         with pytest.raises(KeyError) as exc:
@@ -229,7 +242,63 @@ class TestFiringOracle:
         engine.fire_rules("S")
         index = engine._containment
         engine.check_monotonicity()
-        assert engine._containment is index  # one index for both
+        assert engine._containment is index  # one table for both
+
+
+def dense_kb():
+    """2,000 scenarios `S0`… that share the feature `shared`, each with an
+    own feature and an assert, and 50 rules that test only `shared`."""
+    lines = ["right a; right b;"]
+    lines += [f"scenario S{j} {{ shared, own{j} }}" for j in range(2000)]
+    lines += [f"assert promotes(a) in S{j};" for j in range(2000)]
+    lines += [f"rule r{i}: shared => promotes(b);" for i in range(50)]
+    return parse_kb("\n".join(lines))
+
+
+def naive_table(kb):
+    """Reference containment table: each scenario position's explicit rule
+    positions and contained scenario positions, by scanning every pair."""
+    rules_in = [[i for i, r in enumerate(kb.rules) if satisfies(s.features, r.body)]
+                for s in kb.scenarios]
+    within = [[x for x, sub in enumerate(kb.scenarios) if sub.features <= s.features]
+              for s in kb.scenarios]
+    return rules_in, within
+
+
+class TestContainmentTable:
+    """The table's lists at every scenario position against a naive scan
+    of `kb.rules` and `kb.scenarios`, in order."""
+
+    @staticmethod
+    def check(kb):
+        rules_in, within, first, owners = Engine(kb)._containment
+        assert (rules_in, within) == naive_table(kb)
+        assert first == {s.id: next(p for p, t in enumerate(kb.scenarios) if t.id == s.id)
+                         for s in kb.scenarios}
+        assert owners == {first[a.scenario]: a.scenario for a in kb.assertions
+                          if a.scenario in first}
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_kbs_with_refinements_and_strays(self, seed):
+        rng = random.Random(seed)
+        self.check(with_strays(with_refinements(random_kb(rng, with_extras=seed % 2 == 1),
+                                                rng), rng))
+
+    def test_empty_body_empty_scenario_and_unheld_literal(self):
+        kb = parse_kb("right a;\nscenario S { x, y }\nscenario E { }\nscenario T { y }\n"
+                      "rule r1: => promotes(a);\nrule r2: y => demotes(a);\n"
+                      "rule r3: x & !y => promotes(a);\nrule r4: w => demotes(a);\n"
+                      "rule r5: => demotes(a);\nassert promotes(a) in E;")
+        self.check(kb)
+        rules_in, within, _, owners = Engine(kb)._containment
+        assert rules_in == [[0, 1, 4], [0, 4], [0, 1, 4]]
+        assert within == [[0, 1, 2], [1], [1, 2]]
+        assert owners == {1: "E"}
+
+    def test_no_scenarios(self):
+        kb = parse_kb("right a;\nrule r: => promotes(a);")
+        assert Engine(kb)._containment == ([], [], {}, {})
+        assert Engine(kb).check_monotonicity() == []
 
 
 class TestLazyAsserts:

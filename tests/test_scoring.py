@@ -208,9 +208,40 @@ class TestScoreTable:
                   ("S_routine", "S_emergency", "S_outbreak")}
         copies = {sid: (copy.copy(b), b.per_occurrence) for sid, b in before.items()}
         degree_purpose(engine, "P_triage")
+        domains = dict(engine.domain_breakdowns)
+        domain_copies = {did: with_entries(copy.copy(b)) for did, b in domains.items()}
         degree_domain(engine, "D_clinic").add(degree_domain(engine, "D_population"))
         assert {sid: with_entries(b) for sid, b in before.items()} == copies
         assert engine.breakdowns == before
+        assert engine.domain_breakdowns == domains
+        assert all(engine.domain_breakdowns[did] is b for did, b in domains.items())
+        assert {did: with_entries(b) for did, b in domains.items()} == domain_copies
+
+    def test_domain_breakdown_is_kept(self, triage_kb):
+        engine = Engine(triage_kb)
+        clinic = degree_domain(engine, "D_clinic")
+        assert degree_domain(engine, "D_clinic") is clinic
+        assert engine.domain_breakdowns == {"D_clinic": clinic}
+        with pytest.raises(KeyError):
+            degree_domain(engine, "D_nowhere")
+
+    def test_gpai_fria_sums_each_domain_once(self, capsys, fixtures_dir):
+        argv = ["fria", str(fixtures_dir / "triage.rights"), "--gpai",
+                "--fixed-time", "2026-01-01T00:00:00Z"]
+        with mock.patch.object(scoring, "_sum", wraps=scoring._sum) as sums:
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        # D_clinic and D_population once each, then P_triage over the two
+        assert sums.call_count == 2 + 1
+
+    def test_minimize_purpose_after_degree_purpose_sums_nothing(self, triage_kb):
+        engine = Engine(triage_kb)
+        degree_purpose(engine, "P_triage")
+        with mock.patch.object(scoring, "_sum", wraps=scoring._sum) as sums:
+            result = minimize_purpose(engine, "P_triage")
+        assert not sums.called
+        assert result.per_unit_degrees == {did: b.degree for did, b in
+                                           engine.domain_breakdowns.items()}
 
     def test_weight_is_cached_and_still_checked(self):
         assert weight(2, 3) is weight(2, 3)
