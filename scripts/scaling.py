@@ -17,6 +17,8 @@ one:
   build_report  the report from the bundle
   render        the report as JSON
 
+The stages run with the cyclic garbage collector paused, as `cli.main`
+pauses it for a command, so that they still add up to the `fria` call.
 A median is taken, not a best: on a shared machine the best of a few
 calls still swings by half from run to run. The sizes sit outside the
 benchmark's gated workloads, so nothing here is a pass or fail bound. A
@@ -25,6 +27,7 @@ Markdown table goes to stdout; `--out` also writes the record as JSON.
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -102,7 +105,9 @@ def measure(scenarios: int, workdir: str) -> dict:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     fria = statistics.median(fria_seconds(path) for _ in range(REPEATS))
+    gc.disable()  # as `cli.main` runs a command
     runs = [stage_times(text) for _ in range(REPEATS)]
+    gc.enable()
     return {"scenarios": scenarios, "fria_s": fria,
             "stages_s": {s: statistics.median(r[s] for r in runs) for s in STAGES}}
 

@@ -273,10 +273,11 @@ class Engine:
         for r in statuses:
             if r not in linked:
                 self._link(r)
-        # linking a right may give links to one linked before it
-        pairs = [frozenset((r, o)) for r in sorted(r for r in statuses if linked[r])
-                 for o in linked[r]
-                 if r < o and o in statuses and self._pair_incompatible(r, o)]
+        # linking a right may give links to one linked before it; a scenario
+        # has fewer rights in scope than a right has links, so walk the scope
+        in_scope = sorted(statuses)
+        pairs = [frozenset((r, o)) for i, r in enumerate(in_scope) for o in in_scope[i + 1:]
+                 if o in linked[r] and self._pair_incompatible(r, o)]
         if self.config.derived_collision:
             promoted: list[str] = []
             demoted: list[str] = []

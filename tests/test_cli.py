@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,8 +9,11 @@ from collections import Counter
 
 import pytest
 
-from rightsrisk import model
+from conftest import load_fixture
+from kb_random import random_kb
+from rightsrisk import cli, model
 from rightsrisk.cli import build_arg_parser, main
+from rightsrisk.dsl import print_kb
 from rightsrisk.report import parse_report
 from test_lexer_oracle import mutants
 from test_model import BANGS_TEXT, CHAIN_TEXT, SRC, shared_chain
@@ -545,3 +550,143 @@ class TestFuzz:
             assert code in (0, 1, 2) and "Traceback" not in err, (n, text, err)
             codes.add(code)
         assert codes >= {0, 2}, codes
+
+
+def command_argvs(path, kb):
+    """Every command over the KB at `path`, with no selector and with each
+    selector it declares; `assess` also per scenario, in text and JSON."""
+    selectors = [[]] + [["--domain", d.id] for d in kb.domains] \
+        + [["--purpose", p.id] for p in kb.purposes]
+    argvs = [["check", path], ["check", path, "--json"]]
+    for select in selectors + [["--gpai"]]:
+        argvs += [["minimize", path, *select], ["minimize", path, *select, "--json"],
+                  ["fria", path, *select, "--fixed-time", "T"],
+                  ["fria", path, *select, "--format", "json"]]
+    for select in selectors:
+        argvs.append(["assess", path, *select])
+    for s in kb.scenarios:
+        argvs += [["assess", path, "--scenario", s.id],
+                  ["assess", path, "--scenario", s.id, "--json"]]
+    return argvs
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector paused, which is
+    sound only while a command builds no reference cycles: with the
+    collector off, nothing a run leaves behind is for `gc.collect()`."""
+
+    @pytest.fixture()
+    def cycles(self, capsys, fixtures_dir):
+        """Run `main(argv)` with the collector off: (exit code, objects that
+        `gc.collect()` then finds)."""
+        # argparse makes the process's only cycles, once, in its cached parser
+        main(["check", fx(fixtures_dir, "scholarship.rights")])
+        enabled = gc.isenabled()
+        gc.disable()
+
+        def cycles(*argv):
+            gc.collect()
+            code = main(list(argv))
+            found = gc.collect()
+            capsys.readouterr()
+            return code, found
+        yield cycles
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["pandemic.rights", "privacy.rights",
+                                      "scholarship.rights", "triage.rights"])
+    def test_every_command_on_each_fixture(self, cycles, fixtures_dir, tmp_path, name):
+        path = fx(fixtures_dir, name)
+        argvs = command_argvs(path, load_fixture(name))
+        argvs.append(["fria", path, "--gpai", "--out", str(tmp_path / "report.md")])
+        codes = Counter()
+        for argv in argvs:
+            code, found = cycles(*argv)
+            assert found == 0, argv
+            codes[code] += 1
+        assert codes[0]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["pandemic.rights", "S", "choice(S, public_health)"], 0),
+        (["scholarship.rights", "S_d", "promotes(merit)"], 1),
+        (["pandemic.rights", "S", "collides(S, privacy, public_health)"], 0),
+        (["triage.rights", "S_emergency", "choice(S_emergency, privacy)"], 0),
+    ], ids=["derivable", "blocked", "collision", "triage"])
+    def test_explain(self, cycles, fixtures_dir, argv, expected):
+        assert cycles("explain", fx(fixtures_dir, argv[0]), *argv[1:]) == (expected, 0)
+
+    def test_error_exits(self, cycles, fixtures_dir, tmp_path):
+        kb = fx(fixtures_dir, "scholarship.rights")
+        bad = tmp_path / "bad.rights"
+        bad.write_text("right a;\nscenario S { x }\nassert promotes(ghost) in S;\n")
+        broken = tmp_path / "broken.rights"
+        broken.write_text("right a;\nscenario S {\n")
+        for argv, code in [
+                (["assess", kb, "--scenario", "nope"], 1),
+                (["explain", kb, "nope", "promotes(merit)"], 1),
+                (["fria", fx(fixtures_dir, "triage.rights")], 1),
+                (["fria", kb, "--purpose", ""], 1),
+                (["assess", str(bad)], 1), (["check", str(bad)], 1),
+                (["fria", str(tmp_path / "missing.rights")], 2),
+                (["check", str(broken)], 2), (["fria", str(broken)], 2),
+                (["assess", kb, "--json"], 2),
+                (["explain", kb, "S_d", "promotes(S_d"], 2),
+                (["fria", kb, "--out", str(tmp_path / "missing" / "r.md")], 2)]:
+            assert cycles(*argv) == (code, 0), argv
+
+    def test_random_kbs(self, cycles, tmp_path):
+        for seed in range(40):
+            kb = random_kb(random.Random(seed), with_extras=True)
+            path = tmp_path / f"kb{seed}.rights"
+            path.write_text(print_kb(kb))
+            path = str(path)
+            for argv in (["fria", path, "--domain", "D", "--format", "json"],
+                         ["fria", path, "--domain", "D", "--fixed-time", "T"],
+                         ["assess", path, "--domain", "D"],
+                         ["explain", path, "S0", "promotes(S0, r0)"]):
+                code, found = cycles(*argv)
+                assert found == 0, (seed, argv)
+                assert code in (0, 1), (seed, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{kb}"], ["assess", "{kb}", "--scenario", "nope"],
+        ["assess", "{kb}", "--json"], ["check", "{missing}"], ["fria", "{kb}", "--json"]],
+        ids=["success", "exit-1", "exit-2", "missing-file", "usage"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_caller_state_is_restored(self, capsys, fixtures_dir, tmp_path, argv, enabled):
+        argv = [a.format(kb=fx(fixtures_dir, "scholarship.rights"),
+                         missing=tmp_path / "missing.rights") for a in argv]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_no_collection_during_fria(self, capsys, fixtures_dir, monkeypatch):
+        """With a young collection due at almost every new container, some
+        start while the arguments are parsed and none once the command runs."""
+        starts, begun = [], []
+        load = cli._load_engine
+        monkeypatch.setattr(cli, "_load_engine",
+                            lambda args: begun.append(len(starts)) or load(args))
+
+        def counted(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+        was, thresholds = gc.isenabled(), gc.get_threshold()
+        gc.enable()
+        gc.callbacks.append(counted)
+        gc.set_threshold(1)
+        try:
+            code = main(["fria", fx(fixtures_dir, "triage.rights"), "--gpai"])
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(counted)
+            (gc.enable if was else gc.disable)()
+        assert code == 0
+        assert starts and begun == [len(starts)]
+        capsys.readouterr()

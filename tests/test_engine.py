@@ -873,13 +873,14 @@ class TestAtomIndex:
             checked += len(pair_checks)
         assert checked
 
-    def test_each_candidate_checked_once(self, pair_checks):
-        """Over every scenario of the oracle's KBs, the pairs checked are
-        exactly the in-scope pairs of expandable rights that share an atom
-        or hold a right unsatisfiable alone, each checked once per Engine."""
+    def check_candidates(self, pair_checks, make_kb):
+        """Over every scenario of 150 KBs, the pairs checked are exactly the
+        in-scope pairs of expandable rights that share an atom or hold a
+        right unsatisfiable alone, each checked once per Engine, and the
+        collisions are those of the every-pair reference."""
         shared = unsat = 0
         for seed in range(150):
-            kb = collision_kb(seed)
+            kb = make_kb(seed)
             pair_checks.clear()
             engine = Engine(kb)
             expected = set()
@@ -898,7 +899,18 @@ class TestAtomIndex:
                     expected.add(frozenset((r1, r2)))
             pairs = [frozenset(c) for c in pair_checks if c[0] != c[1]]
             assert len(pairs) == len(set(pairs)) and set(pairs) == expected, seed
+            for scen in kb.scenarios:
+                findings = engine.assess(scen.id)
+                assert findings.collisions == naive_collisions(
+                    engine, findings.statuses, engine.fire_rules(scen.id)), seed
         assert shared and unsat
+
+    def test_each_candidate_checked_once(self, pair_checks):
+        self.check_candidates(pair_checks, collision_kb)
+
+    def test_each_candidate_checked_once_with_definitions(self, pair_checks):
+        self.check_candidates(pair_checks,
+                              lambda seed: random_kb(random.Random(seed), with_extras=True))
 
 
 class TestAdopt:
