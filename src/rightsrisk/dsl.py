@@ -41,16 +41,12 @@ identifier, a repeated or unknown risk field, an integer too long for
 int(), a right definition _rexpr refuses), the whole text goes to
 tokenize and _Parser instead, and only that path raises ParseError. On
 the seed-1 `query_mixed` benchmark KB (765 lines, 8,610 tokens) the
-matcher takes about 40% less time than tokenize and _Parser (median of
+matcher takes about 45% less time than tokenize and _Parser (median of
 200 alternated calls, Python 3.11.7, 2-core VM). Compiling the
 expression takes 4-9 ms in a fresh process, more than that saves on a
-first parse: compile included, the matcher is 6-9 ms slower than
-tokenize and _Parser on each fixture, and at best 1 ms faster on a 28 KB
-benchmark KB (medians of 10 fresh processes). So a process's first
-parse_kb leaves the matcher out, and the matcher serves only in-process
-callers that parse again: a program that parses one file, as each
-`rightsrisk` command does, never compiles it, and one that parses many
-pays the compile once.
+first parse, so a process's first parse_kb leaves the matcher out: a
+program that parses one file, as each `rightsrisk` command does, never
+compiles it, and one that parses many pays the compile once.
 
 Tokens are stored as a kind and a value only; a token's offset and
 line:col are found on demand, for a ParseError or a Token read from
@@ -414,9 +410,6 @@ class _Parser:
 # is kept whole, so that no quote inside it starts another
 _COMMENT_RE = re.compile(rf'({_STRING}|"[^\n]*)|//[^\n]*')
 _GAP_RE = re.compile(r"[ \t\r\n]*")  # the whitespace of _TOKEN_RE
-_IDENT_RE = re.compile("[A-Za-z_][A-Za-z0-9_]*")
-_LIT_RE = re.compile(r"(!?)[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*)")
-_FIELD_RE = re.compile(r"([a-z]+)[ \t\r\n]*:[ \t\r\n]*(-?[0-9]+)")
 _ID = r"[A-Za-z_]\w*\b"  # under re.ASCII
 
 
@@ -435,30 +428,27 @@ def _decl_re() -> re.Pattern:
 
     A keyword is always followed by an identifier, so the gap after it cannot
     be empty. Each alternative starts with its keyword, so one that fails
-    fails on its first character, and ends with its kind's group, whose name
-    `lastgroup` gives. `domain` and `purpose` share one alternative, and
-    `assert` and `rule` one head, after which only an assert has `in`. A
-    right definition is matched as a run of its words and then read by
-    _rexpr, and a risk field's name is checked when its record is built."""
+    fails on its first character, and its groups are named for its kind,
+    which the last group it matched gives (see _builders). `domain` and
+    `purpose` share one alternative, and `assert` and `rule` one head, after
+    which only an assert has `in`. A right definition is matched as a run of
+    its words and then read by _rexpr, and a risk field's name is checked
+    when its record is built."""
     return re.compile(_fill(r"""~ (?:
-    basic\b (?P<basic> ~ (?P<basic_ids> ID (?: ~,~ ID )* ) ~; )
-  | right\b (?P<right> ~ (?P<right_id> ID ) ~
-        (?: :=~ (?P<right_def> RWORD (?: ~RWORD )* ) ~ )? ; )
-  | scenario\b (?P<scenario> ~ (?P<scenario_id> ID ) ~\{~
-        (?: (?P<scenario_lits> LIT (?: ~,~ LIT )* ) ~ )? \} )
-  | (?P<grouping_kw> domain | purpose )\b (?P<grouping> ~ (?P<grouping_id> ID ) ~\{~
-        (?P<grouping_ids> ID (?: ~,~ ID )* ) ~\} )
-  | obligation\b (?P<obligation> ~ (?P<obligation_id> ID ) ~ (?P<obligation_text> STRING )
-        ~ applies\b~ (?P<obligation_for> ID ) ~; )
+    basic\b ~ (?P<basic_ids> ID (?: ~,~ ID )* ) ~;
+  | right\b ~ (?P<right_id> ID ) ~ (?: :=~ (?P<right_def> RWORD (?: ~RWORD )* ) ~ )? ;
+  | scenario\b ~ (?P<scenario_id> ID ) ~\{~ (?: (?P<scenario_lits> LIT (?: ~,~ LIT )* ) ~ )? \}
+  | (?P<grouping_kw> domain | purpose )\b ~ (?P<grouping_id> ID ) ~\{~
+        (?P<grouping_ids> ID (?: ~,~ ID )* ) ~\}
+  | obligation\b ~ (?P<obligation_id> ID ) ~ (?P<obligation_text> STRING )
+        ~ applies\b~ (?P<obligation_for> ID ) ~;
   | (?: (?P<assert_kw> assert )\b
       | rule\b ~ (?P<rule_id> ID ) ~ (?: \[~ (?P<rule_strength> INT ) ~\]~ )? :(?!=)~
         (?: (?P<rule_body> LIT (?: ~&~ LIT )* ) ~ )? => )
-    (?P<stmt> ~ (?:
-        (?P<head_pred> PRED ) ~\(~ (?P<head_first> ID ) (?: ~,~ (?P<head_second> ID ) )? ~\)
-      | (?P<head_chain> ID (?: ~>~ ID )* ) )
-        ~ (?(assert_kw) in\b~ (?P<assert_in> ID ) ~ ) ; )
-  | risk\b (?P<risk> ~ (?P<risk_id> ID ) ~\{~
-        (?P<risk_fields> FIELD (?: ~,~ FIELD )* ) ~\} )
+    ~ (?: (?P<head_pred> PRED ) ~\(~ (?P<head_first> ID ) (?: ~,~ (?P<head_second> ID ) )? ~\)
+        | (?P<head_chain> ID (?: ~>~ ID )* ) )
+    ~ (?(assert_kw) in\b~ (?P<assert_in> ID ) ~ ) ;
+  | risk\b ~ (?P<risk_id> ID ) ~\{~ (?P<risk_fields> FIELD (?: ~,~ FIELD )* ) ~\}
 )""", ID=_ID, INT=r"-?[0-9]+\b", LIT=_fill("(?:!~)?ID", ID=_ID),
         RWORD=rf"(?:[!()&|]|{_ID})", STRING=_STRING, PRED="|".join(PRED_KINDS),
         FIELD=_fill(r"[a-z]+~:~-?[0-9]+\b")), re.VERBOSE | re.ASCII)
@@ -470,12 +460,14 @@ def _ident(name: str) -> str:
     return name
 
 
-def _idents(text: str) -> list[str]:
-    """The identifiers of a list that _decl_re() matched."""
-    names = _IDENT_RE.findall(text)
-    if not KEYWORDS.isdisjoint(names):
+def _words(text: str, sep: str) -> list[str]:
+    """The words of a list that _decl_re() matched, `sep` apart, none of them
+    a keyword: only [ \\t\\r\\n] stands between them, so they are the
+    list's pieces once its whitespace is taken out."""
+    words = "".join(text.split()).split(sep)
+    if not KEYWORDS.isdisjoint(words):
         raise ValueError("a keyword as an identifier")
-    return names
+    return words
 
 
 class _Matcher:
@@ -484,39 +476,32 @@ class _Matcher:
 
     def __init__(self):
         self.kb = KnowledgeBase()
-        self.lits: dict[tuple[bool, str], FeatureLiteral] = {}  # as in _Parser
+        self.lits: dict[str, FeatureLiteral] = {}  # as in _Parser, keyed by "!atom" or "atom"
 
     def match_kb(self, text: str) -> KnowledgeBase | None:
         """The KB of `text`, or None at the first text _decl_re() does not
         take or the first declaration _Parser would reject."""
         if "//" in text:
             text = _COMMENT_RE.sub(r"\1", text)
-        pattern = _decl_re()
-        match, pos = pattern.match, 0
-        build = {kind: getattr(self, "_" + kind) for kind in pattern.groupindex
-                 if "_" not in kind}
+        match, build, pos = _decl_re().match, _builders(), 0
         try:
             while m := match(text, pos):
-                build[m.lastgroup](m)
+                build[m.lastindex](self, m)
                 pos = m.end()
         except (ParseError, ValueError):  # a declaration _Parser would reject
             return None
         return self.kb if _GAP_RE.fullmatch(text, pos) else None
 
-    def _lits(self, text: str | None) -> list[FeatureLiteral]:
-        out = []
-        if text:
-            lits = self.lits
-            for bang, atom in _LIT_RE.findall(text):
-                key = (not bang, atom)
-                lit = lits.get(key)
-                if lit is None:
-                    lit = lits[key] = FeatureLiteral(_ident(atom), key[0])
-                out.append(lit)
-        return out
+    def _lits(self, text: str | None, sep: str) -> list[FeatureLiteral]:
+        lits = self.lits
+        return [lits.get(word) or self._lit(word) for word in _words(text, sep)] if text else []
+
+    def _lit(self, word: str) -> FeatureLiteral:
+        lit = self.lits[word] = FeatureLiteral(_ident(word.lstrip("!")), word[0] != "!")
+        return lit
 
     def _basic(self, m: re.Match) -> None:
-        self.kb.basic_rights.extend(map(BasicRight, _idents(m["basic_ids"])))
+        self.kb.basic_rights.extend(map(BasicRight, _words(m["basic_ids"], ",")))
 
     def _right(self, m: re.Match) -> None:
         rid, text = m.group("right_id", "right_def")
@@ -531,13 +516,13 @@ class _Matcher:
 
     def _scenario(self, m: re.Match) -> None:
         sid, lits = m.group("scenario_id", "scenario_lits")
-        self.kb.scenarios.append(Scenario(_ident(sid), frozenset(self._lits(lits))))
+        self.kb.scenarios.append(Scenario(_ident(sid), frozenset(self._lits(lits, ","))))
 
     def _grouping(self, m: re.Match) -> None:
         keyword, gid, ids = m.group("grouping_kw", "grouping_id", "grouping_ids")
         records, kind = ((self.kb.domains, DeploymentDomain) if keyword == "domain"
                          else (self.kb.purposes, Purpose))
-        records.append(kind(_ident(gid), tuple(_idents(ids))))
+        records.append(kind(_ident(gid), tuple(_words(ids, ","))))
 
     def _obligation(self, m: re.Match) -> None:
         oid, text, sid = m.group("obligation_id", "obligation_text", "obligation_for")
@@ -545,28 +530,43 @@ class _Matcher:
         self.kb.obligations.append(Obligation(_ident(oid), text, _ident(sid)))
 
     def _stmt(self, m: re.Match) -> None:
-        pred, first, second, chain = m.group("head_pred", "head_first", "head_second",
-                                             "head_chain")
+        pred, first, second, chain, assert_kw, name = m.group(
+            "head_pred", "head_first", "head_second", "head_chain", "assert_kw", "assert_in")
         if pred is None:
-            head = ChainHead(tuple(_idents(chain)))
+            head = ChainHead(tuple(_words(chain, ">")))
         elif (second is None) == (pred in BINARY_PREDS):
             raise ValueError(f"{pred} with the wrong number of rights")  # _Parser names it
         else:
-            head = PredHead(pred, (_ident(first),) if second is None
-                            else (_ident(first), _ident(second)))
-        if m["assert_kw"]:
-            self.kb.assertions.append(AssertStmt(_ident(m["assert_in"]), head))
-            return
-        rid, strength, body = m.group("rule_id", "rule_strength", "rule_body")
-        self.kb.rules.append(Rule(_ident(rid), tuple(self._lits(body)), head,
-                                  0 if strength is None else int(strength)))
+            head = PredHead(pred, (first,) if second is None else (first, second))
+        if assert_kw:
+            self.kb.assertions.append(AssertStmt(name, head))
+        else:
+            name, strength, body = m.group("rule_id", "rule_strength", "rule_body")
+            self.kb.rules.append(Rule(name, tuple(self._lits(body, "&")), head,
+                                      0 if strength is None else int(strength)))
+        # the head's rights, and the assert's scenario or the rule's id
+        if first in KEYWORDS or second in KEYWORDS or name in KEYWORDS:
+            raise ValueError("a keyword as an identifier")
 
     def _risk(self, m: re.Match) -> None:
-        fields = _FIELD_RE.findall(m["risk_fields"])
+        fields = [field.split(":") for field in _words(m["risk_fields"], ",")]
         values = {name: int(value) for name, value in fields}
         if len(values) < len(fields) or values.keys() - RiskAnnotation.FIELDS:
             raise ValueError("a repeated or unknown risk field")  # _Parser names it
         self.kb.risk_annotations.append(RiskAnnotation(_ident(m["risk_id"]), **values))
+
+
+@cache
+def _builders() -> tuple:
+    """The _Matcher builder at each of _decl_re()'s group indexes, so that a
+    match's `lastindex` picks one: a group's name starts with its kind, and
+    an assert's and a rule's groups go to _stmt."""
+    table = [None] * (_decl_re().groups + 1)
+    for name, index in _decl_re().groupindex.items():
+        kind = name.split("_")[0]
+        table[index] = getattr(_Matcher, "_stmt" if kind in ("assert", "rule", "head")
+                               else "_" + kind)
+    return tuple(table)
 
 
 _parsed_before = False  # whether this process has called parse_kb

@@ -275,7 +275,7 @@ class Engine:
                 self._link(r)
         # linking a right may give links to one linked before it; a scenario
         # has fewer rights in scope than a right has links, so walk the scope
-        in_scope = sorted(statuses)
+        in_scope = sorted(r for r in statuses if linked[r])  # links go both ways
         pairs = [frozenset((r, o)) for i, r in enumerate(in_scope) for o in in_scope[i + 1:]
                  if o in linked[r] and self._pair_incompatible(r, o)]
         if self.config.derived_collision:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rightsrisk import dsl
 from rightsrisk.dsl import MAX_NESTING, ParseError, parse_kb, print_kb, tokenize
 from rightsrisk.model import ChainHead, PredHead
 
@@ -169,12 +170,18 @@ class TestParse:
         assert (span.start_line, span.start_col, span.end_col) == (2, 3, 9)
 
     def test_equal_literals_share_one_object(self):
-        kb = parse_kb("right a;\nscenario S { x, !y }\nscenario T { !y }\n"
-                      "rule r: x & !y & y => promotes(a);")
-        x, not_y, y = kb.rules[0].body
-        assert {id(lit) for lit in kb.scenarios[0].features} == {id(x), id(not_y)}
-        assert next(iter(kb.scenarios[1].features)) is not_y
-        assert y is not not_y and y != not_y
+        # `!y` spelled three ways, on both paths: the declaration matcher's
+        # and the token parser's
+        text = ("right a;\nscenario S { x, !y }\nscenario T { ! y , x }\n"
+                "rule r: x & !\n y & y => promotes(a);\nrule q: y&! y => demotes(a);")
+        kbs = [parse_kb(text), dsl._Matcher().match_kb(text),
+               dsl._Parser(tokenize(text)).parse_kb()]
+        for kb in kbs:
+            x, not_y, y = kb.rules[0].body
+            assert {id(lit) for lit in kb.scenarios[0].features} == {id(x), id(not_y)}
+            assert {id(lit) for lit in kb.scenarios[1].features} == {id(x), id(not_y)}
+            assert kb.rules[1].body[0] is y and kb.rules[1].body[1] is not_y
+            assert y is not not_y and y != not_y
 
 
 class TestPrint:

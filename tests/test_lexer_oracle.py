@@ -165,12 +165,30 @@ EVERY_GAP = (
     ("basic a;\r\nright b := !a;\r\nscenario S { x }\r\n", True),
     ('basic a,b;right r:=!(a&b)|a;scenario S{x,!y}obligation o"x"applies S;'
      "rule k[-2]:x&!y=>r>q;assert promotes(r)in S;risk S{hazard:1}", True),
+    # one declaration for each group a match can end with, which picks its builder
+    ("basic a, b;", True),                  # basic_ids
+    ("right q;", True),                     # right_id
+    ("right r := !a;", True),               # right_def
+    ("scenario S { x, ! y }", True),        # scenario_lits
+    ('obligation o "x" applies S;', True),  # obligation_for
+    ("assert promotes(a) in S;", True),     # assert_in
+    ("rule r: x => promotes(a);", True),    # head_first
+    ("rule r: x => not_collides(a, b);", True),  # head_second
+    ("rule r: => a > b;", True),            # head_chain
+    ("rule r: => a\t>\r\nb;", True),
+    ("risk S { hazard: 1 }", True),         # risk_fields
 ], ids=lambda v: v if isinstance(v, bool) else repr(v[:40]))
 def test_hand_cases_take_the_expected_path(text, matched):
     with fallback_spy() as spy:
         got = parsed(dsl.parse_kb, text)
     assert got == parsed(reference.parse_kb, text)
     assert spy.called is not matched
+
+
+def test_every_group_has_a_builder():
+    builders = dsl._builders()
+    assert len(builders) == dsl._decl_re().groups + 1
+    assert all(callable(b) for b in builders[1:])
 
 
 def test_first_parse_in_a_process_skips_the_matcher():
