@@ -1,4 +1,5 @@
-"""Golden outputs: exit code, stdout and stderr of CLI calls on every fixture.
+"""Golden outputs: exit code, stdout and stderr of CLI calls on every fixture,
+each `fixtures/*.rights` file.
 
 Each `tests/golden/<fixture>.json` holds one fixture's cases; each case is
 one `rightsrisk` call run in-process from the repository root.
@@ -26,7 +27,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = ("pandemic", "privacy", "scholarship", "triage")
+FIXTURES = tuple(sorted(path.stem for path in (ROOT / "fixtures").glob("*.rights")))
 FIXED_TIME = "2026-01-01T00:00:00Z"
 # assess, minimize, explain and fria run once per variant, except that only
 # assess and fria, which print monotonicity warnings, take that toggle
@@ -214,7 +215,10 @@ def _monotonicity_toggle_calls() -> list:
     flag added. Each printed the same as the stored call."""
     cases = []
     for name in FIXTURES:
-        for case in json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")):
+        path = GOLDEN / f"{name}.json"
+        if not path.exists():  # test_every_fixture_has_goldens names it
+            continue
+        for case in json.loads(path.read_text(encoding="utf-8")):
             argv = case["argv"]
             if argv[0] in ("minimize", "explain") and "--no-derived-collision" not in argv:
                 shown = " ".join(a for a in argv if a != f"fixtures/{name}.rights")
