@@ -5,11 +5,13 @@ through its own scenario; resolves promotion/demotion conflicts by rule
 strength with ambiguity blocking; derives contextual and logical collisions;
 and walks each fired chain's priority sequence with generalized adoption.
 
-A unary conclusion (`promotes`, `demotes`, `not_demotes`) is keyed by its
-right id, a `collides`/`not_collides` one by its unordered pair. Only the
-in-scope rights that have links in the atom index are paired for logical
-collisions, and adoption tests a pair only when the scenario has
-collisions.
+Each scenario's firing is read once into its deciders: the first-fired
+strongest rule of each conclusion other than a chain, keyed by its kind and
+its right id (`promotes`, `demotes`, `not_demotes`) or unordered pair
+(`collides`, `not_collides`). Statuses, collisions, the monotonicity check
+and `explain` all read that one table. Only the in-scope rights that have
+links in the atom index are paired for logical collisions, and adoption
+tests a pair only when the scenario has collisions.
 """
 from __future__ import annotations
 
@@ -95,32 +97,31 @@ def _key(head) -> str | frozenset[str]:
     return frozenset(head.rights) if head.kind in BINARY_PREDS else head.rights[0]
 
 
-def _strongest(fired: list[Rule], kinds: tuple[str, ...]) -> dict[tuple[str, str | frozenset[str]], int]:
-    """The strongest strength of each fired conclusion of the given kinds,
-    keyed by (kind, `_key`), in first-fired order."""
-    best: dict[tuple[str, str | frozenset[str]], int] = {}
+# a scenario's deciders: a rule per conclusion, by (kind, `_key`)
+_Deciders = dict[tuple[str, str | frozenset[str]], Rule]
+
+
+def _deciders(fired: list[Rule]) -> _Deciders:
+    """The first-fired strongest rule of each fired conclusion other than a
+    chain, keyed by (kind, `_key`), in first-fired order."""
+    best: _Deciders = {}
     for f in fired:
         kind = f.head.kind
-        if kind in kinds:
+        if kind != "chain":
             key = (kind, _key(f.head))
-            strength = best.get(key)
-            if strength is None or f.strength > strength:
-                best[key] = f.strength
+            rule = best.get(key)
+            if rule is None or f.strength > rule.strength:
+                best[key] = f
     return best
-
-
-def _concluding(rules: list[Rule], kind: str, key: str | frozenset[str]) -> list[Rule]:
-    """The rules concluding `kind` over the right or pair `key`, in order."""
-    return [r for r in rules if r.head.kind == kind and _key(r.head) == key]
 
 
 class Engine:
     """Reasoner over an immutable knowledge base, compiled once into a
     `CompiledKB` (the one given, or its own over a plain KB), that keeps what
-    it works out: each scenario's firings and findings, each right pair's
-    check, the compiled rights and their atom index, the scenario and domain
-    score tables, and one containment table, built on the first firing,
-    that firing and monotonicity both read."""
+    it works out: each scenario's firings, deciders and findings, each right
+    pair's check, the compiled rights and their atom index, the scenario and
+    domain score tables, and one containment table, built on the first
+    firing, that firing and monotonicity both read."""
 
     def __init__(self, kb: KnowledgeBase | CompiledKB, config: EngineConfig = EngineConfig()):
         # compiles each right on first use
@@ -129,7 +130,7 @@ class Engine:
         self.config = config
         self._scenarios = compiled.scenarios
         self._cache: dict[str, ScenarioFindings] = {}
-        self._fired: dict[str, list[Rule]] = {}
+        self._fired: dict[str, tuple[list[Rule], _Deciders]] = {}
         self._incompat: dict[frozenset[str], bool] = {}
         self._linked: dict[str, set[str]] = {}  # the atom index of `_link`
         self._by_atom: dict[str, set[str]] = {}
@@ -202,40 +203,41 @@ class Engine:
         return fired + [r for _, r in sorted([pair for sid in sids for pair in
                                               zip(compiled.asserted[sid], compiled.asserts(sid))])]
 
-    def _firings(self, scenario_id: str) -> list[Rule]:
-        """`fire_rules`, computed once per scenario and then kept."""
+    def _firings(self, scenario_id: str) -> tuple[list[Rule], _Deciders]:
+        """`fire_rules` and its `_deciders`, computed once per scenario and
+        then kept."""
         if scenario_id not in self._fired:
-            self._fired[scenario_id] = self.fire_rules(scenario_id)
+            fired = self.fire_rules(scenario_id)
+            self._fired[scenario_id] = fired, _deciders(fired)
         return self._fired[scenario_id]
 
     # -- status resolution --------------------------------------------------
 
     @staticmethod
-    def resolve_statuses(fired: list[Rule]) -> tuple[dict[str, Status], list[Diagnostic]]:
-        """Strength comparison with ambiguity blocking on ties; a
-        `not_demotes` head blocks demotions of equal or lower strength."""
-        best = _strongest(fired, UNARY_PREDS)
+    def resolve_statuses(table: _Deciders) -> tuple[dict[str, Status], list[Diagnostic]]:
+        """Strength comparison of a scenario's deciders, with ambiguity
+        blocking on ties; a `not_demotes` head blocks demotions of equal or
+        lower strength."""
         statuses: dict[str, Status] = {}
         diags: list[Diagnostic] = []
-        for _, right in best:
-            if right in statuses:
+        for kind, right in table:
+            if kind in BINARY_PREDS or right in statuses:
                 continue
-            pmax = best.get(("promotes", right))
-            dmax = best.get(("demotes", right))
-            bar = best.get(("not_demotes", right))
-            if bar is not None and dmax is not None and dmax <= bar:
-                dmax = None
-            if pmax == dmax:
+            p = table.get(("promotes", right))
+            d = table.get(("demotes", right))
+            bar = table.get(("not_demotes", right))
+            if d and bar and d.strength <= bar.strength:
+                d = None
+            if p and d and p.strength == d.strength:
                 statuses[right] = UNDEFINED
-                if pmax is not None:
-                    diags.append(Diagnostic(
-                        "warning", "ambiguity",
-                        f"right {right!r}: promote and demote conclusions tie "
-                        f"at strength {pmax}; status undefined"))
-            elif dmax is None or (pmax is not None and pmax > dmax):
-                statuses[right] = PROMOTED
-            else:
+                diags.append(Diagnostic(
+                    "warning", "ambiguity",
+                    f"right {right!r}: promote and demote conclusions tie "
+                    f"at strength {p.strength}; status undefined"))
+            elif d and (not p or d.strength > p.strength):
                 statuses[right] = DEMOTED
+            else:
+                statuses[right] = PROMOTED if p else UNDEFINED
         return statuses, diags
 
     # -- collisions ---------------------------------------------------------
@@ -266,8 +268,8 @@ class Engine:
             self._linked[other].add(right)
 
     def derive_collisions(self, statuses: dict[str, Status],
-                          fired: list[Rule]) -> frozenset[frozenset[str]]:
-        best = _strongest(fired, BINARY_PREDS)
+                          table: _Deciders) -> frozenset[frozenset[str]]:
+        best = {key: rule.strength for key, rule in table.items() if key[0] in BINARY_PREDS}
         candidates = {pair: s for (kind, pair), s in best.items() if kind == "collides"}
         linked = self._linked
         for r in statuses:
@@ -326,8 +328,8 @@ class Engine:
     def assess(self, scenario_id: str) -> ScenarioFindings:
         if scenario_id in self._cache:
             return self._cache[scenario_id]
-        fired = self._firings(scenario_id)
-        statuses, diags = self.resolve_statuses(fired)
+        fired, table = self._firings(scenario_id)
+        statuses, diags = self.resolve_statuses(table)
 
         # rights in scope: everything the fired conclusions mention (an
         # assert's rule always fires in its own scenario)
@@ -339,7 +341,7 @@ class Engine:
                 if right not in statuses:
                     statuses[right] = UNDEFINED
 
-        collisions = self.derive_collisions(statuses, fired)
+        collisions = self.derive_collisions(statuses, table)
 
         adopted: list[Occurrence] = []
         demoted: list[Occurrence] = []
@@ -386,16 +388,13 @@ class Engine:
         scenarios = self.kb.scenarios
         pairs = sorted((x, y) for y, xs in enumerate(self._containment[1]) for x in xs
                        if scenarios[x].id != scenarios[y].id)
-        paired = dict.fromkeys(scenarios[i].id for pair in pairs for i in pair)
-        raw = {sid: {kind: {f.head.rights[0] for f in self._firings(sid)
-                            if f.head.kind == kind}
-                     for kind in ("promotes", "demotes")}
-               for sid in paired}
         diags: list[Diagnostic] = []
         for x, y in pairs:
             sub, sup = scenarios[x].id, scenarios[y].id
+            sub_table, sup_table = self._firings(sub)[1], self._firings(sup)[1]
             for sup_kind, sub_kind in (("promotes", "demotes"), ("demotes", "promotes")):
-                for right in sorted(raw[sup][sup_kind] & raw[sub][sub_kind]):
+                for right in sorted(r for kind, r in sup_table
+                                    if kind == sup_kind and (sub_kind, r) in sub_table):
                     diags.append(Diagnostic(
                         "warning", "monotonicity",
                         f"{sup!r} {sup_kind} {right!r} while feature-subset "
@@ -455,9 +454,8 @@ class Engine:
         return DerivationTrace(f"{rule.head}", rule.id, leaves)
 
     def _explain_pred(self, scenario_id: str, kind: str, right: str) -> Explanation:
-        hits = _concluding(self._firings(scenario_id), kind, right)
-        if hits:
-            best = max(hits, key=lambda f: f.strength)
+        best = self._firings(scenario_id)[1].get((kind, right))
+        if best:
             return Explanation(True, self._pred_trace(scenario_id, best))
         return Explanation(False, blocked=self._nearest_blocked(
             scenario_id, kind, right, f"{kind}({right})"))
@@ -472,9 +470,10 @@ class Engine:
                     f"no collision between {r1} and {r2} in {scenario_id}", None))
             return Explanation(False, blocked=f"{r1} and {r2} collide in {scenario_id}")
         if in_collision:
-            explicit = _concluding(self._firings(scenario_id), "collides", pair)
+            explicit = next((f for f in self._firings(scenario_id)[0]
+                             if f.head.kind == "collides" and _key(f.head) == pair), None)
             if explicit:
-                return Explanation(True, self._pred_trace(scenario_id, explicit[0]))
+                return Explanation(True, self._pred_trace(scenario_id, explicit))
             if self._pair_incompatible(r1, r2):
                 reason = "logically incompatible definitions"
             else:
@@ -528,7 +527,7 @@ class Engine:
     def _nearest_blocked(self, scenario_id: str, kind: str, key: str | frozenset[str],
                          label: str) -> str:
         scen = self._scenario(scenario_id)
-        candidates = _concluding(self.kb.rules, kind, key) + [
+        candidates = [r for r in self.kb.rules if r.head.kind == kind and _key(r.head) == key] + [
             self._compiled.desugar(a.scenario, (i,))[0] for i, a in enumerate(self.kb.assertions)
             if a.head.kind == kind and a.scenario in self._scenarios and _key(a.head) == key]
         if not candidates:

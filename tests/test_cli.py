@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from kb_random import random_kb
 from rightsrisk import cli, model
 from rightsrisk.cli import build_arg_parser, main
@@ -594,8 +594,7 @@ class TestCollectorPause:
         if enabled:
             gc.enable()
 
-    @pytest.mark.parametrize("name", ["pandemic.rights", "privacy.rights",
-                                      "scholarship.rights", "triage.rights"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.rights")))
     def test_every_command_on_each_fixture(self, cycles, fixtures_dir, tmp_path, name):
         path = fx(fixtures_dir, name)
         argvs = command_argvs(path, load_fixture(name))

@@ -557,7 +557,7 @@ class TestStatusCollisionOracle:
             engine = Engine(kb, config)
             for scen in kb.scenarios:
                 fired = engine.fire_rules(scen.id)
-                statuses, diags = engine.resolve_statuses(fired)
+                statuses, diags = engine.resolve_statuses(engine_module._deciders(fired))
                 expected, expected_diags = naive_statuses(fired)
                 assert list(statuses.items()) == list(expected.items()), scen.id
                 assert diags == expected_diags, scen.id
@@ -604,7 +604,8 @@ class TestStatusCollisionOracle:
         kb = parse_kb("right a; right b;\nscenario S { x }\n"
                       "rule r1: x => demotes(a);\nrule r2: x => promotes(b);\n"
                       "rule r3: x => demotes(b);\nrule r4: x => promotes(a);")
-        statuses, diags = Engine.resolve_statuses(Engine(kb).fire_rules("S"))
+        fired = Engine(kb).fire_rules("S")
+        statuses, diags = Engine.resolve_statuses(engine_module._deciders(fired))
         assert statuses == {"a": Status.UNDEFINED, "b": Status.UNDEFINED}
         assert [d.message[:10] for d in diags] == ["right 'a':", "right 'b':"]
 
@@ -1148,6 +1149,31 @@ class TestExplain:
                 if not expl.derivable:
                     assert expl.blocked == naive_blocked(
                         kb, scen.id, "collides", frozenset(pair), f"collides({list(pair)})")
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_named_rule_matches_naive_fire(self, seed):
+        """A derivable unary answer names the first of the strongest fired
+        rules for its conclusion, and an explicit collision the first fired
+        `collides` rule."""
+        kb = collision_kb(seed)
+        rights = sorted(CompiledKB(kb).known)
+        fired = {scen.id: naive_fire(kb, scen.id) for scen in kb.scenarios}
+        for config in TOGGLES:
+            engine = Engine(kb, config)
+            for sid, rules in fired.items():
+                for right, kind in itertools.product(rights, UNARY_PREDS):
+                    expl = engine.explain(sid, f"{kind}({right})")
+                    if expl.derivable:
+                        hits = [r for r in rules
+                                if r.head.kind == kind and r.head.rights == (right,)]
+                        top = max(r.strength for r in hits)
+                        assert expl.trace.rule == next(r.id for r in hits if r.strength == top)
+                for pair in itertools.combinations(rights, 2):
+                    explicit = [r.id for r in rules
+                                if r.head.kind == "collides" and set(r.head.rights) == set(pair)]
+                    expl = engine.explain(sid, f"collides({', '.join(pair)})")
+                    if expl.derivable and explicit:
+                        assert expl.trace.rule == explicit[0]
 
     @pytest.mark.parametrize("conclusion, named", [
         # r and the assert over U miss one literal each: the explicit rule
