@@ -63,7 +63,7 @@ from .model import (AndExpr, AssertStmt, BasicRight, ChainHead,
                     DeploymentDomain, FeatureLiteral, FundamentalRight, Head,
                     KnowledgeBase, NotExpr, Obligation, OrExpr, PredHead,
                     Purpose, RightExpr, RightRef, RiskAnnotation, Rule,
-                    Scenario, PRED_KINDS, BINARY_PREDS)
+                    Scenario, PRED_KINDS, BINARY_PREDS, _new)
 
 # deep enough for any real definition; shallow enough that parsing and the
 # recursive walks over the expression stay well inside Python's stack limit
@@ -497,7 +497,7 @@ class _Matcher:
         return [lits.get(word) or self._lit(word) for word in _words(text, sep)] if text else []
 
     def _lit(self, word: str) -> FeatureLiteral:
-        lit = self.lits[word] = FeatureLiteral(_ident(word.lstrip("!")), word[0] != "!")
+        lit = self.lits[word] = _new(FeatureLiteral, (_ident(word.lstrip("!")), word[0] != "!"))
         return lit
 
     def _basic(self, m: re.Match) -> None:
@@ -516,7 +516,7 @@ class _Matcher:
 
     def _scenario(self, m: re.Match) -> None:
         sid, lits = m.group("scenario_id", "scenario_lits")
-        self.kb.scenarios.append(Scenario(_ident(sid), frozenset(self._lits(lits, ","))))
+        self.kb.scenarios.append(_new(Scenario, (_ident(sid), frozenset(self._lits(lits, ",")))))
 
     def _grouping(self, m: re.Match) -> None:
         keyword, gid, ids = m.group("grouping_kw", "grouping_id", "grouping_ids")
@@ -533,17 +533,17 @@ class _Matcher:
         pred, first, second, chain, assert_kw, name = m.group(
             "head_pred", "head_first", "head_second", "head_chain", "assert_kw", "assert_in")
         if pred is None:
-            head = ChainHead(tuple(_words(chain, ">")))
+            head = _new(ChainHead, (tuple(_words(chain, ">")),))
         elif (second is None) == (pred in BINARY_PREDS):
             raise ValueError(f"{pred} with the wrong number of rights")  # _Parser names it
         else:
-            head = PredHead(pred, (first,) if second is None else (first, second))
+            head = _new(PredHead, (pred, (first,) if second is None else (first, second)))
         if assert_kw:
-            self.kb.assertions.append(AssertStmt(name, head))
+            self.kb.assertions.append(_new(AssertStmt, (name, head)))
         else:
             name, strength, body = m.group("rule_id", "rule_strength", "rule_body")
-            self.kb.rules.append(Rule(name, tuple(self._lits(body, "&")), head,
-                                      0 if strength is None else int(strength)))
+            self.kb.rules.append(_new(Rule, (name, tuple(self._lits(body, "&")), head,
+                                             0 if strength is None else int(strength))))
         # the head's rights, and the assert's scenario or the rule's id
         if first in KEYWORDS or second in KEYWORDS or name in KEYWORDS:
             raise ValueError("a keyword as an identifier")
@@ -553,7 +553,10 @@ class _Matcher:
         values = {name: int(value) for name, value in fields}
         if len(values) < len(fields) or values.keys() - RiskAnnotation.FIELDS:
             raise ValueError("a repeated or unknown risk field")  # _Parser names it
-        self.kb.risk_annotations.append(RiskAnnotation(_ident(m["risk_id"]), **values))
+        get = values.get  # spelt out: unpacking a map into the tuple is slower
+        self.kb.risk_annotations.append(_new(RiskAnnotation, (
+            _ident(m["risk_id"]), get("hazard"), get("response"), get("intensity"),
+            get("sensitivity"), get("vulnerability"))))
 
 
 @cache

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .model import (BINARY_PREDS, UNARY_PREDS, CompiledKB, Diagnostic,
-                    FeatureLiteral, KnowledgeBase, Rule, Scenario,
+                    FeatureLiteral, KnowledgeBase, Rule, Scenario, _new,
                     logically_incompatible)
 
 if TYPE_CHECKING:
@@ -318,9 +318,9 @@ class Engine:
                     if frozenset((right, prev.right)) in collisions:
                         break
                 else:
-                    adopted.append(Occurrence(right, chain_id, x, length))
+                    adopted.append(_new(Occurrence, (right, chain_id, x, length)))
             else:
-                adopted.append(Occurrence(right, chain_id, x, length))
+                adopted.append(_new(Occurrence, (right, chain_id, x, length)))
         return adopted
 
     # -- scenario assessment ------------------------------------------------
@@ -352,7 +352,7 @@ class Engine:
             adopted += self.adopt(chain.id, rights, statuses, collisions)
             for x, right in enumerate(rights, start=1):
                 if statuses[right] is DEMOTED:
-                    demoted.append(Occurrence(right, chain.id, x, len(rights)))
+                    demoted.append(_new(Occurrence, (right, chain.id, x, len(rights))))
 
         # singleton convention: chainless rights count as length-1 chains
         singles = [r for r, status in statuses.items()
@@ -360,7 +360,7 @@ class Engine:
         singles.sort()
         for right in singles:
             side = adopted if statuses[right] is PROMOTED else demoted
-            side.append(Occurrence(right, SINGLETON, 1, 1))
+            side.append(_new(Occurrence, (right, SINGLETON, 1, 1)))
 
         findings = ScenarioFindings(
             scenario=scenario_id,

@@ -2,11 +2,11 @@
 
 Everything here is an immutable value except the KnowledgeBase container
 itself, which is assembled once by the parser and then treated as
-read-only. The records built per literal, scenario, rule and head are
-named tuples: an analysis builds and hashes thousands of them,
-and a tuple is built and hashed in C, where a frozen dataclass sets each
-field through `object.__setattr__`. The records built once per run stay
-frozen dataclasses.
+read-only. The records built per literal, scenario, rule, head, assert and
+risk annotation are named tuples: an analysis builds and hashes thousands
+of them, and a tuple is hashed in C and, through `_new` below, built in C,
+where a frozen dataclass sets each field through `object.__setattr__`. The
+records built once per run stay frozen dataclasses.
 """
 from __future__ import annotations
 
@@ -143,8 +143,7 @@ class AssertStmt(NamedTuple):
     head: Head
 
 
-@dataclass(frozen=True)
-class RiskAnnotation:
+class RiskAnnotation(NamedTuple):
     scenario: str
     hazard: Optional[int] = None
     response: Optional[int] = None
@@ -153,6 +152,13 @@ class RiskAnnotation:
     vulnerability: Optional[int] = None
 
     FIELDS = ("hazard", "response", "intensity", "sensitivity", "vulnerability")
+
+
+# `_new(Cls, (field, ...))` builds a record in C, where `Cls(...)` runs the
+# Python __new__ that NamedTuple generates; it fills no default and checks no
+# arity, so the hot sites (the declaration matcher, Engine.adopt and
+# Engine.assess) pass every field in order. _Parser keeps the constructors.
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------

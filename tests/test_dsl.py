@@ -4,7 +4,7 @@ import pytest
 
 from rightsrisk import dsl
 from rightsrisk.dsl import MAX_NESTING, ParseError, parse_kb, print_kb, tokenize
-from rightsrisk.model import ChainHead, PredHead
+from rightsrisk.model import ChainHead, PredHead, RiskAnnotation
 
 from kb_random import random_kb
 
@@ -157,9 +157,15 @@ class TestParse:
         assert len(parse_kb(f"basic a;\nright r := {wide};").rights) == 1
 
     def test_risk_fields(self):
-        kb = parse_kb("risk S { response: -1, hazard: 4 }")
-        ann = kb.risk_annotations[0]
-        assert (ann.hazard, ann.response, ann.intensity) == (4, -1, None)
+        # fields omitted, on both paths: the declaration matcher's and the
+        # token parser's
+        text = "risk S { response: -1, hazard: 4 }"
+        for kb in (parse_kb(text), dsl._Matcher().match_kb(text),
+                   dsl._Parser(tokenize(text)).parse_kb()):
+            ann, = kb.risk_annotations
+            assert (ann.hazard, ann.response, ann.intensity) == (4, -1, None)
+            assert type(ann) is RiskAnnotation
+            assert ann == RiskAnnotation("S", response=-1, hazard=4)
 
     def test_repeated_risk_field(self):
         with pytest.raises(ParseError) as exc:

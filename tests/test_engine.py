@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import FIXTURES, load_fixture
 from kb_random import random_kb, with_collision_rules, with_refinements
 from rightsrisk import engine as engine_module, model
 from rightsrisk.dsl import parse_kb, print_kb
@@ -1007,6 +1008,16 @@ class TestAssessScenario:
             f = engine.assess(scen.id)
             for o in f.adopted:
                 assert f.statuses[o.right] != Status.DEMOTED
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.rights")))
+    def test_occurrences_are_exactly_occurrence(self, name):
+        """Tuple equality ignores the class, so comparing findings with
+        expected occurrences passes one built with another record class."""
+        kb = load_fixture(name)
+        engine = Engine(kb)
+        for scen in kb.scenarios:
+            f = engine.assess(scen.id)
+            assert all(type(o) is Occurrence for o in f.adopted | f.demoted_occurrences)
 
 
 class TestMonotonicity:

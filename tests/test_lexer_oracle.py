@@ -75,13 +75,20 @@ def lexed(tokenize, text):
 
 
 def parsed(parse_kb, text):
-    """The KB `parse_kb` reads, its print, and each scenario's features in
-    iteration order; or its ParseError."""
+    """The KB `parse_kb` reads, its print, each scenario's features in
+    iteration order, and the exact class of every literal, scenario, head,
+    assert, rule and risk annotation (tuple equality ignores the class); or
+    its ParseError."""
     try:
         kb = parse_kb(text, "m.rights")
     except ParseError as exc:
         return failure(exc)
-    return "KB", print_kb(kb), kb, [list(s.features) for s in kb.scenarios]
+    records = [*kb.scenarios, *kb.assertions, *kb.rules, *kb.risk_annotations]
+    records += [lit for s in kb.scenarios for lit in s.features]
+    records += [lit for r in kb.rules for lit in r.body]
+    records += [stmt.head for stmt in (*kb.assertions, *kb.rules)]
+    return ("KB", print_kb(kb), kb, [list(s.features) for s in kb.scenarios],
+            [type(r) for r in records])
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, load_fixture
 from kb_random import random_kb
-from rightsrisk import model
+from rightsrisk import dsl, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, Occurrence
 from rightsrisk.model import (AndExpr, AssertStmt, ChainHead, CompiledKB,
@@ -142,15 +142,16 @@ class TestFeatureLiteral:
 
 
 RECORD_TYPES = (FeatureLiteral, Scenario, PredHead, ChainHead, Rule, AssertStmt,
-                Occurrence, OccurrenceWeight)
+                RiskAnnotation, Occurrence, OccurrenceWeight)
 
 
 def triage_records() -> list:
     """Instances of every record type: the parsed fixture's literals,
-    scenarios, rules, asserts and heads, then each scenario's fired chain
-    rules, adopted and demoted occurrences and their weights."""
+    scenarios, rules, asserts, heads and risk annotations, then each
+    scenario's fired chain rules, adopted and demoted occurrences and their
+    weights."""
     kb = load_fixture("triage.rights")
-    records = [*kb.scenarios, *kb.rules, *kb.assertions]
+    records = [*kb.scenarios, *kb.rules, *kb.assertions, *kb.risk_annotations]
     records += [lit for s in kb.scenarios for lit in s.features]
     records += [r.head for r in CompiledKB(kb).rules]
     engine = Engine(kb)
@@ -164,6 +165,12 @@ def triage_records() -> list:
 class TestRecordValues:
     def test_fixture_yields_every_record_type(self):
         assert {type(r) for r in triage_records()} == set(RECORD_TYPES)
+
+    def test_risk_annotation_keywords_take_the_defaults(self):
+        ann = RiskAnnotation("S", response=2)
+        assert ann == ("S", None, 2, None, None, None)
+        assert ann._fields == ("scenario", *RiskAnnotation.FIELDS)
+        assert ann._replace(hazard=1) == RiskAnnotation("S", 1, 2)
 
     def test_records_are_immutable_hashable_picklable_values(self):
         for record in triage_records():
@@ -529,8 +536,11 @@ class TestValidateKb:
     ], ids=["empty-scenario", "unknown-scenario-in-domain", "unknown-domain",
             "unknown-scenario-in-risk", "missing-risk-field", "risk-range"])
     def test_scenario_domain_and_risk_diagnostics(self, text, expected):
-        kb = parse_kb("right a;\nscenario S { x }\ndomain D { S }\n" + text)
-        assert [str(d) for d in validate_kb(kb)] == expected
+        # also on the KBs of both paths: the declaration matcher's and the token parser's
+        text = "right a;\nscenario S { x }\ndomain D { S }\n" + text
+        for kb in (parse_kb(text), dsl._Matcher().match_kb(text),
+                   dsl._Parser(dsl.tokenize(text)).parse_kb()):
+            assert [str(d) for d in validate_kb(kb)] == expected
 
     @pytest.mark.parametrize("kb, expected", [
         *((parse_kb("right a;\nscenario S { x }\ndomain D { S }\n" + text),
