@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .dsl import print_kb
-from .engine import Engine, ScenarioFindings
+from .engine import Engine, Occurrence, ScenarioFindings, Status
 from .minimizer import MinimizationResult, minimize_domain, minimize_purpose
 from .model import KnowledgeBase, RiskAnnotation
 from .riskmatrix import assess_annotation
@@ -112,14 +112,33 @@ class ScenarioView:
     diagnostics: list[str]
 
 
+# each status's label; a dict lookup is cheaper than the `Enum.value` property
+_STATUS_TEXT = {s: s.value for s in Status}
+
+
+def status_labels(statuses: dict[str, Status]) -> dict[str, str]:
+    """right -> Promoted/Demoted/Undefined, in the order of the rights."""
+    return {r: _STATUS_TEXT[statuses[r]] for r in sorted(statuses)}
+
+
+def collision_pairs(collisions: frozenset[frozenset[str]]) -> list[list[str]]:
+    """Each colliding pair as its two rights in order, the pairs sorted."""
+    return sorted([sorted(pair) for pair in collisions])
+
+
+def occurrence_labels(occurrences: frozenset[Occurrence]) -> list[str]:
+    """Each occurrence's `right<x,y>` label, as `str(o)` writes it, sorted."""
+    return sorted([f"{right}<{x},{y}>" for right, _, x, y in occurrences])
+
+
 def scenario_view(findings: ScenarioFindings,
                   breakdown: DegreeBreakdown) -> ScenarioView:
     return ScenarioView(
         scenario=findings.scenario,
-        statuses={r: s.value for r, s in sorted(findings.statuses.items())},
-        collisions=sorted(sorted(pair) for pair in findings.collisions),
-        adopted=sorted(str(o) for o in findings.adopted),
-        demoted=sorted(str(o) for o in findings.demoted_occurrences),
+        statuses=status_labels(findings.statuses),
+        collisions=collision_pairs(findings.collisions),
+        adopted=occurrence_labels(findings.adopted),
+        demoted=occurrence_labels(findings.demoted_occurrences),
         degree=str(breakdown.degree),
         xi=str(breakdown.xi),
         delta=str(breakdown.delta),
@@ -194,7 +213,6 @@ def build_report(bundle: AssessmentBundle, *, generated_at: Optional[str] = None
     scenarios: list[ScenarioRisk] = []
     for sid in sorted(bundle.findings):
         findings = bundle.findings[sid]
-        view = scenario_view(findings, bundle.breakdowns[sid])
         ann = annotations.get(sid)
         band = None
         if ann is not None:
@@ -202,11 +220,11 @@ def build_report(bundle: AssessmentBundle, *, generated_at: Optional[str] = None
                                      ann.sensitivity, ann.vulnerability).band
         scenarios.append(ScenarioRisk(
             scenario=sid,
-            statuses=view.statuses,
+            statuses=status_labels(findings.statuses),
             demoted=sorted({o.right for o in findings.demoted_occurrences}),
-            collisions=view.collisions,
-            adopted=view.adopted,
-            degree=view.degree,
+            collisions=collision_pairs(findings.collisions),
+            adopted=occurrence_labels(findings.adopted),
+            degree=str(bundle.breakdowns[sid].degree),
             band=band,
             obligations=obligations.get(sid, []),
         ))
@@ -325,11 +343,42 @@ def _render_markdown(report: FriaReport) -> str:
     return "\n".join(lines)
 
 
+def _strings_json(values: list[str], newline: str) -> str:
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, values)) + newline + "]"
+
+
+def _scenario_risk_json(s: ScenarioRisk, newline: str) -> str:
+    """`_json(dict(vars(s)))`, written field by field in sorted-name order
+    from each field's declared shape."""
+    inner = newline + "  "
+    item = inner + "  "
+    pairs = [_strings_json(pair, item) for pair in s.collisions]
+    statuses = [_quote(r) + ": " + _quote(v) for r, v in sorted(s.statuses.items())]
+    return "{" + inner + ("," + inner).join([
+        '"adopted": ' + _strings_json(s.adopted, inner),
+        '"band": ' + ("null" if s.band is None else _quote(s.band)),
+        '"collisions": ' + ("[" + item + ("," + item).join(pairs) + inner + "]"
+                            if pairs else "[]"),
+        '"degree": ' + _quote(s.degree),
+        '"demoted": ' + _strings_json(s.demoted, inner),
+        '"obligations": ' + _strings_json(s.obligations, inner),
+        '"scenario": ' + _quote(s.scenario),
+        '"statuses": ' + ("{" + item + ("," + item).join(statuses) + inner + "}"
+                          if statuses else "{}"),
+    ]) + newline + "}"
+
+
 def _json(value, newline: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` for str-keyed dicts,
-    lists, str, int, bool and None. With `indent` the stdlib (up to 3.13)
-    encodes in pure Python; this writer quotes each string with the same C function
-    and joins each list or dict in one call."""
+    lists, str, int, bool and None, and for a `ScenarioRisk` as the dict of
+    its fields. With `indent` the stdlib (up to 3.13) encodes in pure Python;
+    this writer quotes each string with the same C function and joins each
+    list or dict in one call."""
+    if type(value) is ScenarioRisk:
+        return _scenario_risk_json(value, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -368,7 +417,9 @@ def render(report: FriaReport, fmt: str = "json") -> str:
     """Deterministic rendering; the JSON form parses back to an equal
     report."""
     if fmt == "json":
-        return dump_json(report_to_dict(report))
+        # the scenario records go in as they are, for `_scenario_risk_json`
+        return dump_json({**vars(report),
+                          "checklist": [dict(vars(c)) for c in report.checklist]})
     if fmt == "markdown":
         return _render_markdown(report)
     raise ReportError(f"unknown format {fmt!r}")

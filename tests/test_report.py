@@ -1,19 +1,21 @@
 import copy
+import dataclasses
 import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import load_fixture
-from kb_random import random_kb
+from conftest import FIXTURES, load_fixture
+from kb_random import random_kb, with_collision_rules
 from rightsrisk import report as report_module
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine
 from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
 from rightsrisk.riskmatrix import RangeError
-from rightsrisk.report import (ART26_ITEMS, ReportError, _json, build_bundle,
-                               build_report, parse_report, render, report_to_dict)
+from rightsrisk.report import (ART26_ITEMS, ReportError, ScenarioRisk, _json,
+                               build_bundle, build_report, occurrence_labels,
+                               parse_report, render, report_to_dict, scenario_view)
 
 # Y refines X and promotes the `a` that X demotes; in Y both rules for `a`
 # fire at one strength, as do both rules for `b`
@@ -36,6 +38,18 @@ WARNINGS = [
 
 META = {"generated_at": "2026-01-01T00:00:00+00:00", "process": "pilot",
         "oversight": "human review", "mitigation": "narrow the rollout"}
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.rights"))
+
+
+def fixture_bundles(name):
+    """The fixture's bundle for each of its domains and purposes; none for
+    a fixture that declares neither, which `fria` refuses."""
+    kb = load_fixture(f"{name}.rights")
+    selections = [{"domain_id": d.id} for d in kb.domains]
+    selections += [{"purpose_id": p.id} for p in kb.purposes]
+    return [build_bundle(Engine(kb), **selection) for selection in selections]
 
 
 @pytest.fixture()
@@ -183,6 +197,11 @@ TEXT = st.text(st.one_of(
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | TEXT,
     lambda children: st.lists(children) | st.dictionaries(TEXT, children))
+SCENARIO_RISKS = st.builds(
+    ScenarioRisk, scenario=TEXT, statuses=st.dictionaries(TEXT, TEXT),
+    demoted=st.lists(TEXT), collisions=st.lists(st.lists(TEXT, min_size=2, max_size=2)),
+    adopted=st.lists(TEXT), degree=TEXT, band=st.none() | TEXT,
+    obligations=st.lists(TEXT))
 
 
 class TestJsonWriter:
@@ -201,18 +220,80 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _json({"x": 1.5})
 
-    # privacy.rights declares no domain or purpose, so `fria` refuses it
-    @pytest.mark.parametrize("name", ["pandemic", "scholarship", "triage"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_reports_match_stdlib(self, name):
-        kb = load_fixture(f"{name}.rights")
+        bundles = fixture_bundles(name)
+        if not bundles:
+            pytest.skip(f"{name}.rights declares no domain or purpose")
         meta = dict(META, process="Prüfung — \"pilot\"\n\\ phase 1")
-        selections = [{"domain_id": d.id} for d in kb.domains]
-        selections += [{"purpose_id": p.id} for p in kb.purposes]
-        assert selections
-        for selection in selections:
-            report = build_report(build_bundle(Engine(kb), **selection), **meta)
+        for bundle in bundles:
+            report = build_report(bundle, **meta)
             assert render(report, "json") == json.dumps(
                 report_to_dict(report), indent=2, sort_keys=True) + "\n"
+
+    @given(SCENARIO_RISKS)
+    def test_scenario_risk_matches_stdlib(self, record):
+        fields = dict(vars(record))
+        assert _json(record) == json.dumps(fields, indent=2, sort_keys=True)
+        # nested two levels down, so each line is indented further
+        assert _json({"b": [record, None], "a": [record]}) == json.dumps(
+            {"b": [fields, None], "a": [fields]}, indent=2, sort_keys=True)
+
+    def test_scenario_risk_writes_every_field(self):
+        record = ScenarioRisk("S", {}, [], [], [], "0", None, [])
+        assert list(json.loads(_json(record))) == \
+            sorted(f.name for f in dataclasses.fields(ScenarioRisk))
+
+
+class TestScenarioRecords:
+    """`build_report` builds each scenario's record from its findings with
+    the helpers that `scenario_view` uses, so the two agree."""
+
+    @staticmethod
+    def assert_agrees_with_views(bundle) -> int:
+        report = build_report(bundle, **META)
+        assert [s.scenario for s in report.scenarios] == sorted(bundle.findings)
+        for s in report.scenarios:
+            view = scenario_view(bundle.findings[s.scenario],
+                                 bundle.breakdowns[s.scenario])
+            assert (s.statuses, s.collisions, s.adopted, s.degree) == \
+                (view.statuses, view.collisions, view.adopted, view.degree)
+            assert list(s.statuses) == sorted(s.statuses)
+        return sum(len(s.collisions) + len(s.adopted) for s in report.scenarios)
+
+    @staticmethod
+    def assert_labels_are_str(bundle) -> int:
+        occurrences = [o for f in bundle.findings.values()
+                       for o in f.adopted | f.demoted_occurrences]
+        for o in occurrences:
+            assert occurrence_labels([o]) == [str(o)]
+        return len(occurrences)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        bundles = fixture_bundles(name)
+        if not bundles:
+            pytest.skip(f"{name}.rights declares no domain or purpose")
+        for bundle in bundles:
+            assert self.assert_agrees_with_views(bundle) > 0
+            assert self.assert_labels_are_str(bundle) > 0
+
+    def test_random_kbs(self):
+        """Collision rules make collisions, ties and cancelled demotions;
+        every scenario is in the domain `D`."""
+        shown = labels = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            kb = with_collision_rules(random_kb(rng, with_extras=True), rng)
+            bundle = build_bundle(Engine(kb), domain_id="D")
+            shown += self.assert_agrees_with_views(bundle)
+            labels += self.assert_labels_are_str(bundle)
+        assert shown > 0 and labels > 0
+
+    def test_contested_round_trip(self):
+        for bundle in fixture_bundles("contested"):
+            report = build_report(bundle, **META)
+            assert parse_report(render(report, "json")) == report
 
 
 class TestBuildBundle:
