@@ -16,8 +16,8 @@ from .dsl import ParseError, parse_kb
 from .engine import Engine, EngineConfig
 from .minimizer import SizeError, minimize_domain, minimize_purpose
 from .model import CompiledKB, KnowledgeBase, validate_kb
-from .report import (AssessmentBundle, ReportError, ScenarioView, build_bundle,
-                     build_report, dump_json, minimization_record, render,
+from .report import (AssessmentBundle, ReportError, build_bundle, build_report,
+                     dump_json, minimization_record, render, scenario_text,
                      scenario_view)
 from .scoring import degree_scenario
 
@@ -107,19 +107,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _scenario_block(view: ScenarioView) -> str:
-    statuses = " ".join(f"{r}={s}" for r, s in view.statuses.items())
-    lines = [f"scenario {view.scenario}:", f"  statuses: {statuses or '(none)'}"]
-    if view.collisions:
-        pairs = "; ".join("(" + ", ".join(p) + ")" for p in view.collisions)
-        lines.append(f"  collisions: {pairs}")
-    lines.append(f"  adopted: {' '.join(view.adopted) or '(none)'}")
-    lines.append(f"  demoted: {' '.join(view.demoted) or '(none)'}")
-    lines.append(f"  degree: {view.degree} (xi={view.xi}, delta={view.delta})")
-    lines += [f"  {d}" for d in view.diagnostics]
-    return "\n".join(lines)
-
-
 def cmd_assess(args) -> int:
     if args.json and args.scenario is None:
         raise CliError("assess --json needs --scenario; for a domain or purpose "
@@ -133,16 +120,16 @@ def cmd_assess(args) -> int:
             raise CliError(exc.args[0], EXIT_SEMANTIC)
         view = scenario_view(findings, degree_scenario(findings))
         if args.json:
-            sys.stdout.write(dump_json(vars(view)))
+            sys.stdout.write(dump_json(view))
         else:
-            print(_scenario_block(view))
+            print(scenario_text(view))
             for d in engine.check_monotonicity():
                 print(d)
         return EXIT_OK
 
     bundle = _bundle(engine, args)
     for sid, findings in bundle.findings.items():
-        print(_scenario_block(scenario_view(findings, bundle.breakdowns[sid])))
+        print(scenario_text(scenario_view(findings, bundle.breakdowns[sid])))
     total = bundle.total
     print(f"{bundle.kind} {bundle.selector} degree: {total.degree} "
           f"(xi={total.xi}, delta={total.delta})")

@@ -39,14 +39,15 @@ the parts the match captured. At the first text that expression does not
 take, or at a declaration _Parser would reject (a keyword as an
 identifier, a repeated or unknown risk field, an integer too long for
 int(), a right definition _rexpr refuses), the whole text goes to
-tokenize and _Parser instead, and only that path raises ParseError. On
-the seed-1 `query_mixed` benchmark KB (765 lines, 8,610 tokens) the
-matcher takes about 45% less time than tokenize and _Parser (median of
-200 alternated calls, Python 3.11.7, 2-core VM). Compiling the
-expression takes 4-9 ms in a fresh process, more than that saves on a
-first parse, so a process's first parse_kb leaves the matcher out: a
-program that parses one file, as each `rightsrisk` command does, never
-compiles it, and one that parses many pays the compile once.
+tokenize and _Parser instead, and only that path raises ParseError. Warm,
+the matcher takes 44-54% less time than they do on the seed-1 benchmark
+KBs (16-28 KB). Compiling its expression takes 3-5 ms in a fresh process
+(Python 3.11.7, 2-core VM), so a cold first parse of a fixture takes 3-5
+ms on the matcher against 0.2-0.7 ms on the token path; on the benchmark
+KBs neither path leads by more than 1-3 ms. So a process's first parse_kb
+leaves the matcher out: a program that parses one file, as each
+`rightsrisk` command does, never compiles it; one that parses many pays
+the compile once.
 
 Tokens are stored as a kind and a value only; a token's offset and
 line:col are found on demand, for a ParseError or a Token read from

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
@@ -96,22 +96,6 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
 # Report structure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScenarioView:
-    """One scenario's findings and degree, in the canonical order that the
-    text, JSON and Markdown renderers all show; `assess --scenario --json`
-    writes exactly these fields."""
-    scenario: str
-    statuses: dict[str, str]          # right -> Promoted/Demoted/Undefined
-    collisions: list[list[str]]
-    adopted: list[str]                # "right<x,y>" occurrence labels
-    demoted: list[str]                # "right<x,y>" occurrence labels
-    degree: str                       # exact: str(Fraction), e.g. "7/2"
-    xi: str
-    delta: str
-    diagnostics: list[str]
-
-
 # each status's label; a dict lookup is cheaper than the `Enum.value` property
 _STATUS_TEXT = {s: s.value for s in Status}
 
@@ -131,19 +115,35 @@ def occurrence_labels(occurrences: frozenset[Occurrence]) -> list[str]:
     return sorted([f"{right}<{x},{y}>" for right, _, x, y in occurrences])
 
 
-def scenario_view(findings: ScenarioFindings,
-                  breakdown: DegreeBreakdown) -> ScenarioView:
-    return ScenarioView(
-        scenario=findings.scenario,
-        statuses=status_labels(findings.statuses),
-        collisions=collision_pairs(findings.collisions),
-        adopted=occurrence_labels(findings.adopted),
-        demoted=occurrence_labels(findings.demoted_occurrences),
-        degree=str(breakdown.degree),
-        xi=str(breakdown.xi),
-        delta=str(breakdown.delta),
-        diagnostics=[str(d) for d in findings.diagnostics],
-    )
+def scenario_view(findings: ScenarioFindings, breakdown: DegreeBreakdown) -> dict:
+    """One scenario's findings and degree, in the canonical order: the
+    record that `assess --scenario --json` writes and `scenario_text`
+    shows. Degrees are exact, as `str(Fraction)` text such as "7/2"."""
+    return {
+        "scenario": findings.scenario,
+        "statuses": status_labels(findings.statuses),
+        "collisions": collision_pairs(findings.collisions),
+        "adopted": occurrence_labels(findings.adopted),
+        "demoted": occurrence_labels(findings.demoted_occurrences),
+        "degree": str(breakdown.degree),
+        "xi": str(breakdown.xi),
+        "delta": str(breakdown.delta),
+        "diagnostics": [str(d) for d in findings.diagnostics],
+    }
+
+
+def scenario_text(view: dict) -> str:
+    """`scenario_view`'s record as the text `assess` prints it."""
+    statuses = " ".join(f"{r}={s}" for r, s in view["statuses"].items())
+    lines = [f"scenario {view['scenario']}:", f"  statuses: {statuses or '(none)'}"]
+    if view["collisions"]:
+        pairs = "; ".join("(" + ", ".join(p) + ")" for p in view["collisions"])
+        lines.append(f"  collisions: {pairs}")
+    lines.append(f"  adopted: {' '.join(view['adopted']) or '(none)'}")
+    lines.append(f"  demoted: {' '.join(view['demoted']) or '(none)'}")
+    lines.append(f"  degree: {view['degree']} (xi={view['xi']}, delta={view['delta']})")
+    lines += [f"  {d}" for d in view["diagnostics"]]
+    return "\n".join(lines)
 
 
 @dataclass
@@ -272,13 +272,6 @@ def build_report(bundle: AssessmentBundle, *, generated_at: Optional[str] = None
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def report_to_dict(report: FriaReport) -> dict:
-    """The JSON form: each record's dataclass fields."""
-    return {**vars(report),
-            "scenarios": [dict(vars(s)) for s in report.scenarios],
-            "checklist": [dict(vars(c)) for c in report.checklist]}
-
 
 def parse_report(text: str) -> FriaReport:
     """Inverse of `render(report, "json")`; a missing or unknown field is a TypeError."""

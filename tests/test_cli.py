@@ -533,6 +533,70 @@ class TestWarnings:
         assert quiet == "".join(kept)
 
 
+def kb_file(tmp_path, text):
+    path = tmp_path / "case.rights"
+    path.write_text(text)
+    return str(path)
+
+
+def open_item(reason):
+    """Strict, so a fix that lands must also drop the mark; only a failed
+    assertion counts as the expected failure."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+class TestOpenDefects:
+    """Hand cases of open ROADMAP items, each asserting the answer that its
+    item specifies."""
+
+    @open_item("ROADMAP item 2: a chain counts once for each rule that concludes it")
+    def test_a_repeated_chain_counts_once(self, capsys, tmp_path):
+        kb = kb_file(tmp_path, "right a;\nright b;\nscenario S { x }\n"
+                               "scenario T { x, y }\nassert a > b in S;\n"
+                               "assert a > b in T;\n")
+        code, out, _ = run(capsys, "assess", kb, "--scenario", "T")
+        assert code == 0
+        assert "  adopted: a<1,2> b<2,2>\n" in out
+        assert "  degree: 3 (" in out
+
+    @open_item("ROADMAP item 6: explain answers whether a rule fired, "
+               "not what assess concluded")
+    def test_explain_refuses_a_beaten_promotion(self, capsys, tmp_path):
+        kb = kb_file(tmp_path, "right a;\nscenario S { x }\n"
+                               "rule p [1]: x => promotes(a);\n"
+                               "rule d [2]: x => demotes(a);\n")
+        code, _, _ = run(capsys, "explain", kb, "S", "promotes(a)")
+        assert code == 1
+
+    @open_item("ROADMAP item 6: a removed pair is blamed on an empty "
+               "requirement, under a list label")
+    def test_explain_names_a_removed_collision_plainly(self, capsys, tmp_path):
+        kb = kb_file(tmp_path, "right a;\nright b;\nscenario S { x }\n"
+                               "rule c [1]: x => collides(a, b);\n"
+                               "rule n [2]: x => not_collides(a, b);\n")
+        _, out, _ = run(capsys, "explain", kb, "S", "collides(a, b)")
+        assert "requires {}" not in out
+        assert "collides(['a', 'b'])" not in out
+
+    @open_item("ROADMAP item 6: a demotion that a not_demotes rule cancels "
+               "is explained as derivable")
+    def test_explain_refuses_a_cancelled_demotion(self, capsys, fixtures_dir):
+        code, _, _ = run(capsys, "explain", fx(fixtures_dir, "triage.rights"),
+                         "S_emergency", "demotes(privacy)")
+        assert code == 1
+
+    @open_item("ROADMAP item 9: the warning compares fired rules, "
+               "not resolved statuses")
+    def test_no_monotonicity_warning_where_statuses_agree(self, capsys, tmp_path):
+        kb = kb_file(tmp_path, "right a;\nscenario S { x }\nscenario T { x, y }\n"
+                               "rule p [1]: x => promotes(a);\n"
+                               "rule d [2]: x & y => demotes(a);\n"
+                               "rule q [3]: x & y => promotes(a);\n")
+        code, out, _ = run(capsys, "assess", kb, "--scenario", "T")
+        assert code == 0
+        assert "warning[monotonicity]" not in out
+
+
 class TestFuzz:
     """Mutated fixtures never crash the CLI: each run exits 0, 1 or 2 and
     prints no traceback."""

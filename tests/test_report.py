@@ -15,7 +15,7 @@ from rightsrisk.model import Obligation, RiskAnnotation, validate_kb
 from rightsrisk.riskmatrix import RangeError
 from rightsrisk.report import (ART26_ITEMS, ReportError, ScenarioRisk, _json,
                                build_bundle, build_report, occurrence_labels,
-                               parse_report, render, report_to_dict, scenario_view)
+                               parse_report, render, scenario_view)
 
 # Y refines X and promotes the `a` that X demotes; in Y both rules for `a`
 # fire at one strength, as do both rules for `b`
@@ -140,13 +140,23 @@ class TestRender:
     def test_json_round_trip(self, scholarship_report):
         assert parse_report(render(scholarship_report, "json")) == scholarship_report
 
-    def test_dict_records_do_not_alias_the_report(self, scholarship_report):
-        before = copy.deepcopy(scholarship_report)
-        data = report_to_dict(scholarship_report)
-        for record in data["scenarios"] + data["checklist"]:
-            for key in list(record):
-                record[key] = None
-        assert scholarship_report == before
+    def test_dict_records_do_not_alias_the_report(self, scholarship_kb):
+        bundle = build_bundle(Engine(scholarship_kb), domain_id="D_scholarship")
+        report = build_report(bundle, **META)
+        before = copy.deepcopy(report)
+        views = [scenario_view(bundle.findings[s], bundle.breakdowns[s])
+                 for s in sorted(bundle.findings)]
+        fresh = copy.deepcopy(views)
+        for view in views:
+            for value in view.values():
+                if isinstance(value, (list, dict)):
+                    value.clear()
+            for key in list(view):
+                view[key] = None
+        assert report == before
+        assert [scenario_view(bundle.findings[s], bundle.breakdowns[s])
+                for s in sorted(bundle.findings)] == fresh
+        assert build_report(bundle, **META) == before
 
     @pytest.mark.parametrize("where", ["report", "scenario", "checklist"])
     @pytest.mark.parametrize("change", ["missing", "unknown"])
@@ -228,8 +238,9 @@ class TestJsonWriter:
         meta = dict(META, process="Prüfung — \"pilot\"\n\\ phase 1")
         for bundle in bundles:
             report = build_report(bundle, **meta)
-            assert render(report, "json") == json.dumps(
-                report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            text = render(report, "json")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert parse_report(text) == report
 
     @given(SCENARIO_RISKS)
     def test_scenario_risk_matches_stdlib(self, record):
@@ -257,7 +268,7 @@ class TestScenarioRecords:
             view = scenario_view(bundle.findings[s.scenario],
                                  bundle.breakdowns[s.scenario])
             assert (s.statuses, s.collisions, s.adopted, s.degree) == \
-                (view.statuses, view.collisions, view.adopted, view.degree)
+                (view["statuses"], view["collisions"], view["adopted"], view["degree"])
             assert list(s.statuses) == sorted(s.statuses)
         return sum(len(s.collisions) + len(s.adopted) for s in report.scenarios)
 
