@@ -274,28 +274,40 @@ class _Parser:
         self.expect("semi")
         kb.rights.append(FundamentalRight(rid, definition))
 
+    # _rexpr, _rterm and _rfactor inline sep_list, accept and ident: a call per word
     def _rexpr(self) -> RightExpr:
-        terms = self.sep_list(self._rterm, "pipe")
+        terms = [self._rterm()]
+        while self.kinds[self.pos] == "pipe":
+            self.pos += 1
+            terms.append(self._rterm())
         return terms[0] if len(terms) == 1 else OrExpr(tuple(terms))
 
     def _rterm(self) -> RightExpr:
-        factors = self.sep_list(self._rfactor, "amp")
+        factors = [self._rfactor()]
+        while self.kinds[self.pos] == "amp":
+            self.pos += 1
+            factors.append(self._rfactor())
         return factors[0] if len(factors) == 1 else AndExpr(tuple(factors))
 
     def _rfactor(self) -> RightExpr:
         # a ParseError abandons the whole parse, so depth is only restored
         # on the way out of a successful factor
         self.depth += 1
+        pos = self.pos
         if self.depth > MAX_NESTING:
-            raise self.error(self.pos, "right expression nested "
+            raise self.error(pos, "right expression nested "
                              f"deeper than {MAX_NESTING} levels")
-        if self.accept("bang"):
+        kind = self.kinds[pos]
+        self.pos = pos + 1  # past eof only on the way to the raise below
+        if kind == "ident":
+            expr = RightRef(self.values[pos])
+        elif kind == "bang":
             expr = NotExpr(self._rfactor())
-        elif self.accept("lparen"):
+        elif kind == "lparen":
             expr = self._rexpr()
             self.expect("rparen")
         else:
-            expr = RightRef(self.ident())
+            raise self.error(pos, expected=("identifier",))
         self.depth -= 1
         return expr
 
@@ -412,6 +424,11 @@ class _Parser:
 _COMMENT_RE = re.compile(rf'({_STRING}|"[^\n]*)|//[^\n]*')
 _GAP_RE = re.compile(r"[ \t\r\n]*")  # the whitespace of _TOKEN_RE
 _ID = r"[A-Za-z_]\w*\b"  # under re.ASCII
+# A word of a right definition, an operator, a parenthesis or an identifier:
+# _decl_re() takes a definition as these words with only whitespace between
+# them, so `findall` over the text it matched gives the definition's words.
+_RWORD = rf"[!()&|]|{_ID}"
+_RWORD_RE = re.compile(_RWORD, re.ASCII)
 
 
 def _fill(template: str, **parts: str) -> str:
@@ -451,7 +468,7 @@ def _decl_re() -> re.Pattern:
     ~ (?(assert_kw) in\b~ (?P<assert_in> ID ) ~ ) ;
   | risk\b ~ (?P<risk_id> ID ) ~\{~ (?P<risk_fields> FIELD (?: ~,~ FIELD )* ) ~\}
 )""", ID=_ID, INT=r"-?[0-9]+\b", LIT=_fill("(?:!~)?ID", ID=_ID),
-        RWORD=rf"(?:[!()&|]|{_ID})", STRING=_STRING, PRED="|".join(PRED_KINDS),
+        RWORD=f"(?:{_RWORD})", STRING=_STRING, PRED="|".join(PRED_KINDS),
         FIELD=_fill(r"[a-z]+~:~-?[0-9]+\b")), re.VERBOSE | re.ASCII)
 
 
@@ -508,7 +525,7 @@ class _Matcher:
         rid, text = m.group("right_id", "right_def")
         definition = None
         if text is not None:
-            values = list(filter(None, _TOKEN_RE.findall(text)))  # punctuation and words
+            values = _RWORD_RE.findall(text)
             parser = _Parser(Tokens(text, "", [_WORD_KINDS.get(w, "ident") for w in values]
                                     + ["eof"], values + [""]))
             definition = parser._rexpr()

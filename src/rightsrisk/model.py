@@ -295,8 +295,7 @@ class Program(NamedTuple):
     table: Optional[int]
 
 
-def _compile(expr: RightExpr) -> Program:
-    steps = _steps(expr)
+def _compile(steps: list[Step]) -> Program:
     atoms = tuple(sorted({arg for kind, arg in steps if kind == "atom"}))
     if len(atoms) > TRUTH_TABLE_ATOMS:
         return Program(steps, atoms, None)
@@ -390,14 +389,15 @@ def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
     over at most TRUTH_TABLE_ATOMS atoms, their own truth tables are split
     on the atoms they share; else a split search runs over the joint atoms
     in sorted order, with no atom cap."""
-    return _jointly_satisfiable(_compile(e1), _compile(e2))
+    return _jointly_satisfiable(_compile(_steps(e1)), _compile(_steps(e2)))
 
 
 class CompiledKB:
     """What a knowledge base compiles to: its scenarios by id (the first
     declaration wins), each known scenario's asserts desugared into rules,
-    its declared right ids, and each defined right's steps, expansion and
-    program, each worked out the first time it is asked for and then kept.
+    its declared right ids, and each defined right's steps and program,
+    each worked out the first time it is asked for and then kept. Only
+    `expand` builds an expression tree.
 
     A console call builds one and hands it to both `validate_kb` and its
     Engine; given a plain KnowledgeBase, each builds its own. It is never
@@ -414,7 +414,6 @@ class CompiledKB:
         self.known = self.basics.union(self.defs)
         self._asserts: dict[str, list[Rule]] = {}
         self._opened: dict[str, tuple[list[Step], list[str]]] = {}
-        self._expanded: dict[str, RightExpr] = {}
         self._programs: dict[str, Optional[Program]] = {}
 
     @cached_property
@@ -458,38 +457,17 @@ class CompiledKB:
             self._opened[right_id] = self.open(self.defs[right_id])
         return self._opened[right_id]
 
-    def _substitute(self, steps: list[Step]) -> RightExpr:
-        done, basics = self._expanded, self.basics
-        built: list[RightExpr] = []
-        for kind, arg in steps:
-            if kind == "atom":
-                node = done[arg] if arg in done and arg not in basics else RightRef(arg)
-            elif kind == "not":
-                node = NotExpr(built[arg])
-            elif kind == "and":
-                node = AndExpr(tuple(built[i] for i in arg))
-            else:
-                node = OrExpr(tuple(built[i] for i in arg))
-            built.append(node)
-        return built[-1]
-
-    def expand(self, right_id: str) -> RightExpr:
-        """Definitional expansion of a right down to basic-right leaves.
-        Atomic rights (no definition) expand to a single self leaf. A name
-        used more than once is expanded once, and its uses share the
-        result. A kept name reaches no cycle, so skipping it changes no
-        cycle message."""
-        defs, done = self.defs, self._expanded
-        if right_id in done:
-            return done[right_id]
-        if right_id not in self.known:
-            raise KeyError(f"unknown right {right_id!r}")
-        if defs.get(right_id) is None:
-            return RightRef(right_id)
-        # depth first over names: the open ones on `path`, an iterator over
-        # the references each has left unvisited on `stack`
-        path = [right_id]
-        on_path = {right_id}
+    def walk(self, right_id: str, finished: set[str]) -> list[str]:
+        """The defined names outside `finished` that `right_id`'s expansion
+        reaches, each after those its definition uses and then added to
+        `finished`; basic rights are leaves. Raises ModelError at a cycle."""
+        defs = self.defs
+        if right_id in finished or defs.get(right_id) is None:
+            return []
+        # depth first: the open names on `path`, an iterator over the
+        # references each has left unvisited on `stack`
+        order: list[str] = []
+        path, on_path = [right_id], {right_id}
         stack = [iter(self.definition(right_id)[1])]
         while stack:
             ref = next(stack[-1], None)
@@ -497,22 +475,66 @@ class CompiledKB:
                 stack.pop()
                 name = path.pop()
                 on_path.discard(name)
-                done[name] = self._substitute(self.definition(name)[0])
-            elif ref not in done and defs.get(ref) is not None:
+                finished.add(name)
+                order.append(name)
+            elif ref not in finished and defs.get(ref) is not None:
                 if ref in on_path:
                     cycle = " -> ".join(path + [ref])
                     raise ModelError(f"recursive right definition: {cycle}")
                 path.append(ref)
                 on_path.add(ref)
                 stack.append(iter(self.definition(ref)[1]))
-        return done[right_id]
+        return order
+
+    def _splice(self, names: list[str]) -> list[Step]:
+        """The steps of each of `names`' definitions in turn, as one list in
+        which a use of a name spliced before reads that name's last step."""
+        steps: list[Step] = []
+        last: dict[str, int] = {}
+        for name in names:
+            at: list[int] = []  # each definition step's position in `steps`
+            for kind, arg in self.definition(name)[0]:
+                if kind == "atom":
+                    if arg in last:
+                        at.append(last[arg])
+                        continue
+                elif kind == "not":
+                    arg = at[arg]
+                else:
+                    arg = tuple([at[i] for i in arg])
+                at.append(len(steps))
+                steps.append((kind, arg))
+            last[name] = at[-1]
+        return steps
+
+    def steps(self, right_id: str) -> list[Step]:
+        """The steps of `right_id` expanded down to basic rights and atomic
+        rights, each defined name it reaches spliced in once, however often
+        used. Raises KeyError if unknown, ModelError at a cycle."""
+        if right_id not in self.known:
+            raise KeyError(f"unknown right {right_id!r}")
+        names = self.walk(right_id, set())
+        return self._splice(names) if names else [("atom", right_id)]
+
+    def expand(self, right_id: str) -> RightExpr:
+        """`steps` as an expression tree, the uses of a name sharing one node."""
+        built: list[RightExpr] = []
+        for kind, arg in self.steps(right_id):
+            if kind == "atom":
+                node: RightExpr = RightRef(arg)
+            elif kind == "not":
+                node = NotExpr(built[arg])
+            else:
+                node = (AndExpr if kind == "and" else OrExpr)(tuple(built[i] for i in arg))
+            built.append(node)
+        return built[-1]
 
     def program(self, right_id: str) -> Optional[Program]:
-        """`right_id` expanded and compiled, or None for a right that does
-        not expand (unknown, or defined through a cycle)."""
+        """`steps` compiled, or None for a right that does not expand
+        (unknown, or defined through a cycle)."""
         if right_id not in self._programs:
             try:
-                self._programs[right_id] = _compile(self.expand(right_id))
+                self._programs[right_id] = _compile(self.steps(right_id))
             except (KeyError, ModelError):
                 self._programs[right_id] = None
         return self._programs[right_id]
@@ -581,7 +603,7 @@ def validate_kb(kb: KnowledgeBase | CompiledKB) -> list[Diagnostic]:
     detailed check would find nothing. Only a record that fails its screen
     gets its location text built and its detailed check run, so a valid
     scenario, rule or assert costs no string. Given a `CompiledKB`, the
-    expansions its cycle check builds stay in it for an Engine to reuse.
+    definitions its checks open stay in it for an Engine to reuse.
     """
     compiled = kb if isinstance(kb, CompiledKB) else CompiledKB(kb)
     kb = compiled.kb
@@ -603,7 +625,9 @@ def validate_kb(kb: KnowledgeBase | CompiledKB) -> list[Diagnostic]:
             diags.append(Diagnostic("error", "empty-id", "basic right with empty id"))
 
     # A repeated right id keeps its last definition in `compiled`; each
-    # earlier one is opened here on its own.
+    # earlier one is opened here on its own. The cycle check walks each name
+    # once over all rights: `finished` holds those that reach no cycle.
+    finished: set[str] = set()
     for r in kb.rights:
         if r.definition is None:
             continue
@@ -615,7 +639,7 @@ def validate_kb(kb: KnowledgeBase | CompiledKB) -> list[Diagnostic]:
                     "error", "unknown-right",
                     f"right {r.id!r}: definition references undeclared right {atom!r}"))
         try:
-            compiled.expand(r.id)
+            compiled.walk(r.id, finished)
         except ModelError as exc:
             diags.append(Diagnostic("error", "recursive-definition", str(exc)))
 

@@ -123,36 +123,63 @@ def promoted_in_s(text, right):
 
 class TestOneCompile:
     """A console call compiles its KB once: validation and the Engine read
-    the same `CompiledKB`, so each defined right is expanded once."""
+    the same `CompiledKB`, so each definition is opened once. Validation
+    walks names and splices nothing; each program splices each defined
+    name it reaches once, however often the name is used."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = {"compiles": 0, "expanded": Counter()}
-        init, substitute = model.CompiledKB.__init__, model.CompiledKB._substitute
+        counts = {"compiles": 0, "opened": Counter(), "spliced": []}
+        init, open_expr, splice = (model.CompiledKB.__init__, model.CompiledKB.open,
+                                   model.CompiledKB._splice)
 
         def counted_init(self, kb):
             counts["compiles"] += 1
             init(self, kb)
 
-        def counted_substitute(self, steps):
-            name = next(n for n, (s, _) in self._opened.items() if s is steps)
-            counts["expanded"][name] += 1
-            return substitute(self, steps)
+        def counted_open(self, expr):
+            counts["opened"][next(r.id for r in self.kb.rights if r.definition is expr)] += 1
+            return open_expr(self, expr)
+
+        def counted_splice(self, names):
+            counts["spliced"].append(list(names))
+            return splice(self, names)
         monkeypatch.setattr(model.CompiledKB, "__init__", counted_init)
-        monkeypatch.setattr(model.CompiledKB, "_substitute", counted_substitute)
+        monkeypatch.setattr(model.CompiledKB, "open", counted_open)
+        monkeypatch.setattr(model.CompiledKB, "_splice", counted_splice)
         return counts
 
-    @pytest.mark.parametrize("argv", [
-        ("fria", "triage.rights", "--gpai", "--fixed-time", "2026-01-01T00:00:00Z"),
-        ("assess", "triage.rights", "--purpose", "P_triage"),
-        ("explain", "triage.rights", "S_emergency", "choice(S_emergency, privacy)"),
-        ("check", "triage.rights"),
-    ], ids=["fria", "assess", "explain", "check"])
-    def test_fixture_calls(self, capsys, fixtures_dir, counts, argv):
-        code, _, err = run(capsys, argv[0], fx(fixtures_dir, argv[1]), *argv[2:])
+    # protection := privacy & (informed | oversight) reaches informed twice,
+    # once through privacy := informed & minimisation
+    DEFINITIONS_PROGRAMS = [["informed", "minimisation", "privacy"],
+                            ["informed", "minimisation", "privacy", "protection"],
+                            ["security"], ["transparency"],
+                            ["informed", "uninformed_consent"]]
+
+    @pytest.mark.parametrize("argv, spliced", [
+        (("fria", "triage.rights", "--gpai", "--fixed-time", "2026-01-01T00:00:00Z"),
+         [["privacy"]]),
+        (("assess", "triage.rights", "--purpose", "P_triage"), [["privacy"]]),
+        (("explain", "triage.rights", "S_emergency", "choice(S_emergency, privacy)"),
+         [["privacy"]]),
+        (("check", "triage.rights"), []),
+        (("fria", "definitions.rights", "--fixed-time", "2026-01-01T00:00:00Z"),
+         DEFINITIONS_PROGRAMS),
+        (("assess", "definitions.rights", "--scenario", "S_review"),
+         DEFINITIONS_PROGRAMS[:2] + [["transparency"]]),
+        (("explain", "definitions.rights", "S_optin", "collides(dignity, uninformed_consent)"),
+         DEFINITIONS_PROGRAMS[-1:]),
+        (("check", "definitions.rights"), []),
+    ], ids=["fria", "assess", "explain", "check", "definitions-fria",
+            "definitions-assess", "definitions-explain", "definitions-check"])
+    def test_fixture_calls(self, capsys, fixtures_dir, counts, argv, spliced):
+        path = fx(fixtures_dir, argv[1])
+        code, _, err = run(capsys, argv[0], path, *argv[2:])
         assert (code, err) == (0, "")
         assert counts["compiles"] == 1
-        assert set(counts["expanded"].values()) == {1}
+        defined = [r.id for r in load_fixture(argv[1]).rights if r.definition is not None]
+        assert counts["opened"] == Counter(defined)
+        assert sorted(counts["spliced"]) == sorted(spliced)
 
     def test_shared_chain(self, capsys, tmp_path, counts):
         path = tmp_path / "shared.rights"
@@ -160,7 +187,8 @@ class TestOneCompile:
         code, out, _ = run(capsys, "assess", str(path), "--scenario", "S")
         assert code == 0 and "collisions: (r0, y)" in out
         assert counts["compiles"] == 1
-        assert counts["expanded"] == Counter({f"r{i}": 1 for i in range(31)} | {"y": 1})
+        assert counts["opened"] == Counter([f"r{i}" for i in range(31)] + ["y"])
+        assert sorted(counts["spliced"]) == [[f"r{i}" for i in range(30, -1, -1)], ["y"]]
 
 
 class TestArgumentParser:

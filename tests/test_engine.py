@@ -798,11 +798,11 @@ class TestIncompatibilityOracle:
 
     def test_each_pair_checked_once_each_right_compiled_once(self, monkeypatch):
         checks, compiles = [], []
-        check, compile_expr = engine_module.logically_incompatible, model._compile
+        check, compile_steps = engine_module.logically_incompatible, model._compile
         monkeypatch.setattr(engine_module, "logically_incompatible",
                             lambda *args: checks.append(args[1:3]) or check(*args))
         monkeypatch.setattr(model, "_compile",
-                            lambda expr: compiles.append(expr) or compile_expr(expr))
+                            lambda steps: compiles.append(steps) or compile_steps(steps))
         engine = Engine(parse_kb(self.KB_TEXT))
         assert compiles == []  # nothing is compiled before a pair is checked
         for r1, r2, expected in [("a", "d", True), ("d", "a", True), ("d", "e", False),

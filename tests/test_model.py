@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from typing import Iterable
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, load_fixture
-from kb_random import random_kb
+from kb_random import _right_expr as random_right_expr, random_kb
 from rightsrisk import dsl, model
 from rightsrisk.dsl import parse_kb
 from rightsrisk.engine import Engine, Occurrence
@@ -37,7 +38,7 @@ def lits(*specs: str) -> frozenset:
 
 def expr_atoms(expr) -> set[str]:
     """The right names at the leaves of `expr`."""
-    return set(model._compile(expr).atoms)
+    return set(model._compile(model._steps(expr)).atoms)
 
 
 class TestSatisfies:
@@ -494,6 +495,156 @@ def wide_table_satisfiable(e1, e2, n):
     return table_value(e1, columns, full) & table_value(e2, columns, full) != 0
 
 
+# ---------------------------------------------------------------------------
+# Expansion oracle: each right's program, expansion and cycle diagnostics
+# against recursive substitution, which knows nothing of `CompiledKB`.
+# ---------------------------------------------------------------------------
+
+def naive_expand(kb: KnowledgeBase, right: str):
+    """`right` with each defined name that is not a basic right replaced by
+    its last definition, again and again; a name met on its own path raises
+    ModelError naming the path. KeyError for an unknown right."""
+    basics = {b.id for b in kb.basic_rights}
+    defs = {r.id: r.definition for r in kb.rights}
+    if right not in basics and right not in defs:
+        raise KeyError(right)
+    path, on_path = [right], {right}
+
+    def substitute(expr):
+        if isinstance(expr, NotExpr):
+            return NotExpr(substitute(expr.operand))
+        if not isinstance(expr, RightRef):
+            return type(expr)(tuple(substitute(e) for e in expr.operands))
+        name = expr.name
+        if name in basics or defs.get(name) is None:
+            return RightRef(name)
+        if name in on_path:
+            raise ModelError("recursive right definition: " + " -> ".join(path + [name]))
+        path.append(name)
+        on_path.add(name)
+        expanded = substitute(defs[name])
+        path.pop()
+        on_path.discard(name)
+        return expanded
+
+    return RightRef(right) if defs.get(right) is None else substitute(defs[right])
+
+
+def same_tree(a, b) -> bool:
+    """`a == b` without recursion, for trees deeper than the C stack allows."""
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, RightRef):
+            if x.name != y.name:
+                return False
+        elif isinstance(x, NotExpr):
+            pending.append((x.operand, y.operand))
+        elif len(x.operands) != len(y.operands):
+            return False
+        else:
+            pending.extend(zip(x.operands, y.operands))
+    return True
+
+
+def brute_table(expr, atoms) -> int:
+    """Bit j set iff `expr` holds when atom i is bit i of j."""
+    return sum(1 << j for j in range(1 << len(atoms))
+               if truth_value(expr, {a: bool(j >> i & 1) for i, a in enumerate(atoms)}))
+
+
+def definitional_kb(seed: int) -> KnowledgeBase:
+    """A random KB with extras, plus up to six rights defined over basic,
+    atomic, defined and undeclared names, some repeating a declared id (a
+    basic right's too), so that chains, cycles and shadowed definitions
+    all occur."""
+    rng = random.Random(seed)
+    kb = random_kb(rng, with_extras=True)
+    declared = [b.id for b in kb.basic_rights] + [r.id for r in kb.rights]
+    names = declared + [f"d{i}" for i in range(6)] + ["ghost"]
+    for i in range(rng.randint(1, 6)):
+        rid = rng.choice(declared) if rng.random() < 0.3 else f"d{i}"
+        kb.rights.append(FundamentalRight(rid, random_right_expr(rng, names)))
+    return kb
+
+
+@pytest.fixture()
+def deep_recursion():
+    """Room for the oracle's recursion over chains a thousand names deep."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestExpansionOracle:
+    """For every known right: `program` has the oracle's atoms and brute-force
+    truth table (or both are None), `expand_right` is the oracle's tree (or
+    both raise the same cycle), and `validate_kb` reports the oracle's
+    cycles, in order."""
+
+    def check(self, kb: KnowledgeBase) -> set[str]:
+        compiled = CompiledKB(kb)
+        # `expand_right` is a fresh `CompiledKB(kb).expand`; over a thousand
+        # rights, one compile serves them all, or each call would open every
+        # definition again
+        expand = CompiledKB(kb).expand if len(kb.rights) > 100 else functools.partial(
+            expand_right, kb)
+        outcomes = set()
+        for right in sorted(compiled.known):
+            try:
+                tree, error = naive_expand(kb, right), None
+            except ModelError as exc:
+                tree, error = None, str(exc)
+            program = compiled.program(right)
+            if tree is None:
+                assert program is None, right
+                with pytest.raises(ModelError) as raised:
+                    expand(right)
+                assert str(raised.value) == error
+                outcomes.add("cycle")
+                continue
+            atoms = sorted(leaf_names(tree))
+            assert len(atoms) <= TRUTH_TABLE_ATOMS
+            assert program.atoms == tuple(atoms), right
+            assert program.table == brute_table(tree, atoms), right
+            assert same_tree(expand(right), tree), right
+            outcomes.add("nested" if len(atoms) > 1 or atoms != [right] else "leaf")
+        expected = []
+        for r in kb.rights:
+            if r.definition is not None:
+                try:
+                    naive_expand(kb, r.id)
+                except ModelError as exc:
+                    expected.append(str(exc))
+        assert [d.message for d in validate_kb(kb) if d.code == "recursive-definition"] == expected
+        return outcomes
+
+    def test_random_kbs(self):
+        outcomes, repeated, cyclic = set(), 0, 0
+        for seed in range(200):
+            kb = definitional_kb(seed)
+            outcomes |= self.check(kb)
+            ids = [r.id for r in kb.rights] + [b.id for b in kb.basic_rights]
+            repeated += len(set(ids)) < len(ids)
+            cyclic += any(d.code == "recursive-definition" for d in validate_kb(kb))
+        assert outcomes == {"cycle", "nested", "leaf"}
+        assert repeated > 20 and cyclic > 20, (repeated, cyclic)
+
+    @pytest.mark.parametrize("text", [
+        shared_chain(12), BANGS_TEXT,
+        "".join(f"right r{i} := r{i + 1};\n" for i in range(1100)) + "right r1100 := r0;\n",
+        "basic a;\nright A := B; right B := C; right C := A; right D := A & a;\n",
+        "basic x, y;\nright x := y & !x;\nright y := x | z;\nright z := y & w;\nright w;\n"
+        "right p := q & q;\nright q := x & z;\nright p := q | !q;\n",
+    ], ids=["shared-chain", "negations", "1100-name-cycle",
+            "cycle-entered-twice", "basic-defined-and-repeated"])
+    def test_hand_kbs(self, deep_recursion, text):
+        self.check(parse_kb(text))
+
+
 class TestValidateKb:
     def test_scholarship_is_clean(self, scholarship_kb):
         assert validate_kb(scholarship_kb) == []
@@ -599,6 +750,20 @@ class TestValidateKb:
         monkeypatch.setattr(model, "_steps", lambda expr: calls.append(expr) or steps(expr))
         assert validate_kb(kb) == []
         assert len(calls) == sum(r.definition is not None for r in kb.rights)
+
+    @pytest.mark.parametrize("text", [shared_chain(30), BANGS_TEXT, CHAIN_TEXT],
+                             ids=["shared-chain", "negations", "1200-link-chain"])
+    def test_each_name_walked_once(self, monkeypatch, text):
+        """validate_kb reads each definition twice: once for its references,
+        once as the cycle check walks past it, whichever right's walk
+        reaches it first."""
+        kb = parse_kb(text)
+        read = Counter()
+        definition = CompiledKB.definition
+        monkeypatch.setattr(CompiledKB, "definition",
+                            lambda self, rid: read.update([rid]) or definition(self, rid))
+        assert validate_kb(kb) == []
+        assert read == Counter(2 * [r.id for r in kb.rights if r.definition is not None])
 
 
 # ---------------------------------------------------------------------------

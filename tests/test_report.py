@@ -301,10 +301,19 @@ class TestScenarioRecords:
             labels += self.assert_labels_are_str(bundle)
         assert shown > 0 and labels > 0
 
-    def test_contested_round_trip(self):
-        for bundle in fixture_bundles("contested"):
-            report = build_report(bundle, **META)
-            assert parse_report(render(report, "json")) == report
+    def test_random_kb_reports_round_trip(self):
+        """The reports of test_random_kbs' KBs: each JSON text is the stdlib's
+        encoding of itself and reads back as the same report."""
+        collided = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            kb = with_collision_rules(random_kb(rng, with_extras=True), rng)
+            report = build_report(build_bundle(Engine(kb), domain_id="D"), **META)
+            text = render(report, "json")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert parse_report(text) == report
+            collided += any(s.collisions for s in report.scenarios)
+        assert collided > 0
 
 
 class TestBuildBundle:
