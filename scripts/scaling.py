@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Scaling record: `fria` wall time and its stage split as the scenario count grows.
+"""Scaling record: `fria` wall time, its stage split, and a one-scenario
+query's wall time as the scenario count grows.
 
 Usage: python scripts/scaling.py [--sizes 150 600 2400] [--out BENCH.json]
 
 Each knowledge base comes from `perfbench/gen.py` with the benchmark's
 `fria_wide` shape, except `refine=0.2`, at seed 1 and S scenarios. For each
 S the record holds the median of 5 in-process `fria --format json` calls,
-and the median of 5 runs of each stage that call is made of, timed one by
-one:
+the median of 5 in-process `assess --scenario <last scenario> --json`
+calls (`query`), and the median of 5 runs of each stage that the `fria`
+call is made of, timed one by one:
 
   parse_kb      text to knowledge base
   validate_kb   one validation
@@ -89,15 +91,14 @@ def stage_times(text: str) -> dict[str, float]:
     return times
 
 
-def fria_seconds(path: str) -> float:
+def cli_seconds(argv: list[str]) -> float:
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
-        code = cli_main(["fria", path, "--domain", "D", "--format", "json",
-                         "--fixed-time", FIXED_TIME])
+        code = cli_main(argv)
     seconds = time.perf_counter() - start
     if code != 0:
-        raise SystemExit(f"fria exited {code} on {path}")
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
     return seconds
 
 
@@ -108,19 +109,24 @@ def measure(scenarios: int, workdir: str) -> dict:
     path = os.path.join(workdir, f"fria_wide-{scenarios}.rights")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    fria = statistics.median(fria_seconds(path) for _ in range(REPEATS))
+    fria = statistics.median(cli_seconds(["fria", path, "--domain", "D", "--format", "json",
+                                          "--fixed-time", FIXED_TIME]) for _ in range(REPEATS))
+    last = parse_kb(text).scenarios[-1].id
+    query = statistics.median(cli_seconds(["assess", path, "--scenario", last, "--json"])
+                              for _ in range(REPEATS))
     gc.disable()  # as `cli.main` runs a command
     runs = [stage_times(text) for _ in range(REPEATS)]
     gc.enable()
-    return {"scenarios": scenarios, "fria_s": fria,
+    return {"scenarios": scenarios, "fria_s": fria, "query_s": query,
             "stages_s": {s: statistics.median(r[s] for r in runs) for s in STAGES}}
 
 
 def table(rows: list[dict]) -> str:
-    lines = ["| S | fria | " + " | ".join(STAGES) + " |",
-             "|---" * (len(STAGES) + 2) + "|"]
+    lines = ["| S | fria | query | " + " | ".join(STAGES) + " |",
+             "|---" * (len(STAGES) + 3) + "|"]
     for row in rows:
-        cells = [f"{row['fria_s']:.3f}"] + [f"{row['stages_s'][s]:.4f}" for s in STAGES]
+        cells = [f"{row['fria_s']:.3f}", f"{row['query_s']:.4f}"] + \
+            [f"{row['stages_s'][s]:.4f}" for s in STAGES]
         lines.append(f"| {row['scenarios']} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 

@@ -1,9 +1,13 @@
 """Defeasible forward-chaining over one deployment scenario.
 
 Fires every rule whose body the scenario's features satisfy, each assert
-through its own scenario; resolves promotion/demotion conflicts by rule
-strength with ambiguity blocking; derives contextual and logical collisions;
-and walks each fired chain's priority sequence with generalized adoption.
+through its own scenario: an Engine's first firing scans the rules and
+asserts for that scenario alone, as a one-scenario query fires no other,
+and from the second firing on, and for the monotonicity check, it reads
+one containment table built for every scenario. Resolves promotion/demotion
+conflicts by rule strength with ambiguity blocking; derives contextual and
+logical collisions; and walks each fired chain's priority sequence with
+generalized adoption.
 
 Each scenario's firing is read once into its deciders: the first-fired
 strongest rule of each conclusion other than a chain, keyed by its kind and
@@ -120,17 +124,18 @@ class Engine:
     `CompiledKB` (the one given, or its own over a plain KB), that keeps what
     it works out: each scenario's firings, deciders and findings, each right
     pair's check, the compiled rights and their atom index, the scenario and
-    domain score tables, and one containment table, built on the first
-    firing, that firing and monotonicity both read."""
+    domain score tables, and one containment table, built on the second
+    firing or the monotonicity check, that both then read."""
 
     def __init__(self, kb: KnowledgeBase | CompiledKB, config: EngineConfig = EngineConfig()):
         # compiles each right on first use
-        self._compiled = compiled = kb if isinstance(kb, CompiledKB) else CompiledKB(kb)
+        self.compiled = compiled = kb if isinstance(kb, CompiledKB) else CompiledKB(kb)
         self.kb = compiled.kb
         self.config = config
         self._scenarios = compiled.scenarios
         self._cache: dict[str, ScenarioFindings] = {}
         self._fired: dict[str, tuple[list[Rule], _Deciders]] = {}
+        self._scanned = False  # whether `fire_rules` has scanned its one scenario
         self._incompat: dict[frozenset[str], bool] = {}
         self._linked: dict[str, set[str]] = {}  # the atom index of `_link`
         self._by_atom: dict[str, set[str]] = {}
@@ -186,22 +191,36 @@ class Engine:
                 within[j].append(x)
                 mask ^= 1 << j
         first = {s.id: p for p, s in reversed(list(enumerate(scenarios)))}
-        owners = {first[sid]: sid for sid in self._compiled.asserted}
+        owners = {first[sid]: sid for sid in self.compiled.asserted}
         return rules_in, within, first, owners
 
     def fire_rules(self, scenario_id: str) -> list[Rule]:
         """The rules whose bodies hold in the scenario, in `CompiledKB.rules`
         order: explicit rules, then the contained scenarios' asserts by
-        number, read from the containment table at the id's first position."""
-        self._scenario(scenario_id)  # KeyError for an unknown id
-        rules_in, within, first, owners = self._containment
-        j, compiled, rules = first[scenario_id], self._compiled, self.kb.rules
-        fired = [rules[i] for i in rules_in[j]]
-        sids = [owners[p] for p in within[j] if p in owners]
+        number. The Engine's first firing scans for them, as a one-scenario
+        query fires nothing else; from the second on, they are read from the
+        containment table at the id's first position."""
+        features = self._scenario(scenario_id).features  # KeyError for an unknown id
+        compiled = self.compiled
+        if not self._scanned:
+            self._scanned = True
+            fired = [r for r in self.kb.rules if features.issuperset(r.body)]
+            inside = {sid for sid, s in self._scenarios.items() if features.issuperset(s.features)}
+            positions: dict[str, list[int]] = {}
+            for i, a in enumerate(self.kb.assertions):
+                if a.scenario in inside:
+                    positions.setdefault(a.scenario, []).append(i)
+            sids = list(positions)
+        else:
+            rules_in, within, first, owners = self._containment
+            j, rules = first[scenario_id], self.kb.rules
+            fired = [rules[i] for i in rules_in[j]]
+            sids = [owners[p] for p in within[j] if p in owners]
+            positions = compiled.asserted
         if len(sids) == 1:  # the common case: no merge by number
-            return fired + compiled.asserts(sids[0])
-        return fired + [r for _, r in sorted([pair for sid in sids for pair in
-                                              zip(compiled.asserted[sid], compiled.asserts(sid))])]
+            return fired + compiled.asserts(sids[0], positions[sids[0]])
+        return fired + [r for _, r in sorted([pair for sid in sids for pair in zip(
+            positions[sid], compiled.asserts(sid, positions[sid]))])]
 
     def _firings(self, scenario_id: str) -> tuple[list[Rule], _Deciders]:
         """`fire_rules` and its `_deciders`, computed once per scenario and
@@ -245,7 +264,7 @@ class Engine:
     def _pair_incompatible(self, r1: str, r2: str) -> bool:
         key = frozenset((r1, r2))
         if key not in self._incompat:
-            self._incompat[key] = logically_incompatible(self._compiled, r1, r2)
+            self._incompat[key] = logically_incompatible(self.compiled, r1, r2)
         return self._incompat[key]
 
     def _link(self, right: str) -> None:
@@ -253,7 +272,7 @@ class Engine:
         may be logically incompatible with it. Formulas over disjoint atoms
         hold together iff each holds alone, so these share an atom with it,
         or are expandable while one of the two is unsatisfiable alone."""
-        program = self._compiled.program(right)
+        program = self.compiled.program(right)
         links = self._linked[right] = set()
         if program is None:
             return
@@ -408,7 +427,7 @@ class Engine:
     def explain(self, scenario_id: str, conclusion: str) -> Explanation:
         """Derivation trace for a conclusion, or a structured answer naming
         the closest blocked step."""
-        known = self._compiled.known
+        known = self.compiled.known
         kind, args = self._parse_conclusion(scenario_id, conclusion, known)
         self._scenario(scenario_id)  # KeyError for unknown scenario
         for right in args:
@@ -528,7 +547,7 @@ class Engine:
                          label: str) -> str:
         scen = self._scenario(scenario_id)
         candidates = [r for r in self.kb.rules if r.head.kind == kind and _key(r.head) == key] + [
-            self._compiled.desugar(a.scenario, (i,))[0] for i, a in enumerate(self.kb.assertions)
+            self.compiled.desugar(a.scenario, (i,))[0] for i, a in enumerate(self.kb.assertions)
             if a.head.kind == kind and a.scenario in self._scenarios and _key(a.head) == key]
         if not candidates:
             return f"not derivable: no rule concludes {label}"

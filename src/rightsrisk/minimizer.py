@@ -71,7 +71,7 @@ def _minimize_units(per_unit: dict[str, Fraction]) -> MinimizationResult:
 
 def minimize_domain(engine: Engine, domain_id: str) -> MinimizationResult:
     """Degree-maximizing non-empty subsets of the domain's scenario set."""
-    domain = engine.kb.domain(domain_id)
+    domain = engine.compiled.domain(domain_id)
     per_unit = {sid: scenario_breakdown(engine, sid).degree
                 for sid in domain.scenarios}
     return _minimize_units(per_unit)
@@ -79,7 +79,7 @@ def minimize_domain(engine: Engine, domain_id: str) -> MinimizationResult:
 
 def minimize_purpose(engine: Engine, purpose_id: str) -> MinimizationResult:
     """Same search one level up, over the purpose's domains."""
-    purpose = engine.kb.purpose(purpose_id)
+    purpose = engine.compiled.purpose(purpose_id)
     per_unit = {did: degree_domain(engine, did).degree
                 for did in purpose.domains}
     return _minimize_units(per_unit)

@@ -393,11 +393,11 @@ def jointly_satisfiable(e1: RightExpr, e2: RightExpr) -> bool:
 
 
 class CompiledKB:
-    """What a knowledge base compiles to: its scenarios by id (the first
-    declaration wins), each known scenario's asserts desugared into rules,
-    its declared right ids, and each defined right's steps and program,
-    each worked out the first time it is asked for and then kept. Only
-    `expand` builds an expression tree.
+    """What a knowledge base compiles to: its scenarios, domains and
+    purposes by id (the first declaration wins), each known scenario's
+    asserts desugared into rules, its declared right ids, and each defined
+    right's steps and program, each worked out the first time it is asked
+    for and then kept. Only `expand` builds an expression tree.
 
     A console call builds one and hands it to both `validate_kb` and its
     Engine; given a plain KnowledgeBase, each builds its own. It is never
@@ -412,9 +412,21 @@ class CompiledKB:
         self.basics = {b.id for b in kb.basic_rights}
         self.defs = {r.id: r.definition for r in kb.rights}  # the last one wins
         self.known = self.basics.union(self.defs)
+        # the first declaration wins, as the `KnowledgeBase` lookups find it
+        self._domains = {d.id: d for d in reversed(kb.domains)}
+        self._purposes = {p.id: p for p in reversed(kb.purposes)}
         self._asserts: dict[str, list[Rule]] = {}
         self._opened: dict[str, tuple[list[Step], list[str]]] = {}
         self._programs: dict[str, Optional[Program]] = {}
+
+    def domain(self, did: str) -> DeploymentDomain:
+        """`KnowledgeBase.domain`, read from the index; only an unknown id
+        goes on to that scan, for its KeyError."""
+        return self._domains.get(did) or self.kb.domain(did)
+
+    def purpose(self, pid: str) -> Purpose:
+        """`KnowledgeBase.purpose`, read from the index as `domain` is."""
+        return self._purposes.get(pid) or self.kb.purpose(pid)
 
     @cached_property
     def asserted(self) -> dict[str, list[int]]:
@@ -432,17 +444,18 @@ class CompiledKB:
         assertions = self.kb.assertions
         return [Rule(f"assert#{i}@{sid}", body, assertions[i].head) for i in positions]
 
-    def asserts(self, sid: str) -> list[Rule]:
-        """`desugar` over each assert of the known scenario `sid`; then kept."""
+    def asserts(self, sid: str, positions: list[int]) -> list[Rule]:
+        """`desugar` over `positions`, every assert of the known scenario
+        `sid`, as `asserted` or a caller's scan finds them; then kept."""
         if sid not in self._asserts:
-            self._asserts[sid] = self.desugar(sid, self.asserted.get(sid, ()))
+            self._asserts[sid] = self.desugar(sid, positions)
         return self._asserts[sid]
 
     @cached_property
     def rules(self) -> list[Rule]:
         """The explicit rules, then the `asserts` in declaration order."""
         return list(self.kb.rules) + [r for _, r in sorted(
-            pair for sid in self.asserted for pair in zip(self.asserted[sid], self.asserts(sid)))]
+            pair for sid, at in self.asserted.items() for pair in zip(at, self.asserts(sid, at)))]
 
     def open(self, expr: RightExpr) -> tuple[list[Step], list[str]]:
         """The steps of `expr`, and the names in it that are not basic

@@ -73,17 +73,17 @@ def build_bundle(engine: Engine, domain_id: Optional[str] = None,
                  purpose_id: Optional[str] = None) -> AssessmentBundle:
     if (domain_id is None) == (purpose_id is None):
         raise ReportError("select exactly one domain or purpose")
-    kb = engine.kb
+    kb, compiled = engine.kb, engine.compiled
     if domain_id is not None:
         kind, selector, domain_ids = "domain", domain_id, [domain_id]
         total = degree_domain(engine, domain_id)
         minimization = minimize_domain(engine, domain_id)
     else:
-        kind, selector, domain_ids = "purpose", purpose_id, kb.purpose(purpose_id).domains
+        kind, selector, domain_ids = "purpose", purpose_id, compiled.purpose(purpose_id).domains
         total = degree_purpose(engine, purpose_id)
         minimization = minimize_purpose(engine, purpose_id)
     findings = {sid: engine.assess(sid)
-                for did in domain_ids for sid in kb.domain(did).scenarios}
+                for did in domain_ids for sid in compiled.domain(did).scenarios}
     breakdowns = {sid: scenario_breakdown(engine, sid) for sid in findings}
     diagnostics = engine.check_monotonicity()
     for f in findings.values():

@@ -139,11 +139,11 @@ def degree_domain(engine: Engine, domain_id: str) -> DegreeBreakdown:
     table = engine.domain_breakdowns
     if domain_id not in table:
         table[domain_id] = _sum(scenario_breakdown(engine, sid)
-                                for sid in engine.kb.domain(domain_id).scenarios)
+                                for sid in engine.compiled.domain(domain_id).scenarios)
     return table[domain_id]
 
 
 def degree_purpose(engine: Engine, purpose_id: str) -> DegreeBreakdown:
     """Sum of domain degrees over the purpose's family of domains."""
     return _sum(degree_domain(engine, did)
-                for did in engine.kb.purpose(purpose_id).domains)
+                for did in engine.compiled.purpose(purpose_id).domains)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, load_fixture
 from kb_random import random_kb
-from rightsrisk import cli, model
+from rightsrisk import cli, engine, model
 from rightsrisk.cli import build_arg_parser, main
 from rightsrisk.dsl import print_kb
 from rightsrisk.report import parse_report
@@ -189,6 +190,108 @@ class TestOneCompile:
         assert counts["compiles"] == 1
         assert counts["opened"] == Counter([f"r{i}" for i in range(31)] + ["y"])
         assert sorted(counts["spliced"]) == [[f"r{i}" for i in range(30, -1, -1)], ["y"]]
+
+
+class TestFiringStructure:
+    """A one-scenario query fires its scenario by a scan: only a second
+    firing, or the monotonicity check, builds the containment table, and
+    only the table groups the asserts by scenario (`CompiledKB.asserted`).
+    Counts structures built per command, not time."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = Counter()
+        for cls, name in ((engine.Engine, "_containment"), (model.CompiledKB, "asserted")):
+            compute = cls.__dict__[name].func
+
+            def counted(self, compute=compute, name=name):
+                built[name] += 1
+                return compute(self)
+            prop = functools.cached_property(counted)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+        return built
+
+    FIXED = ("--fixed-time", "2026-01-01T00:00:00Z")
+
+    @pytest.mark.parametrize("argv, code, most", [
+        (("explain", "contested.rights", "S_margin", "promotes(expression)"), 0, 0),
+        (("explain", "contested.rights", "S_base", "demotes(dignity)"), 1, 0),
+        (("explain", "contested.rights", "S_pair", "collides(safety, non_discrimination)"), 0, 0),
+        (("assess", "contested.rights", "--scenario", "S_refined", "--json"), 0, 0),
+        (("explain", "definitions.rights", "S_badge", "promotes(security)"), 0, 0),
+        (("explain", "definitions.rights", "S_optin", "demotes(dignity)"), 1, 0),
+        (("assess", "definitions.rights", "--scenario", "S_review", "--json"), 0, 0),
+        (("fria", "contested.rights", "--gpai", *FIXED), 0, 1),
+        (("fria", "definitions.rights", *FIXED), 0, 1),
+        (("assess", "contested.rights", "--domain", "D_accounts"), 0, 1),
+        (("assess", "contested.rights", "--purpose", "P_moderation"), 0, 1),
+        (("assess", "definitions.rights", "--purpose", "P_monitoring"), 0, 1),
+        (("minimize", "contested.rights", "--gpai"), 0, 1),
+        (("minimize", "definitions.rights", "--json"), 0, 1),
+    ], ids=["explain", "explain-blocked", "explain-collision", "assess-json",
+            "definitions-explain", "definitions-explain-blocked", "definitions-assess-json",
+            "fria", "definitions-fria", "assess-domain", "assess-purpose",
+            "definitions-assess-purpose", "minimize", "definitions-minimize"])
+    def test_fixture_calls(self, capsys, fixtures_dir, built, argv, code, most):
+        assert run(capsys, argv[0], fx(fixtures_dir, argv[1]), *argv[2:])[::2] == (code, "")
+        assert built["_containment"] <= most and built["asserted"] <= most
+        if not most:  # a one-scenario query: neither is built
+            assert built == Counter()
+
+    @pytest.mark.parametrize("fixture, scenario", [("contested.rights", "S_refined"),
+                                                   ("definitions.rights", "S_review")])
+    def test_text_assess_builds_the_table_for_its_warnings(self, capsys, fixtures_dir, built,
+                                                           fixture, scenario):
+        path = fx(fixtures_dir, fixture)
+        assert run(capsys, "assess", path, "--scenario", scenario)[::2] == (0, "")
+        assert built == Counter({"_containment": 1, "asserted": 1})
+        built.clear()
+        assert run(capsys, "assess", path, "--scenario", scenario,
+                   "--no-monotonicity-check")[::2] == (0, "")
+        assert built == Counter()
+
+
+def many_domains(n):
+    """A purpose `P` over n one-scenario domains, each asserting `promotes(a)`."""
+    lines = ["right a;"]
+    lines += [f"scenario S{j} {{ f{j} }}" for j in range(n)]
+    lines += [f"assert promotes(a) in S{j};" for j in range(n)]
+    lines += [f"domain D{j} {{ S{j} }}" for j in range(n)]
+    lines.append("purpose P { " + ", ".join(f"D{j}" for j in range(n)) + " }")
+    return "\n".join(lines) + "\n"
+
+
+class TestManyDomains:
+    """Domains and purposes are looked up in an index built once per compile:
+    only the CLI's selector check scans `KnowledgeBase.domains`."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("many") / "many.rights"
+        path.write_text(many_domains(2000))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, degree", [
+        (("fria", "--gpai", "--format", "json", "--fixed-time", ""),
+         lambda out: json.loads(out)["degrees"]["total"]),
+        (("assess", "--purpose", "P"),
+         lambda out: out.splitlines()[-1].split("degree: ")[1].split()[0]),
+        (("minimize", "--gpai", "--json"), lambda out: json.loads(out)["optimal_degree"]),
+    ], ids=["fria", "assess", "minimize"])
+    def test_purpose_of_2000_domains(self, capsys, monkeypatch, path, argv, degree):
+        calls = Counter()
+        for name in ("domain", "purpose"):
+            lookup = getattr(model.KnowledgeBase, name)
+
+            def counted(self, key, lookup=lookup, name=name):
+                calls[name] += 1
+                return lookup(self, key)
+            monkeypatch.setattr(model.KnowledgeBase, name, counted)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert degree(out) == "2000"
+        assert calls["domain"] <= 1 and calls["purpose"] <= 1
 
 
 class TestArgumentParser:

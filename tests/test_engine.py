@@ -237,11 +237,14 @@ class TestFiringOracle:
             Engine(pandemic_kb).fire_rules("X")
         assert exc.value.args == ("unknown scenario 'X'",)
 
-    def test_containment_built_on_first_firing(self, pandemic_kb):
-        engine = Engine(pandemic_kb)
+    def test_containment_built_on_second_firing(self, scholarship_kb):
+        engine = Engine(scholarship_kb)
+        first, second = (s.id for s in scholarship_kb.scenarios[:2])
+        engine.fire_rules(first)  # a scan of one scenario
         assert "_containment" not in vars(engine)
-        engine.fire_rules("S")
+        engine.fire_rules(second)
         index = engine._containment
+        engine.fire_rules(first)
         engine.check_monotonicity()
         assert engine._containment is index  # one table for both
 
@@ -302,6 +305,55 @@ class TestContainmentTable:
         assert Engine(kb).check_monotonicity() == []
 
 
+class TestFiringPaths:
+    """Each scenario fired three ways: by a fresh Engine's first firing,
+    which scans that scenario alone, from the containment table after
+    another scenario has fired, and by `naive_fire`."""
+
+    @staticmethod
+    def check(kb):
+        ids = list(CompiledKB(kb).scenarios)
+        for sid in ids:
+            engine = Engine(kb)
+            scanned = engine.fire_rules(sid)
+            assert "_containment" not in vars(engine)
+            engine.fire_rules(next((other for other in ids if other != sid), sid))
+            tabled = engine.fire_rules(sid)
+            assert "_containment" in vars(engine)
+            assert scanned == tabled == naive_fire(kb, sid)
+            assert all(a is b for a, b in zip(scanned, tabled))  # each rule built once
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_kbs_with_refinements_and_strays(self, seed):
+        rng = random.Random(seed)
+        self.check(with_strays(with_refinements(random_kb(rng, with_extras=seed % 2 == 1),
+                                                rng), rng))
+
+    @pytest.mark.parametrize("text", [
+        # an empty body, a repeated literal and a rule no scenario holds
+        "right a;\nscenario S { x }\nscenario T { y }\nrule r1: x => promotes(a);\n"
+        "rule r2: => demotes(a);\nrule r3: y & y => promotes(a);\nrule r4: w => demotes(a);",
+        # a duplicate id: the first declaration fires, and only its features count
+        "right a;\nscenario S { x }\nscenario S { y }\nscenario T { x, y }\n"
+        "assert promotes(a) in S;\nrule r1: x => promotes(a);\nrule r2: y => demotes(a);",
+        # a later declaration that T contains; an assert over Nowhere keeps its number
+        "right a;\nscenario T { x, y }\nscenario S { z }\nscenario S { x }\n"
+        "assert demotes(a) in Nowhere;\nassert promotes(a) in S;\n"
+        "assert demotes(a) in T;\nrule r: x => promotes(a);",
+        # an empty scenario lies within every other
+        "right a;\nscenario E { }\nscenario S { x }\nassert promotes(a) in E;\n"
+        "assert demotes(a) in S;\nassert promotes(a) in E;\nrule r: => promotes(a);",
+        # shared bodies, and the asserts of S and B interleaved by number
+        "right a; right b;\nscenario S { z, !y, x }\nscenario B { x, z }\n"
+        "assert promotes(a) in S;\nassert demotes(b) in B;\n"
+        "rule r1: x => promotes(a);\nrule r2: z & x & !y => demotes(b);\n"
+        "assert demotes(b) in S;\nrule r3: x & !y & z => promotes(b);\n"
+        "assert promotes(b) in B;",
+    ], ids=["bodies", "duplicate-id", "later-declaration", "empty-scenario", "interleaved"])
+    def test_hand_cases(self, text):
+        self.check(parse_kb(text))
+
+
 class TestLazyAsserts:
     """An assert's rule is built when its scenario fires, or when a
     conclusion that does not hold names it as a candidate; never up front."""
@@ -327,7 +379,11 @@ class TestLazyAsserts:
             assert built == []
             engine.assess(scen.id)
             features = engine._scenario(scen.id).features
-            assert sorted(built) == sorted(r.id for r in asserts if features.issuperset(r.body))
+            contained = sorted(r.id for r in asserts if features.issuperset(r.body))
+            assert sorted(built) == contained
+            assert "asserted" not in vars(engine.compiled)  # no grouping for one scenario
+            engine.fire_rules(scen.id)  # from the table, reading the rules kept
+            assert sorted(built) == contained
             for right in sorted(CompiledKB(kb).known):
                 for kind in ("promotes", "demotes"):
                     built.clear()
@@ -339,7 +395,7 @@ class TestLazyAsserts:
     def test_scholarship_explain(self, scholarship_kb, monkeypatch):
         built = self.counting(monkeypatch)
         engine = Engine(scholarship_kb)
-        assert built == [] and "rules" not in vars(engine._compiled)
+        assert built == [] and "rules" not in vars(engine.compiled)
         expl = engine.explain("S_d", "promotes(merit)")
         fired = [r.id for r in engine.fire_rules("S_d") if r.id.startswith("assert#")]
         assert expl.blocked.startswith("not derivable: rule 'assert#4@S_e'")
